@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gf import GFError, make_field
+from .gf import GFError, field_of_order
 from .projgeom import GeomError, ProjSpace, check_axioms, desargues_sweep
 from .semilinear import SemilinearError, equal_up_to_scalar, random_semilinear
 from .ample import AmpleError, AmpleFamily
@@ -33,17 +33,9 @@ def trial_rng(seed, trial):
     return np.random.Generator(np.random.Philox(key=[seed, trial]))
 
 
-def _field_for(q):
-    for p in (2, 3, 5, 7, 11, 13):
-        n = 1
-        while p ** n < q:
-            n += 1
-        if p ** n == q:
-            return make_field(p, n)
-    raise GFError("q = %d is not a supported prime power" % q)
-
-
-def _check_extend_pre(q, d, t):
+def _check_extend_pre(q, d, t, trials):
+    if trials < 1:
+        raise ExtendError("precondition: --trials must be at least 1")
     if d < 3:
         raise ExtendError("precondition: dimension must be at least 3")
     if q <= 3 * t + 1:
@@ -58,8 +50,8 @@ def _check_extend_pre(q, d, t):
 def cmd_extend(cfg):
     """Random scramble -> restrict -> extend -> decode round trips."""
     q, d, t = cfg.q, cfg.d, cfg.t
-    _check_extend_pre(q, d, t)
-    space = ProjSpace(_field_for(q), d)
+    _check_extend_pre(q, d, t, cfg.trials)
+    space = ProjSpace(field_of_order(q), d)
     fam = AmpleFamily.size_at_most(t)
     trials = []
     for k in range(cfg.trials):
@@ -79,8 +71,8 @@ def cmd_extend(cfg):
 def cmd_oracle(cfg):
     """Exhaustive uniqueness counts against the extension output."""
     q, d, t = cfg.q, cfg.d, cfg.t
-    _check_extend_pre(q, d, t)
-    space = ProjSpace(_field_for(q), d)
+    _check_extend_pre(q, d, t, cfg.trials)
+    space = ProjSpace(field_of_order(q), d)
     fam = AmpleFamily.size_at_most(t)
     trials = []
     for k in range(cfg.trials):
@@ -131,7 +123,7 @@ def cmd_ffdemo(cfg):
 
 def cmd_checkgeom(cfg):
     """Exhaustive incidence axioms and the Desargues property."""
-    space = ProjSpace(_field_for(cfg.q), cfg.d)
+    space = ProjSpace(field_of_order(cfg.q), cfg.d)
     ax = check_axioms(space, mode="exhaustive")
     sample = None if space.d == 3 else 2000
     checked, witness = desargues_sweep(space, sample=sample, seed=cfg.seed)

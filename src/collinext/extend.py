@@ -9,11 +9,12 @@ and the result is verified end to end before being decoded into matrix
 plus twist form.  Error messages name the construction step that failed.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import mat_det
+from .gf import mat_det, rref
 from .projgeom import ProjSpace
 from .semilinear import Collineation, SemilinearError, SemilinearIso, decode_ftpg
 from .ample import is_ample, is_mn_admissible
@@ -49,10 +50,8 @@ class PartialCollineation:
         self.U2 = sorted(set(self.sigma.values()))
 
     def meeting_lines(self):
-        inU = np.zeros(self.space1.n_points, dtype=bool)
-        inU[self.U1] = True
-        cnt = inU[self.space1.line_pts].sum(axis=1)
-        return [int(l) for l in np.nonzero(cnt > 0)[0]]
+        hit = np.isin(self.space1.line_pts, self.U1).any(axis=1)
+        return np.nonzero(hit)[0].tolist()
 
 
 @dataclass
@@ -60,6 +59,15 @@ class ValidationReport:
     ok: bool
     reason: str
     witness: tuple | None
+
+
+def _as_arrays(pc):
+    """sigma and tau as index arrays over points and lines, -1 off domain."""
+    sig = np.full(pc.space1.n_points, -1, dtype=np.int64)
+    sig[list(pc.sigma)] = list(pc.sigma.values())
+    tau = np.full(pc.space1.n_lines, -1, dtype=np.int64)
+    tau[list(pc.tau)] = list(pc.tau.values())
+    return sig, tau
 
 
 def validate_partial(pc, concurrency="sampled", samples=300, seed=0):
@@ -70,37 +78,37 @@ def validate_partial(pc, concurrency="sampled", samples=300, seed=0):
     S1, S2 = pc.space1, pc.space2
     if not pc.U1:
         return ValidationReport(False, "empty domain", None)
-    vals = list(pc.sigma.values())
-    if len(set(vals)) != len(vals):
+    if len(set(pc.sigma.values())) != len(pc.sigma):
         return ValidationReport(False, "sigma is not injective", None)
     meeting = pc.meeting_lines()
     if set(pc.tau) != set(meeting):
         return ValidationReport(
             False, "tau domain differs from the lines meeting U1", None)
-    tvals = list(pc.tau.values())
-    if len(set(tvals)) != len(tvals):
+    if len(set(pc.tau.values())) != len(pc.tau):
         return ValidationReport(False, "tau is not injective", None)
-    inU2 = set(pc.U2)
-    for l in meeting:
-        src = {pc.sigma[int(p)] for p in S1.line_pts[l] if int(p) in pc.sigma}
-        dst = {int(p) for p in S2.line_pts[pc.tau[l]]} & inU2
-        if src != dst:
-            return ValidationReport(
-                False, "tau(l) cuts U2 differently than sigma maps l cap U1",
-                (l, pc.tau[l]))
-    # Step1: lines through p inside the domain biject with lines through
-    # sigma(p); tau injectivity plus the identity above gives it, checked
-    # directly anyway
-    for p in pc.U1:
-        thru = [l for l in meeting if S1.on_line[p, l]]
-        imgs = {pc.tau[l] for l in thru}
-        if len(imgs) != len(thru):
-            return ValidationReport(False, "Step1: line pencil at a domain "
-                                    "point does not stay bijective", (p,))
-        sp = pc.sigma[p]
-        if any(not S2.on_line[sp, m] for m in imgs):
-            return ValidationReport(False, "Step1: image line misses the "
-                                    "image point", (p,))
+    sig, tau = _as_arrays(pc)
+    # sigma(l cap U1) against tau(l) cap U2, as sorted rows padded with -1
+    src = np.sort(sig[S1.line_pts[meeting]], axis=1)
+    dst = S2.line_pts[tau[meeting]]
+    dst = np.sort(np.where(np.isin(dst, pc.U2), dst, -1), axis=1)
+    bad = np.nonzero((src != dst).any(axis=1))[0]
+    if len(bad):
+        l = meeting[bad[0]]
+        return ValidationReport(
+            False, "tau(l) cuts U2 differently than sigma maps l cap U1",
+            (l, pc.tau[l]))
+    # Step1: the pencil at p must go bijectively onto the pencil at
+    # sigma(p); pencils are sorted rows of pt_lines
+    img = np.sort(tau[S1.pt_lines[pc.U1]], axis=1)
+    dup = (img[:, 1:] == img[:, :-1]).any(axis=1)
+    miss = (img != S2.pt_lines[sig[pc.U1]]).any(axis=1)
+    bad = np.nonzero(dup | miss)[0]
+    if len(bad):
+        i = bad[0]
+        reason = ("Step1: line pencil at a domain point does not stay "
+                  "bijective" if dup[i] else
+                  "Step1: image line misses the image point")
+        return ValidationReport(False, reason, (pc.U1[i],))
     if concurrency:
         pairs = _line_pairs(meeting, concurrency, samples, seed)
         for l, m in pairs:
@@ -119,8 +127,7 @@ def validate_partial(pc, concurrency="sampled", samples=300, seed=0):
 def _line_pairs(meeting, mode, samples, seed):
     n = len(meeting)
     if mode == "exhaustive" or n * (n - 1) // 2 <= samples:
-        return [(meeting[i], meeting[j])
-                for i in range(n) for j in range(i + 1, n)]
+        return list(itertools.combinations(meeting, 2))
     rng = np.random.default_rng(seed)
     out = []
     while len(out) < samples:
@@ -140,32 +147,43 @@ def extend_point(pc, p, order=None, diagnostics=None):
     p = int(p)
     if p in pc.sigma:
         return pc.sigma[p]
-    S1, S2 = pc.space1, pc.space2
-    seq = pc.U1 if order is None else order
-    first = -1
-    searched = 0
-    for u in seq:
-        u = int(u)
-        if u == p:
-            continue
-        searched += 1
-        l = S1.join_idx(p, u)
-        if l not in pc.tau:
-            raise ExtendError("tau undefined on a line meeting the domain")
-        if first < 0:
-            first = l
-        elif l != first:
-            if diagnostics is not None:
-                diagnostics["line_searches"] += searched
-            t1, t2 = pc.tau[first], pc.tau[l]
-            if t1 == t2:
-                raise ExtendError("Step2-1: images not concurrent")
-            x = S2.meet_idx(t1, t2)
-            if x < 0:
-                raise ExtendError("Step2-1: images not concurrent")
-            return int(x)
-    raise ExtendError("ampleness violated: fewer than two lines through "
-                      "the point meet the domain")
+    seq = [int(u) for u in (pc.U1 if order is None else order) if int(u) != p]
+    return int(_extend_points(pc, [p], [seq], _as_arrays(pc)[1],
+                              diagnostics)[0])
+
+
+def _extend_points(pc, pts, seqs, tau, diagnostics=None):
+    """Images of points outside U1, each searched along its row of seqs.
+
+    A line through the point ranks by the first place of its points in the
+    row; the two lowest-ranked lines are the first two distinct lines the
+    search meets, and their tau images meet in the image."""
+    S1, P = pc.space1, pc.space1.n_points
+    seqs = np.asarray(seqs, dtype=np.int64)
+    rows = np.arange(len(pts))[:, None]
+    pos = np.full((len(pts), P), P, dtype=np.int64)
+    np.minimum.at(pos, (rows, seqs), np.arange(seqs.shape[1]))
+    thru = S1.pt_lines[pts]
+    ranks = pos[rows[:, :, None], S1.line_pts[thru]].min(axis=2)
+    if ranks.shape[1] < 2:
+        raise ExtendError(_POINT_ERRORS[0])
+    pick = np.argsort(ranks, axis=1)[:, :2]
+    rk = np.take_along_axis(ranks, pick, axis=1)
+    t = tau[np.take_along_axis(thru, pick, axis=1)]
+    x = pc.space2.meet_many(*np.maximum(t, 0).T)
+    fail = np.select([rk[:, 0] == P, t[:, 0] < 0, rk[:, 1] == P, t[:, 1] < 0,
+                      (t[:, 0] == t[:, 1]) | (x < 0)], [0, 1, 0, 1, 2], -1)
+    if (fail >= 0).any():
+        raise ExtendError(_POINT_ERRORS[fail[fail >= 0][0]])
+    if diagnostics is not None:
+        diagnostics["line_searches"] += int(rk[:, 1].sum()) + len(rk)
+    return x
+
+
+_POINT_ERRORS = ("ampleness violated: fewer than two lines through the "
+                 "point meet the domain",
+                 "tau undefined on a line meeting the domain",
+                 "Step2-1: images not concurrent")
 
 
 @dataclass
@@ -203,33 +221,28 @@ def extend(pc, fam1, fam2=None, order="canonical", seed=0, decode=True):
     if not val.ok:
         raise ExtendError("precondition: %s" % val.reason)
 
-    diagnostics = {"line_searches": 0, "points_extended": 0,
-                   "lines_verified": 0, "t_star": max(rep1.t_star, rep2.t_star)}
-    rng = np.random.default_rng(seed)
-    sigma_tilde = np.empty(S1.n_points, dtype=np.int64)
-    for p in range(S1.n_points):
-        if order == "canonical":
-            seq = pc.U1
-        elif order == "reversed":
-            seq = pc.U1[::-1]
-        elif order == "shuffled":
-            seq = [pc.U1[int(i)] for i in rng.permutation(len(pc.U1))]
-        else:
-            raise ExtendError("unknown order %r" % order)
-        sigma_tilde[p] = extend_point(pc, p, order=seq, diagnostics=diagnostics)
-        if p not in pc.sigma:
-            diagnostics["points_extended"] += 1
+    sigma_tilde, tau = _as_arrays(pc)
+    outside = np.nonzero(sigma_tilde < 0)[0]
+    diagnostics = {"line_searches": 0, "points_extended": len(outside),
+                   "lines_verified": S1.n_lines,
+                   "t_star": max(rep1.t_star, rep2.t_star)}
+    if order not in ("canonical", "reversed", "shuffled"):
+        raise ExtendError("unknown order %r" % order)
+    U1 = np.asarray(pc.U1)
+    seqs = np.tile(U1[::-1] if order == "reversed" else U1, (len(outside), 1))
+    if order == "shuffled":
+        seqs = np.random.default_rng(seed).permuted(seqs, axis=1)
+    sigma_tilde[outside] = _extend_points(pc, outside, seqs, tau, diagnostics)
     if len(np.unique(sigma_tilde)) != S1.n_points:
         raise ExtendError("Step3-1: extended point map is not a bijection")
     try:
         coll = Collineation(S1, sigma_tilde)
     except SemilinearError:
         raise ExtendError("Step3-4: extended map does not carry lines to lines")
-    diagnostics["lines_verified"] = S1.n_lines
-    for l, t in pc.tau.items():
-        if coll.tau[l] != t:
-            raise ExtendError("Step3-2: extended line map disagrees with tau "
-                              "on line %d" % l)
+    bad = np.nonzero((tau >= 0) & (coll.tau != tau))[0]
+    if len(bad):
+        raise ExtendError("Step3-2: extended line map disagrees with tau "
+                          "on line %d" % bad[0])
     decoded = decode_ftpg(coll) if decode else None
     return ExtensionResult(sigma_tilde, coll.tau.copy(), coll, decoded,
                            diagnostics)
@@ -256,15 +269,11 @@ def restrict(mapping, U1):
 def _flat_points(space, gens):
     """Point indices of the span of independent generator vectors."""
     f = space.field
-    k = len(gens)
-    out = set()
-    for digs in np.ndindex(*([f.q] * k)):
-        v = np.zeros(space.d, dtype=np.int64)
-        for c, g in zip(digs, gens):
-            v = f.add_t[v, f.mul_t[c, np.asarray(g, dtype=np.int64)]]
-        if (v != 0).any():
-            out.add(int(space.canon_index(v)))
-    return out
+    v = np.zeros((1, space.d), dtype=np.int64)
+    for g in np.asarray(gens, dtype=np.int64):
+        v = f.add_t[v[:, None], f.mul_t[np.arange(f.q)[:, None], g]]
+        v = v.reshape(-1, space.d)
+    return set(space.canon_index_many(v[(v != 0).any(axis=1)]).tolist())
 
 
 def random_ample_instance(space, t, rng):
@@ -275,7 +284,6 @@ def random_ample_instance(space, t, rng):
     t = 2.  The complement of a flat is exempt on the lines inside it and
     misses exactly one point on every other meeting line.
     """
-    from .gf import rref
     kinds = ["all", "point"]
     if t >= 1:
         kinds += ["flat"]
@@ -299,8 +307,7 @@ def random_ample_instance(space, t, rng):
             outside = [p for p in range(P) if p not in removed]
             removed.add(int(outside[int(rng.integers(0, len(outside)))]))
     elif kind == "two_points":
-        a, b = rng.choice(P, size=2, replace=False)
-        removed = {int(a), int(b)}
+        removed = set(rng.choice(P, size=2, replace=False).tolist())
     elif kind == "triangle":
         while True:
             a, b, c = map(int, rng.choice(P, size=3, replace=False))
@@ -308,8 +315,7 @@ def random_ample_instance(space, t, rng):
             if not space.on_line[c, l]:
                 removed = {a, b, c}
                 break
-    U = [p for p in range(P) if p not in removed]
-    return U, kind
+    return [p for p in range(P) if p not in removed], kind
 
 
 # ---------------------------------------------------------------------------
@@ -348,16 +354,10 @@ def _candidate_matrices(f, d, chunk=1 << 21):
     else:
         if total > 1 << 20:
             raise ExtendError("collineation group too large for brute force")
-        out = []
-        for t in range(total):
-            digs = [(t // q ** (d * d - 1 - k)) % q for k in range(d * d)]
-            lead = next((x for x in digs if x != 0), 0)
-            if lead != 1:
-                continue
-            M = [digs[r * d:(r + 1) * d] for r in range(d)]
-            if mat_det(f, M) != 0:
-                continue
-            out.append(M)
+        t = np.arange(total, dtype=np.int64)[:, None]
+        M = (t // q ** np.arange(d * d - 1, -1, -1)) % q
+        M = M[M[np.arange(total), np.argmax(M != 0, axis=1)] == 1]
+        out = [m for m in M.reshape(-1, d, d) if mat_det(f, m) != 0]
         yield np.array(out, dtype=np.int64).reshape(-1, d, d)
 
 

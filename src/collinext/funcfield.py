@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .gf import GF
+from .gf import GF, field_of_order
 from ._kernels import pair_mult_scan
 from .projgeom import ProjSpace
 from .semilinear import Collineation, SemilinearIso
@@ -709,7 +709,7 @@ def recover_ring_iso(result, unit, truth=None):
 def demo_instance(key):
     """Named end-to-end setups; each returns (D, E, gmat, frob)."""
     if key == "q13":
-        f = _demo_field(13)
+        f = field_of_order(13)
         # divisor (t-2) + (t-7): the points 2 and 7 swap under t -> 1/t
         D = DivisorP1(f, {
             ClosedPointP1.finite(f, (f.neg(2), 1)): 1,
@@ -718,23 +718,12 @@ def demo_instance(key):
         E = {ClosedPointP1.finite(f, (0, 1)), ClosedPointP1.infinity(f)}
         return f, D, E, ((0, 1), (1, 0)), 0
     if key == "q9frob":
-        f = _demo_field(9)
+        f = field_of_order(9)
         # double point at t=1, fixed by t -> 1/t and by Frobenius
         D = DivisorP1(f, {ClosedPointP1.finite(f, (f.neg(1), 1)): 2})
         E = {ClosedPointP1.finite(f, (0, 1)), ClosedPointP1.infinity(f)}
         return f, D, E, ((0, 1), (1, 0)), 1
     raise FuncFieldError("unknown demo instance %r" % (key,))
-
-
-def _demo_field(q):
-    from .gf import make_field
-    for p in (2, 3, 5, 7, 11, 13):
-        n = 1
-        while p ** n < q:
-            n += 1
-        if p ** n == q:
-            return make_field(p, n)
-    raise FuncFieldError("no demo field of order %d" % q)
 
 
 def run_demo(key, order="shuffled", seed=0):

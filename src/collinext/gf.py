@@ -445,6 +445,17 @@ def make_field(p, n=1):
     raise GFError("no irreducible modulus found (unreachable)")
 
 
+def field_of_order(q):
+    """GF(q) for a prime power q over a prime p <= 13."""
+    for p in (2, 3, 5, 7, 11, 13):
+        n = 1
+        while p ** n < q:
+            n += 1
+        if p ** n == q:
+            return make_field(p, n)
+    raise GFError("q = %d is not a supported prime power" % q)
+
+
 def enumerate_field(field):
     """All elements as Fe, zero first, then one, then index order."""
     return [Fe(field, i) for i in field.elements()]

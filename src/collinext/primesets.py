@@ -8,6 +8,7 @@ of the full number, which is what keeps the growth-sequence recovery
 cheap at astronomical magnitudes.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -58,12 +59,16 @@ def integer_nth_root(x, n):
         raise PrimeSetError("nth root needs x >= 0, n >= 1")
     if x in (0, 1) or n == 1:
         return x
-    r = int(round(x ** (1.0 / n))) if x.bit_length() < 500 else 1 << (x.bit_length() // n + 1)
-    while r ** n > x:
-        r -= 1
-    while (r + 1) ** n <= x:
-        r += 1
-    return r
+    if n == 2:
+        return math.isqrt(x)
+    # integer Newton from 2^ceil(bits/n), which is at least the root; the
+    # iterates fall monotonically onto the floor of the root
+    r = 1 << -(-x.bit_length() // n)
+    while True:
+        s = ((n - 1) * r + x // r ** (n - 1)) // n
+        if s >= r:
+            return r
+        r = s
 
 
 _sieve_cache = {}

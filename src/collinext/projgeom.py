@@ -212,6 +212,13 @@ class ProjSpace:
         common = np.intersect1d(self.line_pts[l], self.line_pts[m])
         return int(common[0]) if len(common) else -1
 
+    def meet_many(self, ls, ms):
+        """meet_idx over arrays of distinct line pairs, -1 where skew."""
+        a, b = self.line_pts[ls], self.line_pts[ms]
+        hit = (a[:, :, None] == b[:, None, :]).any(axis=2)
+        return np.where(hit.any(axis=1),
+                        a[np.arange(len(a)), hit.argmax(axis=1)], -1)
+
     def point(self, spec):
         if isinstance(spec, ProjPoint):
             if spec.space is not self:
@@ -528,6 +535,9 @@ def desargues_sweep(space, sample=None, seed=0):
     draws `sample` random admissible configs.  Returns (checked, witness).
     """
     from . import _kernels
+    if space.d < 3:
+        raise GeomError("Desargues needs a plane: dimension must be at "
+                        "least 3")
     if sample is None:
         if space.join_t is None or space.meet_t is None:
             raise GeomError("exhaustive sweep needs full incidence tables")

@@ -156,3 +156,21 @@ def test_module_entry_point():
     assert r.returncode == 0
     assert json.loads(r.stdout)["aggregate"]["all_pass"]
     assert "elapsed" in r.stderr
+
+
+def test_empty_battery_rejected(capsys):
+    for cmd in ("extend", "oracle"):
+        for n in ("0", "-1"):
+            code, out = run_main(["--cmd", cmd, "--q", "5", "--d", "3",
+                                  "--trials", n], capsys)
+            assert code == 2 and out == ""
+
+
+def test_checkgeom_projective_line_rejected():
+    # the sampled Desargues sweep on P^1 used to search forever
+    r = subprocess.run(
+        [sys.executable, "-m", "collinext", "--cmd", "checkgeom",
+         "--q", "5", "--d", "2"],
+        capture_output=True, text=True, timeout=120)
+    assert r.returncode == 2
+    assert "rejected" in r.stderr and r.stdout == ""

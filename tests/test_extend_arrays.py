@@ -1,0 +1,312 @@
+"""Array-native validation and extension against loop-based references.
+
+The references below are the per-line and per-point loops the array code
+replaced; verdicts, witnesses, images and search counts must agree."""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from collinext.gf import make_field
+from collinext.projgeom import ProjSpace
+from collinext.semilinear import (
+    SemilinearIso,
+    equal_up_to_scalar,
+    random_semilinear,
+)
+from collinext.ample import AmpleFamily
+from collinext.extend import (
+    ExtendError,
+    PartialCollineation,
+    ValidationReport,
+    _line_pairs,
+    brute_force_extensions,
+    extend,
+    extend_point,
+    random_ample_instance,
+    restrict,
+    validate_partial,
+)
+
+_SPACES = {}
+
+
+def space(p, n, d):
+    if (p, n, d) not in _SPACES:
+        _SPACES[p, n, d] = ProjSpace(make_field(p, n), d)
+    return _SPACES[p, n, d]
+
+
+# ---------------------------------------------------------------------------
+# loop-based references
+# ---------------------------------------------------------------------------
+
+def ref_validate(pc, concurrency="sampled", samples=300, seed=0):
+    S1, S2 = pc.space1, pc.space2
+    if not pc.U1:
+        return ValidationReport(False, "empty domain", None)
+    vals = list(pc.sigma.values())
+    if len(set(vals)) != len(vals):
+        return ValidationReport(False, "sigma is not injective", None)
+    meeting = pc.meeting_lines()
+    if set(pc.tau) != set(meeting):
+        return ValidationReport(
+            False, "tau domain differs from the lines meeting U1", None)
+    tvals = list(pc.tau.values())
+    if len(set(tvals)) != len(tvals):
+        return ValidationReport(False, "tau is not injective", None)
+    inU2 = set(pc.U2)
+    for l in meeting:
+        src = {pc.sigma[int(p)] for p in S1.line_pts[l] if int(p) in pc.sigma}
+        dst = {int(p) for p in S2.line_pts[pc.tau[l]]} & inU2
+        if src != dst:
+            return ValidationReport(
+                False, "tau(l) cuts U2 differently than sigma maps l cap U1",
+                (l, pc.tau[l]))
+    for p in pc.U1:
+        thru = [l for l in meeting if S1.on_line[p, l]]
+        imgs = {pc.tau[l] for l in thru}
+        if len(imgs) != len(thru):
+            return ValidationReport(False, "Step1: line pencil at a domain "
+                                    "point does not stay bijective", (p,))
+        sp = pc.sigma[p]
+        if any(not S2.on_line[sp, m] for m in imgs):
+            return ValidationReport(False, "Step1: image line misses the "
+                                    "image point", (p,))
+    if concurrency:
+        for l, m in _line_pairs(meeting, concurrency, samples, seed):
+            x = S1.meet_idx(l, m)
+            y = S2.meet_idx(pc.tau[l], pc.tau[m])
+            if x >= 0 and y < 0:
+                return ValidationReport(
+                    False, "Step2-1: images not concurrent", (l, m))
+            if x >= 0 and int(x) in pc.sigma and pc.sigma[int(x)] != y:
+                return ValidationReport(
+                    False, "Step2-1: image lines miss the image of the "
+                    "common point", (l, m))
+    return ValidationReport(True, "", None)
+
+
+def ref_extend_point(pc, p, seq):
+    """(image, points searched) by walking seq until a second line."""
+    S1, S2 = pc.space1, pc.space2
+    first, searched = -1, 0
+    for u in seq:
+        if u == p:
+            continue
+        searched += 1
+        l = S1.join_idx(p, u)
+        if l not in pc.tau:
+            raise ExtendError("tau undefined on a line meeting the domain")
+        if first < 0:
+            first = l
+        elif l != first:
+            t1, t2 = pc.tau[first], pc.tau[l]
+            x = -1 if t1 == t2 else S2.meet_idx(t1, t2)
+            if x < 0:
+                raise ExtendError("Step2-1: images not concurrent")
+            return int(x), searched
+    raise ExtendError("ampleness violated: fewer than two lines through "
+                      "the point meet the domain")
+
+
+# ---------------------------------------------------------------------------
+# validation: clean restrictions and mutations
+# ---------------------------------------------------------------------------
+
+GRID = [(5, 1, 3), (3, 2, 3), (5, 1, 4)]
+
+
+def _mutations(S, pc, rng):
+    """(label, mutated copy) pairs covering every validation branch."""
+    meeting = pc.meeting_lines()
+    out = []
+
+    def copy():
+        return PartialCollineation(S, dict(pc.sigma), dict(pc.tau))
+
+    m = copy()
+    a, b = rng.choice(m.U1, size=2, replace=False)
+    m.sigma[a], m.sigma[b] = m.sigma[b], m.sigma[a]
+    out.append(("swapped sigma", m))
+    m = copy()
+    l = meeting[int(rng.integers(len(meeting)))]
+    m.tau[l] = (m.tau[l] + 1 + int(rng.integers(S.n_lines - 1))) % S.n_lines
+    out.append(("redirected tau", m))
+    m = copy()
+    del m.tau[meeting[int(rng.integers(len(meeting)))]]
+    out.append(("deleted tau", m))
+    m = copy()
+    l, k = rng.choice(meeting, size=2, replace=False)
+    m.tau[l] = m.tau[k]
+    out.append(("non-injective tau", m))
+    m = copy()
+    p = m.U1[int(rng.integers(len(m.U1)))]
+    l = int(S.pt_lines[p][int(rng.integers(S.lines_per_pt))])
+    away = [n for n in range(S.n_lines) if not S.on_line[m.sigma[p], n]]
+    m.tau[l] = away[int(rng.integers(len(away)))]
+    out.append(("image line misses image point", m))
+    return out
+
+
+@pytest.mark.parametrize("p,n,d", GRID)
+def test_validate_matches_reference(p, n, d):
+    S = space(p, n, d)
+    rng = np.random.default_rng(100 + p + d)
+    fails = 0
+    for _ in range(4):
+        iso = random_semilinear(S, rng)
+        U, _ = random_ample_instance(S, 1, rng)
+        pc = restrict(iso, U)
+        cases = [("clean", pc)] + _mutations(S, pc, rng)
+        for label, m in cases:
+            for conc in (None, "sampled"):
+                got = validate_partial(m, concurrency=conc, seed=3)
+                want = ref_validate(m, concurrency=conc, seed=3)
+                assert got == want, (label, conc)
+                assert got.witness is None or all(
+                    type(w) is int for w in got.witness)
+            fails += not got.ok
+            assert got.ok == (label == "clean"), label
+    assert fails == 4 * 5
+
+
+def test_validate_exhaustive_matches_reference():
+    S = space(5, 1, 3)
+    rng = np.random.default_rng(7)
+    pc = restrict(random_semilinear(S, rng), random_ample_instance(S, 1, rng)[0])
+    for label, m in [("clean", pc)] + _mutations(S, pc, rng):
+        got = validate_partial(m, concurrency="exhaustive")
+        assert got == ref_validate(m, concurrency="exhaustive"), label
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(GRID), st.integers(0, 2 ** 32 - 1),
+       st.lists(st.sampled_from(["swap", "retarget", "drop", "copy"]),
+                max_size=3))
+def test_validate_random_mutations_match_reference(pnd, seed, ops):
+    S = space(*pnd)
+    rng = np.random.default_rng(seed)
+    pc = restrict(random_semilinear(S, rng), random_ample_instance(S, 1, rng)[0])
+    for op in ops:
+        keys = list(pc.tau)
+        if op == "swap":
+            a, b = rng.choice(pc.U1, size=2, replace=False)
+            pc.sigma[a], pc.sigma[b] = pc.sigma[b], pc.sigma[a]
+        elif op == "retarget" and keys:
+            pc.tau[keys[int(rng.integers(len(keys)))]] = int(
+                rng.integers(S.n_lines))
+        elif op == "drop" and keys:
+            del pc.tau[keys[int(rng.integers(len(keys)))]]
+        elif op == "copy" and len(keys) > 1:
+            a, b = rng.choice(keys, size=2, replace=False)
+            pc.tau[a] = pc.tau[b]
+    assert validate_partial(pc, seed=seed) == ref_validate(pc, seed=seed)
+
+
+# ---------------------------------------------------------------------------
+# extension
+# ---------------------------------------------------------------------------
+
+def _outcome(fn):
+    try:
+        return fn()
+    except ExtendError as err:
+        return str(err)
+
+
+def test_extend_point_matches_reference_search():
+    S = space(5, 1, 3)
+    rng = np.random.default_rng(31)
+    pc = restrict(random_semilinear(S, rng), random_ample_instance(S, 1, rng)[0])
+    off = [p for p in range(S.n_points) if p not in pc.sigma]
+    assert off
+    outcomes = set()
+    for p in off * 10 + [int(x) for x in rng.integers(0, S.n_points, size=5)]:
+        # explicit orders may repeat points, hold p itself, and start with
+        # points whose line through p misses U1
+        seq = [int(u) for u in rng.permutation(S.n_points)[:20]] + [p] + pc.U1
+        if p in pc.sigma:
+            assert extend_point(pc, p, order=seq) == pc.sigma[p]
+            continue
+        diag = {"line_searches": 0}
+        want = _outcome(lambda: ref_extend_point(pc, p, seq))
+        got = _outcome(lambda: (extend_point(pc, p, order=seq,
+                                             diagnostics=diag),
+                                diag["line_searches"]))
+        assert got == want
+        outcomes.add(type(want))
+    assert outcomes == {tuple, str}
+
+
+def test_extend_line_searches_match_reference():
+    # canonical and reversed orders search U1 exactly as the per-point loop
+    S = space(3, 2, 3)
+    rng = np.random.default_rng(32)
+    fam = AmpleFamily.size_at_most(2)
+    kind = "all"
+    while kind in ("all", "point"):
+        U, kind = random_ample_instance(S, 2, rng)
+    pc = restrict(random_semilinear(S, rng), U)
+    for order, seq in (("canonical", pc.U1), ("reversed", pc.U1[::-1])):
+        res = extend(pc, fam, order=order)
+        off = [p for p in range(S.n_points) if p not in pc.sigma]
+        want = [ref_extend_point(pc, p, seq) for p in off]
+        assert [int(res.sigma_tilde[p]) for p in off] == [w[0] for w in want]
+        assert res.diagnostics["line_searches"] == sum(w[1] for w in want)
+        assert res.diagnostics["points_extended"] == len(off)
+
+
+def test_extend_point_errors_match_reference():
+    S = space(5, 1, 3)
+    pc = restrict(SemilinearIso(S, np.eye(3, dtype=int), 0),
+                  [p for p in range(S.n_points) if p != 14])
+    thru = [int(l) for l in S.pt_lines[14]]
+    del pc.tau[thru[1]]
+    for seq in (pc.U1, pc.U1[::-1]):
+        with pytest.raises(ExtendError) as want:
+            ref_extend_point(pc, 14, seq)
+        with pytest.raises(ExtendError) as got:
+            extend_point(pc, 14, order=seq)
+        assert str(got.value) == str(want.value)
+    with pytest.raises(ExtendError, match="ampleness"):
+        extend_point(pc, 14, order=[])
+    # on a projective line every point lies on the one line
+    pc = PartialCollineation(space(5, 1, 2), {0: 0, 1: 1}, {0: 0})
+    with pytest.raises(ExtendError, match="ampleness"):
+        ref_extend_point(pc, 3, pc.U1)
+    with pytest.raises(ExtendError, match="ampleness"):
+        extend_point(pc, 3)
+
+
+@settings(max_examples=12, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from([(5, 1, 3), (7, 1, 3), (2, 3, 3), (3, 2, 3),
+                        (5, 1, 4)]),
+       st.integers(0, 2 ** 32 - 1))
+def test_restrict_extend_decode_roundtrip(pnd, seed):
+    S = space(*pnd)
+    rng = np.random.default_rng(seed)
+    fam = AmpleFamily.size_at_most(1)
+    iso = random_semilinear(S, rng)
+    U, _ = random_ample_instance(S, 1, rng)
+    pc = restrict(iso, U)
+    truth = iso.sigma_array()
+    for order in ("canonical", "reversed", "shuffled"):
+        res = extend(pc, fam, order=order, seed=seed)
+        assert (res.sigma_tilde == truth).all()
+        assert equal_up_to_scalar(res.decoded, iso)
+
+
+# ---------------------------------------------------------------------------
+# brute force off the plane
+# ---------------------------------------------------------------------------
+
+def test_brute_force_point_stabilizers_off_the_plane():
+    # PGL(2,3) has 24 elements and PGL(4,2) has 20160; a point stabilizer
+    # is 1/4 and 1/15 of that
+    pc = PartialCollineation(space(3, 1, 2), {0: 0}, {})
+    assert len(brute_force_extensions(pc)) == 6
+    pc = PartialCollineation(space(2, 1, 4), {0: 0}, {})
+    assert len(brute_force_extensions(pc)) == 1344

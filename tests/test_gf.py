@@ -3,7 +3,7 @@ import pytest
 
 from collinext.gf import (
     GF, Fe, GFError, make_field, fe_arith, frobenius, enumerate_field,
-    mat_mul, mat_vec, mat_inv, mat_det, rref, solve_linear,
+    field_of_order, mat_mul, mat_vec, mat_inv, mat_det, rref, solve_linear,
 )
 
 SMALL = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)]
@@ -219,3 +219,13 @@ def test_det_multiplicative():
 def test_singular_inverse_none():
     f = make_field(5)
     assert mat_inv(f, [[1, 2, 3], [2, 4, 1], [0, 0, 1]]) is None
+
+
+def test_field_of_order():
+    for q, p, n in ((2, 2, 1), (8, 2, 3), (9, 3, 2), (13, 13, 1),
+                    (25, 5, 2), (169, 13, 2)):
+        f = field_of_order(q)
+        assert f is make_field(p, n) and f.q == q
+    for q in (-3, 0, 1, 6, 12, 17, 100):
+        with pytest.raises(GFError, match="prime power"):
+            field_of_order(q)

@@ -307,3 +307,17 @@ def test_density_matches_scalar_membership():
     primes = list(map(int, prime_sieve(2000)))
     hits = sum(ps.contains(l) for l in primes)
     assert natural_density_estimate(ps, 2000) == Fraction(hits, len(primes))
+
+
+def test_integer_nth_root_matches_sympy():
+    from sympy import integer_nthroot
+    cases = [(3 ** 400, 2), (3 ** 400, 3), (3 ** 400 - 1, 5),
+             (3 ** 400 + 1, 7), (2 ** 600 - 1, 3), (10 ** 300, 9),
+             (7 ** 1001, 11), (2 ** 521, 521), (2 ** 521 - 1, 521)]
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        bits = int(rng.integers(1, 2000))
+        x = int.from_bytes(rng.bytes(bits // 8 + 1), "big") >> (7 - bits % 8)
+        cases.append((x, int(rng.integers(1, 40))))
+    for x, n in cases:
+        assert integer_nth_root(x, n) == integer_nthroot(x, n)[0], (x, n)

@@ -381,3 +381,22 @@ def test_space_rejects():
         ProjSpace(make_field(2, 5), 5)  # 1.08e9 points, over the cap
     with pytest.raises(GeomError):
         ProjSpace("GF(2)", 3)
+
+
+def test_desargues_sweep_rejects_projective_line():
+    S = space(5, 1, 2)
+    for sample in (None, 10):
+        with pytest.raises(GeomError, match="dimension"):
+            desargues_sweep(S, sample=sample)
+
+
+def test_meet_many_matches_meet_idx():
+    for S in (space(3, 1, 3), space(2, 1, 4), space(3, 1, 4)):
+        rng = np.random.default_rng(S.n_lines)
+        ls = rng.integers(0, S.n_lines, size=300)
+        ms = rng.integers(0, S.n_lines, size=300)
+        keep = ls != ms
+        got = S.meet_many(ls[keep], ms[keep])
+        want = [S.meet_idx(int(l), int(m)) for l, m in zip(ls[keep], ms[keep])]
+        assert got.tolist() == want
+        assert (got < 0).any() == (S.d > 3)
