@@ -1,7 +1,9 @@
-"""Hot inner loops, compiled with numba when available.
+"""Hot inner loops.
 
-Every kernel has a pure-numpy twin; set COLLINEXT_NO_NUMBA=1 to force the
-fallback path.  The public entry points dispatch on USE_NUMBA and return
+The axiom-II and Desargues sweeps are chunked numpy gathers.  The matrix
+filter and the multiplicativity scan are compiled with numba when it is
+available and have pure-numpy twins; set COLLINEXT_NO_NUMBA=1 to force
+the fallback path.  Those entry points dispatch on USE_NUMBA and return
 identical results either way.
 """
 
@@ -29,176 +31,90 @@ if not HAS_NUMBA:
         return wrap
 
 
+_CHUNK = 1 << 14  # elements per temporary in the chunked sweeps
+
+
 # ---------------------------------------------------------------------------
 # axiom II sweep
 # ---------------------------------------------------------------------------
 
-@njit(cache=True)
-def _axiom2_jit(tri, join_t, meet_t, line_pts):
-    n = 0
-    k = line_pts.shape[1]
-    for t in range(tri.shape[0]):
-        p0, p1, p2 = tri[t, 0], tri[t, 1], tri[t, 2]
-        lab = join_t[p0, p1]
-        lac = join_t[p0, p2]
-        lbc = join_t[p1, p2]
-        for i in range(k):
-            q1 = line_pts[lab, i]
-            for j in range(k):
-                q2 = line_pts[lac, j]
-                if q1 == q2:
-                    continue
-                n += 1
-                m = join_t[q1, q2]
-                if m != lbc and meet_t[lbc, m] < 0:
-                    return n, t
-    return n, -1
+def axiom2_scan(tri, join_t, meet_t, line_pts):
+    """Axiom II over every triple (p0, p1, p2) of tri: each line joining a
+    point of p0 v p1 to a different point of p0 v p2 meets p1 v p2.
 
-
-def _axiom2_np(tri, join_t, meet_t, line_pts):
-    n = 0
-    k = line_pts.shape[1]
-    for t in range(tri.shape[0]):
-        p0, p1, p2 = int(tri[t, 0]), int(tri[t, 1]), int(tri[t, 2])
-        lab = join_t[p0, p1]
-        lac = join_t[p0, p2]
-        lbc = join_t[p1, p2]
-        q1 = np.repeat(line_pts[lab], k)
-        q2 = np.tile(line_pts[lac], k)
-        keep = q1 != q2
-        q1, q2 = q1[keep], q2[keep]
-        n += len(q1)
-        m = join_t[q1, q2]
-        bad = (m != lbc) & (meet_t[lbc, m] < 0)
-        if bad.any():
-            return n, t
-    return n, -1
-
-
-def axiom2_scan(tri, join_t, meet_t, line_pts, on_line):
+    Returns (n_checked, witness): witness is None or the first failing
+    triple in row order, n_checked counting point pairs through it."""
     if join_t is None or meet_t is None:
         raise ValueError("axiom II sweep needs join/meet tables")
-    tri = np.ascontiguousarray(tri, dtype=np.int32)
-    if USE_NUMBA:
-        n, bad = _axiom2_jit(tri, join_t, meet_t, line_pts)
-    else:
-        n, bad = _axiom2_np(tri, join_t, meet_t, line_pts)
-    return n, (None if bad < 0 else tuple(int(x) for x in tri[bad]))
+    k = line_pts.shape[1]
+    step = max(1, _CHUNK // (k * k))
+    n = 0
+    for s in range(0, len(tri), step):
+        p0, p1, p2 = np.asarray(tri[s:s + step]).T
+        lbc = join_t[p1, p2][:, None]
+        q1 = np.repeat(line_pts[join_t[p0, p1]], k, axis=1)
+        q2 = np.tile(line_pts[join_t[p0, p2]], (1, k))
+        keep = q1 != q2
+        m = join_t[q1, q2]
+        bad = (keep & (m != lbc) & (meet_t[lbc, m] < 0)).any(axis=1)
+        counts = keep.sum(axis=1)
+        if bad.any():
+            t = int(np.argmax(bad))
+            return (n + int(counts[:t + 1].sum()),
+                    tuple(int(x) for x in tri[s + t]))
+        n += int(counts.sum())
+    return n, None
 
 
 # ---------------------------------------------------------------------------
-# Desargues sweep
+# Desargues sweep, frame row
 # ---------------------------------------------------------------------------
 
-@njit(cache=True)
-def _desargues_jit(tri, join_t, meet_t, on_line):
-    T = tri.shape[0]
-    checked = 0
-    for a in range(T):
-        p1, p2, p3 = tri[a, 0], tri[a, 1], tri[a, 2]
-        s12 = join_t[p1, p2]
-        s23 = join_t[p2, p3]
-        s31 = join_t[p3, p1]
-        for b in range(T):
-            q1, q2, q3 = tri[b, 0], tri[b, 1], tri[b, 2]
-            if q1 == p1 or q2 == p2 or q3 == p3:
-                continue
-            t12 = join_t[q1, q2]
-            if t12 == s12:
-                continue
-            t23 = join_t[q2, q3]
-            if t23 == s23:
-                continue
-            t31 = join_t[q3, q1]
-            if t31 == s31:
-                continue
-            checked += 1
-            # left: connectors concurrent
-            l1 = join_t[p1, q1]
-            l2 = join_t[p2, q2]
-            l3 = join_t[p3, q3]
-            if l1 == l2:
-                left = l1 == l3 or meet_t[l1, l3] >= 0
-            elif l1 == l3 or l2 == l3:
-                left = meet_t[l1, l2] >= 0
-            else:
-                x = meet_t[l1, l2]
-                left = x >= 0 and on_line[x, l3]
-            # right: side meets exist (always, in a plane) and collinear
-            r12 = meet_t[s12, t12]
-            r23 = meet_t[s23, t23]
-            r31 = meet_t[s31, t31]
-            if r12 < 0 or r23 < 0 or r31 < 0:
-                right = False
-            elif r12 == r23 or r23 == r31 or r12 == r31:
-                right = True
-            else:
-                right = on_line[r31, join_t[r12, r23]]
-            if left != right:
-                return checked, a, b
-    return checked, -1, -1
+def _on(line_pts, x, l):
+    """Whether point x lies on line l, elementwise."""
+    return (line_pts[l] == x[:, None]).any(axis=1)
 
 
-def _desargues_np(tri, join_t, meet_t, on_line):
-    T = tri.shape[0]
-    q1a, q2a, q3a = tri[:, 0], tri[:, 1], tri[:, 2]
+def desargues_scan(frame, tri, join_t, meet_t, line_pts):
+    """Left/right agreement of (frame, b) over every admissible row b of tri.
+
+    Left: the connectors p_i v q_i are concurrent.  Right: the side meets
+    (p_i v p_j) ^ (q_i v q_j) exist and are collinear.  Returns
+    (n_checked, witness): witness is None or the 6-tuple frame + b of the
+    first disagreement in row order, n_checked counting the admissible
+    rows through it."""
+    p1, p2, p3 = (int(x) for x in frame)
+    s12, s23, s31 = join_t[p1, p2], join_t[p2, p3], join_t[p3, p1]
+    step = _CHUNK // 16  # about 16 row-length temporaries live at once
     checked = 0
-    for a in range(T):
-        p1, p2, p3 = int(tri[a, 0]), int(tri[a, 1]), int(tri[a, 2])
-        s12 = join_t[p1, p2]
-        s23 = join_t[p2, p3]
-        s31 = join_t[p3, p1]
-        keep = (q1a != p1) & (q2a != p2) & (q3a != p3)
-        q1, q2, q3 = q1a[keep], q2a[keep], q3a[keep]
-        t12 = join_t[q1, q2]
-        t23 = join_t[q2, q3]
-        t31 = join_t[q3, q1]
-        keep2 = (t12 != s12) & (t23 != s23) & (t31 != s31)
-        q1, q2, q3 = q1[keep2], q2[keep2], q3[keep2]
-        t12, t23, t31 = t12[keep2], t23[keep2], t31[keep2]
-        m = len(q1)
-        if m == 0:
-            continue
-        checked += m
-        l1 = join_t[p1, q1]
-        l2 = join_t[p2, q2]
-        l3 = join_t[p3, q3]
+    for s in range(0, len(tri), step):
+        q1, q2, q3 = np.asarray(tri[s:s + step]).T
+        t12, t23, t31 = join_t[q1, q2], join_t[q2, q3], join_t[q3, q1]
+        adm = ((q1 != p1) & (q2 != p2) & (q3 != p3)
+               & (t12 != s12) & (t23 != s23) & (t31 != s31))
+        rows = np.nonzero(adm)[0]
+        q1, q2, q3 = q1[rows], q2[rows], q3[rows]
+        t12, t23, t31 = t12[rows], t23[rows], t31[rows]
+        l1, l2, l3 = join_t[p1, q1], join_t[p2, q2], join_t[p3, q3]
         x = meet_t[l1, l2]
-        generic = (x >= 0) & on_line[np.maximum(x, 0), l3]
+        generic = (x >= 0) & _on(line_pts, x, l3)
         left = np.where(
             l1 == l2,
             (l1 == l3) | (meet_t[l1, l3] >= 0),
-            np.where((l1 == l3) | (l2 == l3), meet_t[l1, l2] >= 0, generic),
+            np.where((l1 == l3) | (l2 == l3), x >= 0, generic),
         )
-        r12 = meet_t[s12, t12]
-        r23 = meet_t[s23, t23]
-        r31 = meet_t[s31, t31]
+        r12, r23, r31 = meet_t[s12, t12], meet_t[s23, t23], meet_t[s31, t31]
         exists = (r12 >= 0) & (r23 >= 0) & (r31 >= 0)
         dup = (r12 == r23) | (r23 == r31) | (r12 == r31)
-        jj = join_t[np.maximum(r12, 0), np.maximum(r23, 0)]
-        noncol = on_line[np.maximum(r31, 0), np.maximum(jj, 0)]
-        right = exists & (dup | noncol)
+        right = exists & (dup | _on(line_pts, r31, join_t[r12, r23]))
         bad = left != right
         if bad.any():
-            i = int(np.nonzero(bad)[0][0])
-            orig = np.nonzero(keep)[0][keep2][i]
-            return checked, a, int(orig)
-    return checked, -1, -1
-
-
-def desargues_scan(tri, join_t, meet_t, on_line):
-    """Exhaustive left/right agreement over admissible ordered configs.
-
-    Returns (n_checked, witness) with witness None or a 6-tuple of point
-    indices."""
-    tri = np.ascontiguousarray(tri, dtype=np.int32)
-    if USE_NUMBA:
-        n, a, b = _desargues_jit(tri, join_t, meet_t, on_line)
-    else:
-        n, a, b = _desargues_np(tri, join_t, meet_t, on_line)
-    if a < 0:
-        return n, None
-    return n, tuple(int(x) for x in tri[a]) + tuple(int(x) for x in tri[b])
+            i = int(np.argmax(bad))
+            b = tri[s + rows[i]]
+            return (checked + i + 1,
+                    (p1, p2, p3) + tuple(int(v) for v in b))
+        checked += len(rows)
+    return checked, None
 
 
 # ---------------------------------------------------------------------------

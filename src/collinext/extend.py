@@ -46,8 +46,15 @@ class PartialCollineation:
         self.space2 = space2
         self.sigma = {int(k): int(v) for k, v in sigma.items()}
         self.tau = {int(k): int(v) for k, v in tau.items()}
-        self.U1 = sorted(self.sigma)
-        self.U2 = sorted(set(self.sigma.values()))
+
+    # derived on access: callers may edit sigma in place
+    @property
+    def U1(self):
+        return sorted(self.sigma)
+
+    @property
+    def U2(self):
+        return sorted(set(self.sigma.values()))
 
     def meeting_lines(self):
         hit = np.isin(self.space1.line_pts, self.U1).any(axis=1)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .gf import GF, field_of_order
+from .gf import GF, field_of_order, mat_apply
 from ._kernels import pair_mult_scan
 from .projgeom import ProjSpace
 from .semilinear import Collineation, SemilinearIso
@@ -655,14 +655,7 @@ def apply_psi(rr, psi, e, fn):
         raise FuncFieldError("function is outside the truncation")
     f = rr.field
     row = f.frob_t[e % f.n]
-    moved = row[v].astype(np.int64)
-    out = np.zeros(rr.dim, dtype=np.int64)
-    for i in range(rr.dim):
-        acc = 0
-        for j in range(rr.dim):
-            acc = int(f.add_t[acc, f.mul_t[psi[i, j], moved[j]]])
-        out[i] = acc
-    return rr.func_of(out)
+    return rr.func_of(mat_apply(f, psi, row[v][None])[0])
 
 
 def recover_ring_iso(result, unit, truth=None):
@@ -676,14 +669,7 @@ def recover_ring_iso(result, unit, truth=None):
     row = f.frob_t[e].astype(np.int64)
 
     nums = space.pts.astype(np.int64)
-    moved = row[nums]
-    psin = np.zeros_like(nums)
-    mul_t, add_t = f.mul_t, f.add_t
-    for i in range(space.d):
-        acc = np.zeros(len(nums), dtype=np.int64)
-        for j in range(space.d):
-            acc = add_t[acc, mul_t[psi[i, j], moved[:, j]]]
-        psin[:, i] = acc
+    psin = mat_apply(f, psi, row[nums])
 
     deg_m = len(rr.mpoly) - 1
     degcap = deg_m + rr.dim - 1

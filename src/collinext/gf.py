@@ -476,6 +476,19 @@ def mat_vec(f, A, v):
     return out
 
 
+def mat_apply(f, mats, vecs):
+    """M v for every matrix M of a stack and every index vector v.
+
+    mats is [..., d, d] and vecs is [N, d]; the result is [..., N, d].
+    Needs a table-backed field."""
+    mats = np.asarray(mats)
+    vecs = np.asarray(vecs)
+    out = 0
+    for j in range(vecs.shape[-1]):
+        out = f.add_t[out, f.mul_t[mats[..., None, :, j], vecs[:, None, j]]]
+    return out
+
+
 def mat_mul(f, A, B):
     rows = len(A)
     inner = len(B)

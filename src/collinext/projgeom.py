@@ -12,11 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import GF, GFError, rref
+from .gf import GF, mat_apply, rref
 
 P_CAP = 10_000          # hard point-count cap, desk scale
 _JOIN_TABLE_CAP = 2048  # P x P join table below this many points
 _MEET_TABLE_CAP = 2048  # L x L meet table below this many lines
+TRIPLE_CAP = 4_000_000  # ordered non-collinear triples an exhaustive sweep takes
 
 
 class GeomError(Exception):
@@ -397,21 +398,25 @@ class AxiomReport:
 
 
 def noncollinear_triples(space):
-    """All ordered non-collinear point triples, as an [T, 3] int array."""
-    P = space.n_points
-    out = []
-    for a in range(P):
-        for b in range(P):
-            if b == a:
-                continue
-            ln = space.join_idx(a, b)
-            third = np.nonzero(~space.on_line[:, ln])[0]
-            ab = np.full((len(third), 3), 0, dtype=np.int32)
-            ab[:, 0] = a
-            ab[:, 1] = b
-            ab[:, 2] = third
-            out.append(ab)
-    return np.concatenate(out)
+    """All ordered non-collinear point triples, as an [T, 3] int array.
+
+    Rows are ordered by the first point, then the second, then the third.
+    Refused up front when T exceeds TRIPLE_CAP."""
+    P, k = space.n_points, space.pts_per_line
+    T = P * (P - 1) * (P - k)
+    if T > TRIPLE_CAP:
+        raise GeomError("budget: %d ordered non-collinear triples, cap is %d"
+                        % (T, TRIPLE_CAP))
+    if space.join_t is None:
+        raise GeomError("enumerating triples needs the join table")
+    a, b = np.nonzero(~np.eye(P, dtype=bool))
+    flat = np.flatnonzero(~space.on_line.T[space.join_t[a, b]])
+    out = np.empty((len(flat), 3), dtype=np.int32)
+    out[:, 2] = flat % P
+    flat //= P   # now the index of the (a, b) pair
+    out[:, 0] = a[flat]
+    out[:, 1] = b[flat]
+    return out
 
 
 def _axiom_i_iii(space):
@@ -442,7 +447,7 @@ def check_axioms(space, mode="exhaustive", samples=20_000, seed=0):
     if mode == "exhaustive":
         tri = noncollinear_triples(space)
         n2, bad = _kernels.axiom2_scan(tri, space.join_t, space.meet_t,
-                                       space.line_pts, space.on_line)
+                                       space.line_pts)
         ax2 = bad is None
         checked["axiom_ii_configs"] = int(n2)
         if not ax2:
@@ -528,11 +533,89 @@ def check_desargues(space, ps, qs):
     return DesarguesCheck(left, right, left == right, tuple(rs))
 
 
+def _frame_transports(space, tri):
+    """Point maps g_a with g_a(e1, e2, e3) = a, one row per triple a.
+
+    g_a is induced by the matrix whose first three columns are the
+    representatives pts[a], completed by standard basis vectors off the
+    pivot columns of a row echelon form of pts[a].  A point whose image
+    is zero (a singular matrix, from a collinear triple) maps to -1."""
+    f, d, q, n = space.field, space.d, space.q, len(tri)
+    rows = space.pts[tri].astype(np.int64)
+    mats = np.zeros((n, d, d), dtype=np.int64)
+    mats[:, :, :3] = rows.transpose(0, 2, 1)
+    if d > 3:
+        ech, ar = rows.copy(), np.arange(n)
+        pivot = np.zeros((n, d), dtype=bool)
+        for r in range(3):
+            c = np.argmax(ech[:, r] != 0, axis=1)
+            pivot[ar, c] = True
+            inv = f.inv_t[ech[ar, r, c]]
+            for s in range(r + 1, 3):
+                fac = f.neg_t[f.mul_t[ech[ar, s, c], inv]]
+                ech[:, s] = f.add_t[ech[:, s], f.mul_t[fac[:, None], ech[:, r]]]
+        free = np.argsort(pivot, axis=1, kind="stable")[:, :d - 3]
+        mats[ar[:, None], free, np.arange(3, d)] = 1
+    # canon_index as one lookup: the point of every vector, -1 for zero
+    point_of = np.full(q ** d, -1, dtype=np.int32)
+    multiples = f.mul_t[np.arange(1, q)[:, None, None], space.pts]
+    point_of[multiples @ space._qpow] = np.arange(space.n_points)
+    return point_of[mat_apply(f, mats, space.pts) @ space._qpow]
+
+
+def _certify_transports(space, tri):
+    """Raise GeomError unless every transport of a row of tri is a
+    collineation of the tables: a bijection that sends the standard frame
+    to the row and carries each row of line_pts onto a row of line_pts.
+
+    Needs join_t consistent with line_pts (_check_tables): then a line
+    goes onto the join of its first two images when every image lies on
+    that join, and bijectivity makes the images fill it."""
+    from . import _kernels
+    P, L, k = space.n_points, space.n_lines, space.pts_per_line
+    frame = space._offs[:3]   # indices of e1, e2, e3
+    step = max(1, _kernels._CHUNK // (L * k + P * space.d))
+    for s in range(0, len(tri), step):
+        part = tri[s:s + step]
+        g = _frame_transports(space, part)
+        ok = (np.sort(g, axis=1) == np.arange(P)).all(axis=1)
+        ok &= (g[:, frame] == part).all(axis=1)
+        img = g[:, space.line_pts]
+        # joins of each line's first image with the others, all one line
+        joins = space.join_t.ravel()[img[..., :1] * P + img[..., 1:]]
+        ok &= ((joins[..., 0] >= 0).all(axis=1)
+               & (joins == joins[..., :1]).all(axis=(1, 2)))
+        if not ok.all():
+            bad = tuple(int(x) for x in part[np.argmin(ok)])
+            raise GeomError("transport of triple %s is not a collineation "
+                            "of the incidence tables" % (bad,))
+
+
+def _check_tables(space):
+    """Raise GeomError unless join_t and meet_t are the join and meet of
+    line_pts, so a collineation of line_pts preserves every table."""
+    P, L = space.n_points, space.n_lines
+    x, y = np.nonzero(~np.eye(P, dtype=bool))
+    j = space.join_t[x, y]
+    on = space.line_pts[j]
+    ok = ((j >= 0).all() and (on == x[:, None]).any(axis=1).all()
+          and (on == y[:, None]).any(axis=1).all())
+    l, m = np.nonzero(~np.eye(L, dtype=bool))
+    if not (ok and np.array_equal(space.meet_t[l, m], space.meet_many(l, m))):
+        raise GeomError("join/meet tables disagree with line_pts")
+
+
 def desargues_sweep(space, sample=None, seed=0):
     """Check left/right agreement over admissible configurations.
 
-    Exhaustive when sample is None (planes only at desk scale); otherwise
-    draws `sample` random admissible configs.  Returns (checked, witness).
+    Exhaustive when sample is None: PGL acts transitively on ordered
+    non-collinear triples, so every pair (a, b) is the image under a
+    transport g_a of (frame, g_a^-1 b).  Admissibility and both sides are
+    incidence-defined, so once the tables are consistent and every g_a is
+    certified a collineation, each row has the frame row's count and the
+    total is T times it.  A witness is a disagreement in the frame row,
+    reported with the configurations checked up to it.  Otherwise draws
+    `sample` random admissible configs.  Returns (checked, witness).
     """
     from . import _kernels
     if space.d < 3:
@@ -542,7 +625,11 @@ def desargues_sweep(space, sample=None, seed=0):
         if space.join_t is None or space.meet_t is None:
             raise GeomError("exhaustive sweep needs full incidence tables")
         tri = noncollinear_triples(space)
-        return _kernels.desargues_scan(tri, space.join_t, space.meet_t, space.on_line)
+        _check_tables(space)   # before the certificate, which relies on it
+        _certify_transports(space, tri)
+        n, witness = _kernels.desargues_scan(
+            space._offs[:3], tri, space.join_t, space.meet_t, space.line_pts)
+        return (n if witness else len(tri) * n), witness
     rng = np.random.default_rng(seed)
     checked = 0
     while checked < sample:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .gf import GF, mat_det, mat_mul, mat_vec, solve_linear
+from .gf import GF, mat_apply, mat_det, mat_mul, mat_vec, solve_linear
 from .projgeom import GeomError, ProjSpace
 
 
@@ -76,15 +76,10 @@ class SemilinearIso:
 
     def sigma_array(self):
         """Induced map on point indices, vectorized over the whole space."""
-        f, S = self.field, self.space
-        moved = self.mu.table()[S.pts.astype(np.int64)]
-        out = np.zeros_like(moved)
-        for i in range(S.d):
-            acc = np.zeros(len(moved), dtype=np.int64)
-            for j in range(S.d):
-                acc = f.add_t[acc, f.mul_t[self.mat[i, j], moved[:, j]]]
-            out[:, i] = acc
-        return S.canon_index_many(out).astype(np.int64)
+        S = self.space
+        moved = self.mu.table()[S.pts]
+        return S.canon_index_many(
+            mat_apply(self.field, self.mat, moved)).astype(np.int64)
 
     def induce(self):
         return Collineation(self.space, self.sigma_array())

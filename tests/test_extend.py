@@ -142,6 +142,17 @@ def test_extend_identity():
     assert (res.decoded.mat == np.eye(3, dtype=int)).all()
 
 
+def test_domain_follows_sigma_edited_in_place():
+    S = space(5, 1)
+    pc = restrict(SemilinearIso(S, np.eye(3, dtype=int), 0), minus(S, {3}))
+    pc.sigma[3] = 3
+    assert pc.U1 == pc.U2 == list(range(S.n_points))
+    rep = validate_partial(pc)
+    assert rep.ok, rep
+    res = extend(pc, AmpleFamily.size_at_most(1))
+    assert (res.sigma_tilde == np.arange(S.n_points)).all()
+
+
 def test_extend_roundtrip_plane_f5():
     S = space(5, 1)
     fam = AmpleFamily.size_at_most(1)

@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from collinext.gf import (
     GF, Fe, GFError, make_field, fe_arith, frobenius, enumerate_field,
-    field_of_order, mat_mul, mat_vec, mat_inv, mat_det, rref, solve_linear,
+    field_of_order, mat_apply, mat_mul, mat_vec, mat_inv, mat_det, rref,
+    solve_linear,
 )
 
 SMALL = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)]
@@ -20,6 +23,24 @@ def test_moduli_frozen():
     assert make_field(2, 3).modulus == (1, 0, 1, 1)   # x^3+x^2+1
     assert make_field(3, 2).modulus == (1, 0, 1)      # x^2+1
     assert make_field(5, 1).modulus == (0, 1)
+
+
+def test_moduli_least_irreducible_against_sympy():
+    from sympy import Poly, symbols
+    x = symbols("x")
+
+    def irreducible(coeffs, p):
+        return Poly(list(reversed(coeffs)), x, modulus=p).is_irreducible
+
+    for p, n in [(2, 2), (2, 3), (2, 4), (2, 8), (3, 2), (3, 3), (3, 4),
+                 (5, 2), (5, 3), (7, 2), (13, 2)]:
+        f = make_field(p, n)
+        assert irreducible(f.modulus, p), (p, n)
+        # every candidate before it, constant term first, is reducible
+        for tail in itertools.product(range(p), repeat=n):
+            if tail == f.modulus[:n]:
+                break
+            assert not irreducible(tail + (1,), p), (p, n, tail)
 
 
 def test_make_field_rejects():
@@ -198,6 +219,20 @@ def test_linalg_roundtrip():
         b = mat_vec(f, A, v)
         x = solve_linear(f, A, b)
         assert x == [int(t) for t in v]
+
+
+def test_mat_apply_matches_mat_vec():
+    for p, n in [(5, 1), (2, 2), (3, 2)]:
+        f = make_field(p, n)
+        rng = np.random.default_rng(p * n)
+        mats = rng.integers(0, f.q, size=(4, 3, 3))
+        vecs = rng.integers(0, f.q, size=(6, 3))
+        got = mat_apply(f, mats, vecs)
+        assert got.shape == (4, 6, 3)
+        for i in range(4):
+            for j in range(6):
+                assert got[i, j].tolist() == mat_vec(f, mats[i], vecs[j])
+        assert np.array_equal(mat_apply(f, mats[2], vecs), got[2])
 
 
 def test_rref_canonical():

@@ -321,3 +321,23 @@ def test_integer_nth_root_matches_sympy():
         cases.append((x, int(rng.integers(1, 40))))
     for x, n in cases:
         assert integer_nth_root(x, n) == integer_nthroot(x, n)[0], (x, n)
+
+
+def test_factorize_matches_sympy():
+    from sympy import factorint
+    cases = [1, 2, 3 ** 40, 2 ** 62, 10 ** 6 + 3, 999983 * 1000003,
+             (2 ** 61 - 1) * 2 ** 3 * 5, 13 ** 8 - 1, 9 ** 12 - 1]
+    rng = np.random.default_rng(11)
+    cases += [int(x) for x in rng.integers(1, 10 ** 12, size=300)]
+    cases += [int(a) * int(b) for a, b in
+              rng.integers(1, 10 ** 6, size=(100, 2))]
+    for n in cases:
+        assert factorize(n) == factorint(n), n
+
+
+def test_gl_order_matches_sympy_count():
+    from sympy import Matrix
+    for n, l in [(2, 2), (2, 3), (3, 2)]:
+        count = sum(Matrix(n, n, list(flat)).det() % l != 0
+                    for flat in itertools.product(range(l), repeat=n * n))
+        assert gl_order(n, l) == count, (n, l)

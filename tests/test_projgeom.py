@@ -1,12 +1,14 @@
 """Projective space construction, incidence, axioms, Desargues."""
 
+import copy
 import itertools
 
 import numpy as np
 import pytest
 
 from collinext.gf import make_field
-from collinext import _kernels
+from collinext import _kernels, cli
+from collinext.semilinear import Collineation
 from collinext.projgeom import (
     GeomError,
     Perspectivity,
@@ -20,6 +22,8 @@ from collinext.projgeom import (
     gaussian_binomial,
     join,
     meet,
+    _certify_transports,
+    _frame_transports,
     noncollinear_triples,
     span_rank,
 )
@@ -289,17 +293,38 @@ def test_axioms_sampled():
     assert rep.checked["axiom_ii_configs"] > 0
 
 
+def ref_axiom2(tri, join_t, meet_t, line_pts):
+    """Per-triple axiom-II loop the chunked kernel replaced."""
+    n = 0
+    k = line_pts.shape[1]
+    for t in range(tri.shape[0]):
+        p0, p1, p2 = int(tri[t, 0]), int(tri[t, 1]), int(tri[t, 2])
+        lab, lac, lbc = join_t[p0, p1], join_t[p0, p2], join_t[p1, p2]
+        q1 = np.repeat(line_pts[lab], k)
+        q2 = np.tile(line_pts[lac], k)
+        keep = q1 != q2
+        q1, q2 = q1[keep], q2[keep]
+        n += len(q1)
+        m = join_t[q1, q2]
+        if ((m != lbc) & (meet_t[lbc, m] < 0)).any():
+            return n, tuple(int(x) for x in tri[t])
+    return n, None
+
+
 def test_axiom2_kernel_twins_agree():
-    for p in (2, 3):
-        S = space(p, 1, 3)
+    for S in (space(2, 1, 3), space(3, 1, 3), space(2, 1, 4)):
         tri = noncollinear_triples(S)
-        n_pub, bad_pub = _kernels.axiom2_scan(
-            tri, S.join_t, S.meet_t, S.line_pts, S.on_line)
-        n_np, bad_np = _kernels._axiom2_np(
-            np.ascontiguousarray(tri, dtype=np.int32),
-            S.join_t, S.meet_t, S.line_pts)
-        assert n_pub == n_np
-        assert bad_pub is None and bad_np < 0
+        want = ref_axiom2(tri, S.join_t, S.meet_t, S.line_pts)
+        assert want[1] is None
+        assert _kernels.axiom2_scan(tri, S.join_t, S.meet_t,
+                                    S.line_pts) == want
+        # a planted skew pair: witness and count must still agree
+        bad = S.meet_t.copy()
+        l, m = S.pt_lines[5, 0], S.pt_lines[5, 1]
+        bad[l, m] = bad[m, l] = -1
+        want = ref_axiom2(tri, S.join_t, bad, S.line_pts)
+        assert want[1] is not None
+        assert _kernels.axiom2_scan(tri, S.join_t, bad, S.line_pts) == want
 
 
 # ---------------------------------------------------------------------------
@@ -355,13 +380,16 @@ def test_desargues_exhaustive_f3():
 
 
 def test_desargues_kernel_twins_agree():
+    # the frame-row kernel against the frame row of the full reference
     S = space(2, 1, 3)
-    tri = np.ascontiguousarray(noncollinear_triples(S), dtype=np.int32)
-    n_np, a, b = _kernels._desargues_np(tri, S.join_t, S.meet_t, S.on_line)
-    assert n_np == 13440 and a < 0
-    if _kernels.HAS_NUMBA:
-        n_j, aj, bj = _kernels._desargues_jit(tri, S.join_t, S.meet_t, S.on_line)
-        assert (n_j, aj, bj) == (n_np, a, b)
+    tri = noncollinear_triples(S)
+    frame = frame_of(S)
+    row = int(np.nonzero((tri == frame).all(axis=1))[0][0])
+    for mt in (S.meet_t, _planted_meet(S)):
+        want = ref_desargues(tri, S.join_t, mt, S.on_line, rows=[row])
+        got = _kernels.desargues_scan(frame, tri, S.join_t, mt, S.line_pts)
+        assert got == want
+    assert want[1] is not None and want[1][:3] == frame
 
 
 def test_desargues_sampled_dim4():
@@ -400,3 +428,137 @@ def test_meet_many_matches_meet_idx():
         want = [S.meet_idx(int(l), int(m)) for l, m in zip(ls[keep], ms[keep])]
         assert got.tolist() == want
         assert (got < 0).any() == (S.d > 3)
+
+
+# ---------------------------------------------------------------------------
+# frame-reduced exhaustive sweep
+# ---------------------------------------------------------------------------
+
+def frame_of(S):
+    """Point indices of e1, e2, e3."""
+    return tuple(S.canon_index([int(i == j) for i in range(S.d)])
+                 for j in range(3))
+
+
+def ref_noncollinear_triples(S):
+    """Per-pair loop the vectorized enumeration replaced."""
+    out = []
+    for a in range(S.n_points):
+        for b in range(S.n_points):
+            if b == a:
+                continue
+            third = np.nonzero(~S.on_line[:, S.join_idx(a, b)])[0]
+            out += [(a, b, int(c)) for c in third]
+    return np.array(out, dtype=np.int32)
+
+
+def ref_desargues(tri, join_t, meet_t, on_line, rows=None):
+    """Full T x T scan the frame reduction replaced; rows picks the first
+    triples to scan (all by default).  Returns (checked, witness)."""
+    tri = np.asarray(tri)
+    q1a, q2a, q3a = tri[:, 0], tri[:, 1], tri[:, 2]
+    checked = 0
+    for a in (range(len(tri)) if rows is None else rows):
+        p1, p2, p3 = (int(x) for x in tri[a])
+        s12, s23, s31 = join_t[p1, p2], join_t[p2, p3], join_t[p3, p1]
+        keep = np.nonzero((q1a != p1) & (q2a != p2) & (q3a != p3)
+                          & (join_t[q1a, q2a] != s12)
+                          & (join_t[q2a, q3a] != s23)
+                          & (join_t[q3a, q1a] != s31))[0]
+        q1, q2, q3 = q1a[keep], q2a[keep], q3a[keep]
+        l1, l2, l3 = join_t[p1, q1], join_t[p2, q2], join_t[p3, q3]
+        x = meet_t[l1, l2]
+        generic = (x >= 0) & on_line[np.maximum(x, 0), l3]
+        left = np.where(
+            l1 == l2,
+            (l1 == l3) | (meet_t[l1, l3] >= 0),
+            np.where((l1 == l3) | (l2 == l3), meet_t[l1, l2] >= 0, generic),
+        )
+        r12 = meet_t[s12, join_t[q1, q2]]
+        r23 = meet_t[s23, join_t[q2, q3]]
+        r31 = meet_t[s31, join_t[q3, q1]]
+        exists = (r12 >= 0) & (r23 >= 0) & (r31 >= 0)
+        dup = (r12 == r23) | (r23 == r31) | (r12 == r31)
+        jj = join_t[np.maximum(r12, 0), np.maximum(r23, 0)]
+        right = exists & (dup | on_line[np.maximum(r31, 0), np.maximum(jj, 0)])
+        bad = np.nonzero(left != right)[0]
+        if len(bad):
+            b = tri[keep[bad[0]]]
+            return (checked + int(bad[0]) + 1,
+                    (p1, p2, p3) + tuple(int(v) for v in b))
+        checked += len(keep)
+    return checked, None
+
+
+def _planted_meet(S):
+    """meet_t with the side p1 v p2 of the frame made skew to every line,
+    so perspective configurations lose their right-hand side."""
+    bad = S.meet_t.copy()
+    s12 = S.join_idx(*frame_of(S)[:2])
+    bad[s12, :] = bad[:, s12] = -1
+    return bad
+
+
+@pytest.mark.parametrize("p,n,d", [(2, 1, 3), (3, 1, 3), (3, 1, 4)])
+def test_noncollinear_triples_matches_loop(p, n, d):
+    S = space(p, n, d)
+    got = noncollinear_triples(S)
+    assert got.dtype == np.int32
+    assert np.array_equal(got, ref_noncollinear_triples(S))
+
+
+def test_noncollinear_triples_budget():
+    S = space(2, 1, 8)  # 255 points, 16.3M triples
+    with pytest.raises(GeomError, match="budget"):
+        noncollinear_triples(S)
+    assert cli.main(["--cmd", "checkgeom", "--q", "2", "--d", "8"]) == 2
+
+
+@pytest.mark.parametrize("p,n,d,want", [
+    (2, 1, 3, 13440), (3, 1, 3, 1316952), (2, 1, 4, 4919040)])
+def test_reduced_sweep_matches_full_reference(p, n, d, want):
+    S = space(p, n, d)
+    ref = ref_desargues(noncollinear_triples(S), S.join_t, S.meet_t,
+                        S.on_line)
+    assert ref == (want, None)
+    assert desargues_sweep(S) == ref
+
+
+@pytest.mark.parametrize("p,n,want", [(2, 2, 35091840), (5, 1, 454816500)])
+def test_reduced_sweep_matches_seed_full_sweep(p, n, want):
+    # counts measured by the full T x T sweep before the frame reduction
+    assert desargues_sweep(space(p, n, 3)) == (want, None)
+
+
+@pytest.mark.parametrize("p,n,d", [(3, 1, 3), (2, 2, 3), (2, 1, 4)])
+def test_frame_transports_are_collineations(p, n, d):
+    S = space(p, n, d)
+    tri = noncollinear_triples(S)
+    g = _frame_transports(S, tri)
+    assert np.array_equal(g[:, list(frame_of(S))], tri)
+    for row in g:
+        Collineation(S, row)
+
+
+def test_corrupted_tables_raise():
+    S = space(3, 1, 3)
+    tri = noncollinear_triples(S)
+    # a join entry pointing at the wrong line
+    T = copy.copy(S)
+    T.join_t = S.join_t.copy()
+    wrong = S.pt_lines[0][S.pt_lines[0] != S.join_t[0, 1]][0]
+    T.join_t[0, 1] = T.join_t[1, 0] = wrong
+    with pytest.raises(GeomError):
+        desargues_sweep(T)
+    with pytest.raises(GeomError, match="not a collineation"):
+        _certify_transports(T, tri)
+    # a meet table the kernel reads but the transports do not
+    T = copy.copy(S)
+    T.meet_t = _planted_meet(S)
+    with pytest.raises(GeomError, match="disagree"):
+        desargues_sweep(T)
+    # a collinear row has a singular transport
+    bad = tri.copy()
+    bad[7] = S.line_pts[0][:3]
+    with pytest.raises(GeomError, match=str(tuple(bad[7].tolist()))):
+        _certify_transports(S, bad)
