@@ -1,10 +1,10 @@
 """Hot inner loops.
 
-The axiom-II and Desargues sweeps are chunked numpy gathers.  The matrix
-filter and the multiplicativity scan are compiled with numba when it is
-available and have pure-numpy twins; set COLLINEXT_NO_NUMBA=1 to force
-the fallback path.  Those entry points dispatch on USE_NUMBA and return
-identical results either way.
+The axiom-II and Desargues sweeps and the matrix filter are chunked
+numpy gathers.  The multiplicativity scan is compiled with numba when it
+is available and has a pure-numpy twin; set COLLINEXT_NO_NUMBA=1 to force
+the fallback path.  It dispatches on USE_NUMBA and returns identical
+results either way.
 """
 
 import os
@@ -121,85 +121,30 @@ def desargues_scan(frame, tri, join_t, meet_t, line_pts):
 # matrix agreement filter (brute-force extension oracle)
 # ---------------------------------------------------------------------------
 
-@njit(cache=True)
-def _matfilter_jit(cands, reps, expect, mul_t, add_t, inv_t, offs, qpow, d):
-    B = cands.shape[0]
-    m = reps.shape[0]
-    out = np.zeros(B, dtype=np.uint8)
-    w = np.zeros(d, dtype=np.int64)
-    for c in range(B):
-        ok = True
-        for r in range(m):
-            for i in range(d):
-                acc = 0
-                for j in range(d):
-                    acc = add_t[acc, mul_t[cands[c, i, j], reps[r, j]]]
-                w[i] = acc
-            lead = -1
-            for i in range(d):
-                if w[i] != 0:
-                    lead = i
-                    break
-            if lead < 0:
-                ok = False
+def matrix_filter(codes, reps, expect, vecs, point_of, mul_t, add_t):
+    """Mask of the candidate matrices mapping each rep to its expected point.
+
+    codes: [B, d] row codes of the candidates, the code of a row being the
+    base-q number of its field indices; vecs: [q^d, d] the row of every
+    code; point_of: [q^d] the point index of every code, -1 for zero;
+    reps: [m, d] (already frobenius twisted by the caller); expect: [m]
+    point indices.  Row i of M v is dot[code of row i] for the table
+    dot = vecs . v, so each image is d gathers and one point lookup."""
+    q, d = len(mul_t), codes.shape[1]
+    weights = q ** np.arange(d - 1, -1, -1)
+    dots = 0
+    for j in range(d):
+        dots = add_t[dots, mul_t[vecs[:, j], reps[:, j, None]]]
+    out = np.zeros(len(codes), dtype=bool)
+    step = _CHUNK * 4
+    for s in range(0, len(codes), step):
+        alive = np.arange(s, min(s + step, len(codes)))
+        for dot, e in zip(dots, expect):
+            alive = alive[point_of[dot[codes[alive]] @ weights] == e]
+            if not len(alive):
                 break
-            s = inv_t[w[lead]]
-            idx = offs[lead]
-            for i in range(lead + 1, d):
-                idx += mul_t[s, w[i]] * qpow[d - 1 - i]
-            if idx != expect[r]:
-                ok = False
-                break
-        if ok:
-            out[c] = 1
+        out[alive] = True
     return out
-
-
-def _matfilter_np(cands, reps, expect, mul_t, add_t, inv_t, offs, qpow, d):
-    B = cands.shape[0]
-    alive = np.arange(B)
-    for r in range(reps.shape[0]):
-        M = cands[alive]
-        w = np.zeros((len(alive), d), dtype=np.int64)
-        for i in range(d):
-            acc = np.zeros(len(alive), dtype=np.int64)
-            for j in range(d):
-                acc = add_t[acc, mul_t[M[:, i, j], reps[r, j]]]
-            w[:, i] = acc
-        nz = w != 0
-        has = nz.any(axis=1)
-        lead = np.argmax(nz, axis=1)
-        s = inv_t[w[np.arange(len(alive)), lead]]
-        idx = offs[lead].astype(np.int64)
-        for i in range(1, d):
-            use = lead < i
-            idx[use] += mul_t[s[use], w[use, i]].astype(np.int64) * qpow[d - 1 - i]
-        keep = has & (idx == expect[r])
-        alive = alive[keep]
-        if len(alive) == 0:
-            break
-    out = np.zeros(B, dtype=np.uint8)
-    out[alive] = 1
-    return out
-
-
-def matrix_filter(cands, reps, expect, mul_t, add_t, inv_t, offs, qpow):
-    """Mask of candidate matrices mapping each rep to the expected point.
-
-    cands: [B, d, d] field indices; reps: [m, d] (already frobenius
-    twisted by the caller); expect: [m] canonical point indices."""
-    cands = np.ascontiguousarray(cands, dtype=np.int64)
-    reps = np.ascontiguousarray(reps, dtype=np.int64)
-    expect = np.ascontiguousarray(expect, dtype=np.int64)
-    offs = np.ascontiguousarray(offs, dtype=np.int64)
-    qpow = np.ascontiguousarray(qpow, dtype=np.int64)
-    d = cands.shape[1]
-    mul_t = np.ascontiguousarray(mul_t.astype(np.int64))
-    add_t = np.ascontiguousarray(add_t.astype(np.int64))
-    inv_t = np.ascontiguousarray(inv_t.astype(np.int64))
-    if USE_NUMBA:
-        return _matfilter_jit(cands, reps, expect, mul_t, add_t, inv_t, offs, qpow, d)
-    return _matfilter_np(cands, reps, expect, mul_t, add_t, inv_t, offs, qpow, d)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import mat_det, rref
+from .gf import rref
 from .projgeom import ProjSpace
 from .semilinear import Collineation, SemilinearError, SemilinearIso, decode_ftpg
 from .ample import is_ample, is_mn_admissible
@@ -291,6 +291,8 @@ def random_ample_instance(space, t, rng):
     t = 2.  The complement of a flat is exempt on the lines inside it and
     misses exactly one point on every other meeting line.
     """
+    if space.d < 3:
+        raise ExtendError("precondition: dimension must be at least 3")
     kinds = ["all", "point"]
     if t >= 1:
         kinds += ["flat"]
@@ -336,36 +338,37 @@ def _gl_size(q, d):
     return out
 
 
-def _candidate_matrices(f, d, chunk=1 << 21):
-    """All invertible d x d matrices with leading nonzero entry 1."""
-    q = f.q
-    total = q ** (d * d)
-    if d == 3:
-        mt, at = f.mul_t, f.add_t
-        neg = f.neg_t
-        for lo in range(0, total, chunk):
-            hi = min(lo + chunk, total)
-            t = np.arange(lo, hi, dtype=np.int64)
-            M = np.empty((hi - lo, 9), dtype=np.int64)
-            for k in range(9):
-                M[:, k] = (t // q ** (8 - k)) % q
-            a, b, c, dd, e, ff, g, h, i = (M[:, k] for k in range(9))
-            det = at[at[mt[a, at[mt[e, i], neg[mt[ff, h]]]],
-                        neg[mt[b, at[mt[dd, i], neg[mt[ff, g]]]]]],
-                     mt[c, at[mt[dd, h], neg[mt[e, g]]]]]
-            keep = det != 0
-            nz = M != 0
-            lead = np.argmax(nz, axis=1)
-            keep &= M[np.arange(len(M)), lead] == 1
-            yield M[keep].reshape(-1, 3, 3)
-    else:
-        if total > 1 << 20:
-            raise ExtendError("collineation group too large for brute force")
-        t = np.arange(total, dtype=np.int64)[:, None]
-        M = (t // q ** np.arange(d * d - 1, -1, -1)) % q
-        M = M[M[np.arange(total), np.argmax(M != 0, axis=1)] == 1]
-        out = [m for m in M.reshape(-1, d, d) if mat_det(f, m) != 0]
-        yield np.array(out, dtype=np.int64).reshape(-1, d, d)
+def _candidate_matrices(S):
+    """Row codes [B, d] of the invertible d x d matrices with leading
+    nonzero entry 1, one per element of PGL_d(q), in lexicographic order
+    of their entries read row by row.
+
+    Row 0 runs over the canonical points; each further row runs over
+    the codes outside the span of the rows above it."""
+    f, q, d = S.field, S.q, S.d
+    vecs = S.code_vectors()
+    every = np.arange(q ** d, dtype=np.min_scalar_type(q ** d - 1))
+    codes = np.sort(S.pts @ S._qpow).astype(every.dtype)[:, None]
+    step = max(1, (1 << 18) // q ** d)   # prefixes per span mask
+    for k in range(1, d):
+        n, n_free = len(codes), q ** d - q ** k
+        out = np.empty((n, n_free, k + 1), dtype=every.dtype)
+        out[:, :, :k] = codes[:, None]
+        for s in range(0, n, step):
+            prefix = vecs[codes[s:s + step]]
+            m = len(prefix)
+            # the q^k linear combinations of the prefix rows
+            span = np.zeros((m, 1, d), dtype=np.int32)
+            for i in range(k):
+                span = f.add_t[span[:, :, None], f.mul_t[
+                    np.arange(q)[:, None], prefix[:, None, None, i]]]
+                span = span.reshape(m, -1, d)
+            free = np.ones((m, q ** d), dtype=bool)
+            free[np.arange(m)[:, None], span @ S._qpow] = False
+            out[s:s + m, :, k] = np.broadcast_to(every, free.shape)[
+                free].reshape(m, n_free)
+        codes = out.reshape(-1, k + 1)
+    return codes
 
 
 def brute_force_extensions(pc):
@@ -379,18 +382,15 @@ def brute_force_extensions(pc):
     if group > BRUTE_BUDGET:
         raise ExtendError("collineation group too large for brute force "
                           "(%d elements)" % group)
-    u_pts = S.pts[pc.U1].astype(np.int64)
+    codes = _candidate_matrices(S)
+    vecs = S.code_vectors()
+    point_of = S.code_points()
     expect = np.array([pc.sigma[p] for p in pc.U1], dtype=np.int64)
     out = []
     for e in range(f.n):
-        reps = f.frob_t[e].astype(np.int64)[u_pts]
-        for cands in _candidate_matrices(f, d):
-            if len(cands) == 0:
-                continue
-            mask = _kernels.matrix_filter(
-                cands, reps, expect, f.mul_t, f.add_t, f.inv_t,
-                S._offs, S._qpow)
-            for M in cands[mask.astype(bool)]:
-                iso = SemilinearIso(S, M, e)
-                out.append(iso.induce())
+        reps = f.frob_t[e][S.pts[pc.U1]]
+        mask = _kernels.matrix_filter(codes, reps, expect, vecs, point_of,
+                                      f.mul_t, f.add_t)
+        for M in vecs[codes[mask]]:
+            out.append(SemilinearIso(S, M, e).induce())
     return out

@@ -53,7 +53,8 @@ class ProjSpace:
         self.n_lines = gaussian_binomial(self.d, 2, q)
         self.pts_per_line = q + 1
         self.lines_per_pt = (q ** (self.d - 1) - 1) // (q - 1)
-        self._qpow = np.array([q ** i for i in range(self.d)], dtype=np.int64)
+        # weights of a vector code, see code_vectors
+        self._qpow = q ** np.arange(self.d - 1, -1, -1, dtype=np.int64)
         self._offs = np.zeros(self.d, dtype=np.int64)
         for j in range(1, self.d):
             self._offs[j] = self._offs[j - 1] + q ** (self.d - 1 - (j - 1))
@@ -183,6 +184,22 @@ class ProjSpace:
             for i in range(nfree):
                 idx[rows] += scaled[rows, j + 1 + i].astype(np.int64) * q ** (nfree - 1 - i)
         return idx
+
+    def code_vectors(self):
+        """The coordinate vector of every vector code 0 .. q^d - 1.
+
+        The code of a coordinate vector is the base-q number of its field
+        indices, first entry most significant."""
+        codes = np.arange(self.q ** self.d)[:, None]
+        return (codes // self._qpow % self.q).astype(np.int32)
+
+    def code_points(self):
+        """Point index of every vector code, int32, -1 for the zero vector."""
+        f, q = self.field, self.q
+        point_of = np.full(q ** self.d, -1, dtype=np.int32)
+        multiples = f.mul_t[np.arange(1, q)[:, None, None], self.pts]
+        point_of[multiples @ self._qpow] = np.arange(self.n_points)
+        return point_of
 
     def _basis_key(self, r0, r1):
         return bytes(np.asarray(r0, dtype=np.int32)) + bytes(np.asarray(r1, dtype=np.int32))
@@ -540,7 +557,7 @@ def _frame_transports(space, tri):
     representatives pts[a], completed by standard basis vectors off the
     pivot columns of a row echelon form of pts[a].  A point whose image
     is zero (a singular matrix, from a collinear triple) maps to -1."""
-    f, d, q, n = space.field, space.d, space.q, len(tri)
+    f, d, n = space.field, space.d, len(tri)
     rows = space.pts[tri].astype(np.int64)
     mats = np.zeros((n, d, d), dtype=np.int64)
     mats[:, :, :3] = rows.transpose(0, 2, 1)
@@ -556,11 +573,8 @@ def _frame_transports(space, tri):
                 ech[:, s] = f.add_t[ech[:, s], f.mul_t[fac[:, None], ech[:, r]]]
         free = np.argsort(pivot, axis=1, kind="stable")[:, :d - 3]
         mats[ar[:, None], free, np.arange(3, d)] = 1
-    # canon_index as one lookup: the point of every vector, -1 for zero
-    point_of = np.full(q ** d, -1, dtype=np.int32)
-    multiples = f.mul_t[np.arange(1, q)[:, None, None], space.pts]
-    point_of[multiples @ space._qpow] = np.arange(space.n_points)
-    return point_of[mat_apply(f, mats, space.pts) @ space._qpow]
+    # canon_index as one lookup
+    return space.code_points()[mat_apply(f, mats, space.pts) @ space._qpow]
 
 
 def _certify_transports(space, tri):

@@ -269,6 +269,15 @@ def test_random_instances_are_ample():
         assert len(seen) >= 2
 
 
+def test_random_instance_refuses_the_projective_line():
+    # a proper flat of P^1 would be a point: every draw must be refused
+    # up front, not only the ones that land on the "flat" kind
+    S = space(5, 1, 2)
+    for seed in range(8):
+        with pytest.raises(ExtendError, match="dimension"):
+            random_ample_instance(S, 1, np.random.default_rng(seed))
+
+
 # ---------------------------------------------------------------------------
 # brute-force oracle
 # ---------------------------------------------------------------------------
