@@ -1,35 +1,15 @@
-"""Hot inner loops.
+"""Hot inner loops, each one chunked numpy gather.
 
-The axiom-II and Desargues sweeps and the matrix filter are chunked
-numpy gathers.  The multiplicativity scan is compiled with numba when it
-is available and has a pure-numpy twin; set COLLINEXT_NO_NUMBA=1 to force
-the fallback path.  It dispatches on USE_NUMBA and returns identical
-results either way.
+The axiom-II and Desargues sweeps, the brute-force matrix filter and the
+all-pairs multiplicativity scan of the function-field demo, each run in
+chunks sized from _CHUNK so that temporaries stay small.
 """
-
-import os
 
 import numpy as np
 
-if os.environ.get("COLLINEXT_NO_NUMBA"):
-    HAS_NUMBA = False
-else:
-    try:
-        from numba import njit
-        HAS_NUMBA = True
-    except ImportError:
-        HAS_NUMBA = False
-
-USE_NUMBA = HAS_NUMBA
-
-if not HAS_NUMBA:
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
+# Read by perfbench/child.py for its environment record; there is one
+# backend, numpy.
+USE_NUMBA = False
 
 _CHUNK = 1 << 14  # elements per temporary in the chunked sweeps
 
@@ -151,156 +131,73 @@ def matrix_filter(codes, reps, expect, vecs, point_of, mul_t, add_t):
 # all-pairs multiplicativity scan (function-field demo)
 # ---------------------------------------------------------------------------
 
-@njit(cache=True)
-def _multscan_jit(nums, psin, psi_m, mu, mpoly, degcap, mul_t, add_t, neg_t):
-    N, md = nums.shape
-    dm = mpoly.shape[0] - 1
-    clen = 2 * md - 1
-    n_in = 0
-    conv = np.zeros(clen, dtype=np.int64)
-    rem = np.zeros(clen, dtype=np.int64)
-    quo = np.zeros(md, dtype=np.int64)
-    img = np.zeros(md, dtype=np.int64)
-    lhs = np.zeros(clen, dtype=np.int64)
-    rhs = np.zeros(clen, dtype=np.int64)
-    for a in range(N):
-        for b in range(N):
-            for k in range(clen):
-                conv[k] = 0
-            for i in range(md):
-                va = nums[a, i]
-                if va == 0:
-                    continue
-                for j in range(md):
-                    conv[i + j] = add_t[conv[i + j], mul_t[va, nums[b, j]]]
-            deg = -1
-            for k in range(clen - 1, -1, -1):
-                if conv[k] != 0:
-                    deg = k
-                    break
-            if deg > degcap or deg < dm:
-                continue
-            for k in range(clen):
-                rem[k] = conv[k]
-            for k in range(md):
-                quo[k] = 0
-            for k in range(deg - dm, -1, -1):
-                c = rem[k + dm]
-                if c != 0:
-                    quo[k] = c
-                    for i in range(dm + 1):
-                        rem[k + i] = add_t[rem[k + i], neg_t[mul_t[c, mpoly[i]]]]
-            divisible = True
-            for k in range(dm):
-                if rem[k] != 0:
-                    divisible = False
-                    break
-            if not divisible:
-                continue
-            n_in += 1
-            # psi of the quotient (coords of f*g in the ambient basis)
-            for i in range(md):
-                acc = 0
-                for j in range(md):
-                    acc = add_t[acc, mul_t[psi_m[i, j], mu[quo[j]]]]
-                img[i] = acc
-            for k in range(clen):
-                lhs[k] = 0
-                rhs[k] = 0
-            for i in range(md):
-                vi = img[i]
-                if vi == 0:
-                    continue
-                for j in range(dm + 1):
-                    lhs[i + j] = add_t[lhs[i + j], mul_t[vi, mpoly[j]]]
-            for i in range(md):
-                vi = psin[a, i]
-                if vi == 0:
-                    continue
-                for j in range(md):
-                    rhs[i + j] = add_t[rhs[i + j], mul_t[vi, psin[b, j]]]
-            for k in range(clen):
-                if lhs[k] != rhs[k]:
-                    return n_in, a, b
-    return n_in, -1, -1
+def _polymul(x, y, width, mul_t, add_t):
+    """Row-wise product of coefficient rows x [n, a] and y [n or 1, b],
+    lowest degree first, zero-padded to width columns."""
+    out = np.zeros((len(x), width), dtype=add_t.dtype)
+    for i in range(x.shape[1]):
+        seg = out[:, i:i + y.shape[1]]
+        seg[...] = add_t[seg, mul_t[x[:, i, None], y]]
+    return out
 
 
-def _multscan_np(nums, psin, psi_m, mu, mpoly, degcap, mul_t, add_t, neg_t):
-    N, md = nums.shape
-    dm = mpoly.shape[0] - 1
-    clen = 2 * md - 1
-    n_in = 0
-    for a in range(N):
-        conv = np.zeros((N, clen), dtype=np.int64)
-        for i in range(md):
-            va = int(nums[a, i])
-            if va == 0:
-                continue
-            for j in range(md):
-                conv[:, i + j] = add_t[conv[:, i + j], mul_t[va, nums[:, j]]]
-        nzmask = conv != 0
-        degs = np.where(nzmask.any(axis=1), clen - 1 - np.argmax(nzmask[:, ::-1], axis=1), -1)
-        inrange = (degs <= degcap) & (degs >= dm)
-        rows = np.nonzero(inrange)[0]
-        if len(rows) == 0:
-            continue
-        rem = conv[rows].copy()
-        quo = np.zeros((len(rows), md), dtype=np.int64)
-        for k in range(clen - 1 - dm, -1, -1):
-            c = rem[:, k + dm]
-            hit = c != 0
-            if hit.any():
-                if k < md:
-                    quo[hit, k] = c[hit]
-                for i in range(dm + 1):
-                    rem[hit, k + i] = add_t[rem[hit, k + i], neg_t[mul_t[c[hit], mpoly[i]]]]
-        divisible = (rem[:, :dm] == 0).all(axis=1) if dm > 0 else np.ones(len(rows), bool)
-        rows = rows[divisible]
-        quo = quo[divisible]
-        n_in += len(rows)
-        if len(rows) == 0:
-            continue
-        img = np.zeros((len(rows), md), dtype=np.int64)
-        muq = mu[quo]
-        for i in range(md):
-            acc = np.zeros(len(rows), dtype=np.int64)
-            for j in range(md):
-                acc = add_t[acc, mul_t[psi_m[i, j], muq[:, j]]]
-            img[:, i] = acc
-        lhs = np.zeros((len(rows), clen), dtype=np.int64)
-        for i in range(md):
-            vi = img[:, i]
-            for j in range(dm + 1):
-                lhs[:, i + j] = add_t[lhs[:, i + j], mul_t[vi, mpoly[j]]]
-        rhs = np.zeros((len(rows), clen), dtype=np.int64)
-        for i in range(md):
-            va = int(psin[a, i])
-            if va == 0:
-                continue
-            for j in range(md):
-                rhs[:, i + j] = add_t[rhs[:, i + j], mul_t[va, psin[:, j][rows]]]
-        bad = (lhs != rhs).any(axis=1)
-        if bad.any():
-            return n_in, a, int(rows[np.nonzero(bad)[0][0]])
-    return n_in, -1, -1
+def _polydiv(x, sub_t, add_t):
+    """Row-wise quotient and remainder of x [n, w] by a monic polynomial
+    of degree dm, given as sub_t[c] = -c * mpoly ([q, dm + 1])."""
+    dm = sub_t.shape[1] - 1
+    rem = x.copy()
+    quo = np.zeros((len(x), max(x.shape[1] - dm, 0)), dtype=x.dtype)
+    for k in range(quo.shape[1] - 1, -1, -1):
+        c = rem[:, k + dm]
+        quo[:, k] = c
+        seg = rem[:, k:k + dm + 1]
+        seg[...] = add_t[seg, sub_t[c]]
+    return quo, rem[:, :dm]
 
 
 def pair_mult_scan(nums, psin, psi_m, mu, mpoly, degcap, mul_t, add_t, neg_t):
     """Check psi(f g) = psi(f) psi(g) over all in-range pairs.
 
     nums[i] holds the numerator coefficients of function i over the fixed
-    denominator; psin[i] the numerator of its psi image; psi_m and mu give
-    psi on arbitrary coordinate vectors.  A pair is in range when the
-    product stays representable (degree cap and exact divisibility).
-    Returns (n_in_range, bad_i, bad_j) with -1 markers when all agree."""
-    nums = np.ascontiguousarray(nums, dtype=np.int64)
-    psin = np.ascontiguousarray(psin, dtype=np.int64)
-    psi_m = np.ascontiguousarray(psi_m, dtype=np.int64)
-    mu = np.ascontiguousarray(mu, dtype=np.int64)
-    mpoly = np.ascontiguousarray(mpoly, dtype=np.int64)
-    mul_t = np.ascontiguousarray(mul_t.astype(np.int64))
-    add_t = np.ascontiguousarray(add_t.astype(np.int64))
-    neg_t = np.ascontiguousarray(neg_t.astype(np.int64))
-    if USE_NUMBA:
-        return _multscan_jit(nums, psin, psi_m, mu, mpoly, int(degcap), mul_t, add_t, neg_t)
-    return _multscan_np(nums, psin, psi_m, mu, mpoly, int(degcap), mul_t, add_t, neg_t)
+    monic denominator mpoly; psin[i] the numerator of its psi image; psi_m
+    and mu give psi on arbitrary coordinate vectors.  A pair is in range
+    when the product stays representable: its degree lies in
+    [deg mpoly, degcap] and mpoly divides it.  Pairs (a, b) run in
+    row-major order, in chunks.  Returns (n_in_range, bad_i, bad_j): with
+    every pair agreeing, the in-range count and -1 markers; otherwise the
+    first failing pair, with n_in_range counting the in-range pairs up to
+    and including it."""
+    N, md = nums.shape
+    mpoly = np.asarray(mpoly)
+    dm = len(mpoly) - 1
+    clen = 2 * md - 1
+    sub_t = neg_t[mul_t[:, mpoly]]
+    # Over a field deg(f g) = deg f + deg g, and mpoly divides f g exactly
+    # when it divides the product of their remainders, so the range test
+    # needs only per-row degrees and remainders; a zero row is never in
+    # range.
+    deg = ((nums != 0) * np.arange(1, md + 1)).max(axis=1) - 1
+    deg[deg < 0] = -md
+    res = _polydiv(nums, sub_t, add_t)[1]
+    step = max(1, _CHUNK // clen)
+    n_in = 0
+    for s in range(0, N * N, step):
+        a, b = np.divmod(np.arange(s, min(s + step, N * N)), N)
+        rr = _polymul(res[a], res[b], max(2 * dm - 1, 0), mul_t, add_t)
+        sdeg = deg[a] + deg[b]
+        keep = ((sdeg >= dm) & (sdeg <= degcap)
+                & ~_polydiv(rr, sub_t, add_t)[1].any(axis=1))
+        a, b = a[keep], b[keep]
+        prod = _polymul(nums[a], nums[b], clen, mul_t, add_t)
+        muq = mu[_polydiv(prod, sub_t, add_t)[0][:, :md]]
+        img = 0   # psi of the quotient: psi_m . mu[quo]
+        for j in range(md):
+            img = add_t[img, mul_t[psi_m[:, j], muq[:, j, None]]]
+        lhs = _polymul(img, mpoly[None], clen, mul_t, add_t)
+        rhs = _polymul(psin[a], psin[b], clen, mul_t, add_t)
+        bad = (lhs != rhs).any(axis=1)
+        if bad.any():
+            t = int(np.argmax(bad))
+            return n_in + t + 1, int(a[t]), int(b[t])
+        n_in += len(a)
+    return n_in, -1, -1

@@ -550,13 +550,14 @@ def check_desargues(space, ps, qs):
     return DesarguesCheck(left, right, left == right, tuple(rs))
 
 
-def _frame_transports(space, tri):
+def _frame_transports(space, tri, point_of):
     """Point maps g_a with g_a(e1, e2, e3) = a, one row per triple a.
 
     g_a is induced by the matrix whose first three columns are the
     representatives pts[a], completed by standard basis vectors off the
-    pivot columns of a row echelon form of pts[a].  A point whose image
-    is zero (a singular matrix, from a collinear triple) maps to -1."""
+    pivot columns of a row echelon form of pts[a].  point_of is
+    space.code_points().  A point whose image is zero (a singular matrix,
+    from a collinear triple) maps to -1."""
     f, d, n = space.field, space.d, len(tri)
     rows = space.pts[tri].astype(np.int64)
     mats = np.zeros((n, d, d), dtype=np.int64)
@@ -574,7 +575,7 @@ def _frame_transports(space, tri):
         free = np.argsort(pivot, axis=1, kind="stable")[:, :d - 3]
         mats[ar[:, None], free, np.arange(3, d)] = 1
     # canon_index as one lookup
-    return space.code_points()[mat_apply(f, mats, space.pts) @ space._qpow]
+    return point_of[mat_apply(f, mats, space.pts) @ space._qpow]
 
 
 def _certify_transports(space, tri):
@@ -588,10 +589,11 @@ def _certify_transports(space, tri):
     from . import _kernels
     P, L, k = space.n_points, space.n_lines, space.pts_per_line
     frame = space._offs[:3]   # indices of e1, e2, e3
+    point_of = space.code_points()
     step = max(1, _kernels._CHUNK // (L * k + P * space.d))
     for s in range(0, len(tri), step):
         part = tri[s:s + step]
-        g = _frame_transports(space, part)
+        g = _frame_transports(space, part, point_of)
         ok = (np.sort(g, axis=1) == np.arange(P)).all(axis=1)
         ok &= (g[:, frame] == part).all(axis=1)
         img = g[:, space.line_pts]

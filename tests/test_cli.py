@@ -1,6 +1,7 @@
 """Command-line runner: exit codes, determinism, report shapes."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -8,6 +9,18 @@ import numpy as np
 import pytest
 
 from collinext import cli
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
+
+
+def child_env():
+    """The environment with this checkout's src first on PYTHONPATH, so a
+    spawned `python -m collinext` imports the code under test."""
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ,
+                PYTHONPATH=SRC + (os.pathsep + path if path else ""))
 
 
 def run_main(args, capsys):
@@ -152,7 +165,7 @@ def test_module_entry_point():
     r = subprocess.run(
         [sys.executable, "-m", "collinext", "--cmd", "checkgeom",
          "--q", "2", "--d", "3"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=child_env())
     assert r.returncode == 0
     assert json.loads(r.stdout)["aggregate"]["all_pass"]
     assert "elapsed" in r.stderr
@@ -171,6 +184,6 @@ def test_checkgeom_projective_line_rejected():
     r = subprocess.run(
         [sys.executable, "-m", "collinext", "--cmd", "checkgeom",
          "--q", "5", "--d", "2"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=child_env())
     assert r.returncode == 2
     assert "rejected" in r.stderr and r.stdout == ""

@@ -1,12 +1,14 @@
 """Divisors on the line, truncated function spaces, ring-map recovery."""
 
+import functools
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from collinext.gf import make_field
-from collinext._kernels import _multscan_jit, _multscan_np, USE_NUMBA
+from collinext.gf import make_field, mat_apply
+from collinext._kernels import pair_mult_scan
 from collinext.ample import AmpleFamily
 from collinext.extend import extend
 from collinext.funcfield import (
@@ -442,20 +444,132 @@ def test_demo_order_independent():
     assert all(r["matches_truth"] for r in reps)
 
 
-def test_multscan_kernel_twins():
-    if not USE_NUMBA:
-        pytest.skip("jit path disabled")
-    f, D, E, gmat, frob = demo_instance("q13")
+def multscan_reference(nums, psin, psi_m, mu, mpoly, degcap,
+                       mul_t, add_t, neg_t):
+    """Per-pair loop over (a, b) in row-major order: the reference for
+    _kernels.pair_mult_scan, with the same return value."""
+    nums, psin, psi_m, mu, mpoly, mul_t, add_t, neg_t = (
+        np.asarray(x).tolist()
+        for x in (nums, psin, psi_m, mu, mpoly, mul_t, add_t, neg_t))
+    N, md = len(nums), len(nums[0])
+    dm = len(mpoly) - 1
+    clen = 2 * md - 1
+    n_in = 0
+    for a in range(N):
+        for b in range(N):
+            conv = [0] * clen
+            for i in range(md):
+                va = nums[a][i]
+                if va == 0:
+                    continue
+                for j in range(md):
+                    conv[i + j] = add_t[conv[i + j]][mul_t[va][nums[b][j]]]
+            deg = max((k for k in range(clen) if conv[k] != 0), default=-1)
+            if deg > degcap or deg < dm:
+                continue
+            rem = list(conv)
+            quo = [0] * md
+            for k in range(deg - dm, -1, -1):
+                c = rem[k + dm]
+                if c != 0:
+                    quo[k] = c
+                    for i in range(dm + 1):
+                        sub = neg_t[mul_t[c][mpoly[i]]]
+                        rem[k + i] = add_t[rem[k + i]][sub]
+            if any(r != 0 for r in rem[:dm]):
+                continue
+            n_in += 1
+            # psi of the quotient (coords of f*g in the ambient basis)
+            img = [0] * md
+            for i in range(md):
+                acc = 0
+                for j in range(md):
+                    acc = add_t[acc][mul_t[psi_m[i][j]][mu[quo[j]]]]
+                img[i] = acc
+            lhs, rhs = [0] * clen, [0] * clen
+            for i in range(md):
+                for j in range(dm + 1):
+                    lhs[i + j] = add_t[lhs[i + j]][mul_t[img[i]][mpoly[j]]]
+            for i in range(md):
+                for j in range(md):
+                    prod = mul_t[psin[a][i]][psin[b][j]]
+                    rhs[i + j] = add_t[rhs[i + j]][prod]
+            if lhs != rhs:
+                return n_in, a, b
+    return n_in, -1, -1
+
+
+@functools.cache
+def scan_inputs(key, recovered):
+    """pair_mult_scan's arguments on a demo instance, for the psi that
+    recover_ring_iso recovers or for the identity."""
+    f, D, E, gmat, frob = demo_instance(key)
     scr = scramble(gmat, frob, D, E)
     rr, space = scr.unit.rr, scr.unit.space
-    nums = np.ascontiguousarray(space.pts.astype(np.int64))
-    psin = nums.copy()   # identity psi is multiplicative
-    psi = np.zeros((3, 3), dtype=np.int64)
-    np.fill_diagonal(psi, 1)
-    row = np.arange(13, dtype=np.int64)
+    nums = space.pts.astype(np.int64)
+    if recovered:
+        res = extend(scr.pc, ample_certificate(scr.unit).family)
+        rep = recover_ring_iso(res, scr.unit)
+        psi = rep.psi_matrix
+        row = f.frob_t[rep.frob_exp].astype(np.int64)
+    else:
+        psi = np.eye(rr.dim, dtype=np.int64)
+        row = np.arange(f.q, dtype=np.int64)
     mpoly = np.array(rr.mpoly, dtype=np.int64)
-    args = (nums, psin, psi, row, mpoly, 4,
-            np.ascontiguousarray(f.mul_t.astype(np.int64)),
-            np.ascontiguousarray(f.add_t.astype(np.int64)),
-            np.ascontiguousarray(f.neg_t.astype(np.int64)))
-    assert _multscan_jit(*args) == _multscan_np(*args)
+    degcap = len(mpoly) - 1 + rr.dim - 1
+    return (nums, mat_apply(f, psi, row[nums]), psi, row, mpoly, degcap,
+            f.mul_t, f.add_t, f.neg_t)
+
+
+def bumped(args, r, c):
+    """args with psin[r, c] moved to the next field index."""
+    psin = args[1].copy()
+    psin[r, c] = (psin[r, c] + 1) % len(args[6])
+    return (args[0], psin) + args[2:]
+
+
+def test_multscan_kernel_twins():
+    for key in ("q13", "q9frob"):
+        for recovered in (False, True):
+            args = scan_inputs(key, recovered)
+            n = len(args[0])
+            want = multscan_reference(*args)
+            assert want[1:] == (-1, -1) and want[0] > 0
+            assert pair_mult_scan(*args) == want
+            # planted corruptions in the first, a middle and the last row
+            for r in (0, n // 2, n - 1):
+                bad = bumped(args, r, r % 3)
+                want = multscan_reference(*bad)
+                assert want[1] >= 0 and r in want[1:]
+                assert pair_mult_scan(*bad) == want
+            # a zero numerator is never in range, though over a linear
+            # denominator the degree sum alone would admit it
+            zero = args[0].copy()
+            zero[n // 2] = 0
+            for mpoly in (args[4], np.array([1, 1])):
+                cap = len(mpoly) - 1 + zero.shape[1] - 1
+                bad = (zero,) + args[1:4] + (mpoly, cap) + args[6:]
+                assert pair_mult_scan(*bad) == multscan_reference(*bad)
+
+
+def test_multscan_witness_counts_through_failing_pair():
+    # in-range pairs up to and including (10, 37), not all of row 10
+    args = bumped(scan_inputs("q9frob", True), 37, 0)
+    assert pair_mult_scan(*args) == (57, 10, 37)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([("q13", True), ("q9frob", True), ("q9frob", False)]),
+       st.lists(st.tuples(st.integers(0, 1), st.integers(0, 10 ** 6),
+                          st.integers(0, 2), st.integers(0, 12)),
+                min_size=1, max_size=4),
+       st.integers(0, 2))
+def test_multscan_random_perturbations(inst, edits, cut):
+    # edits overwrite entries of nums (0) or psin (1); a lower degree cap
+    # makes the degree filter bite, which it never does on the demo inputs
+    args = scan_inputs(*inst)
+    rows = [args[0].copy(), args[1].copy()]
+    for which, r, c, v in edits:
+        rows[which][r % len(args[0]), c] = v % len(args[6])
+    args = (*rows, *args[2:5], args[5] - cut, *args[6:])
+    assert pair_mult_scan(*args) == multscan_reference(*args)

@@ -534,7 +534,7 @@ def test_reduced_sweep_matches_seed_full_sweep(p, n, want):
 def test_frame_transports_are_collineations(p, n, d):
     S = space(p, n, d)
     tri = noncollinear_triples(S)
-    g = _frame_transports(S, tri)
+    g = _frame_transports(S, tri, S.code_points())
     assert np.array_equal(g[:, list(frame_of(S))], tri)
     for row in g:
         Collineation(S, row)
