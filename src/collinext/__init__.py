@@ -11,8 +11,8 @@ from .projgeom import (GeomError, ProjSpace, ProjPoint, ProjLine, join, meet,
                        DesarguesCheck, desargues_admissible, check_desargues,
                        desargues_sweep, gaussian_binomial)
 from .semilinear import (SemilinearError, FieldIso, SemilinearIso,
-                         Collineation, induce_collineation, random_semilinear,
-                         equal_up_to_scalar, decode_ftpg)
+                         Collineation, random_semilinear, equal_up_to_scalar,
+                         decode_ftpg)
 from .ample import (AmpleError, AmpleFamily, AmpleReport, lines_meeting,
                     is_ample, is_mn_admissible, closed_form_admissible,
                     is_pgl2_stable, transport_subset)

@@ -159,14 +159,7 @@ def is_mn_admissible(family, q, m, n):
 
 def line_parametrization(space, l):
     """Point index at each position: c -> b0 + c b1 for c < q, then b1."""
-    f = space.field
-    b0 = space.line_b0[l].astype(np.int64)
-    b1 = space.line_b1[l].astype(np.int64)
-    vecs = np.empty((f.q + 1, space.d), dtype=np.int64)
-    for c in range(f.q):
-        vecs[c] = f.add_t[b0, f.mul_t[c, b1]]
-    vecs[f.q] = b1
-    return space.canon_index_many(vecs)
+    return space.span_points(space.line_b0[l:l + 1], space.line_b1[l:l + 1])[0]
 
 
 def transport_subset(space, l, positions):

@@ -157,7 +157,7 @@ def _wrap(cfg, trials):
         "schema": SCHEMA,
         "config": {
             "cmd": cfg.cmd, "q": cfg.q, "d": cfg.d, "t": cfg.t,
-            "trials": cfg.trials, "seed": cfg.seed, "g": cfg.g, "p": cfg.p,
+            "trials": len(trials), "seed": cfg.seed, "g": cfg.g, "p": cfg.p,
             "eps": str(cfg.eps), "bound": cfg.bound,
         },
         "trials": trials,

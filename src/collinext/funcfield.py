@@ -48,10 +48,6 @@ def pneg(f, a):
     return tuple(int(f.neg_t[x]) for x in a)
 
 
-def psub(f, a, b):
-    return padd(f, a, pneg(f, b))
-
-
 def pscale(f, a, s):
     if s == 0:
         return ()

@@ -3,9 +3,9 @@
 Points are canonicalized so the leftmost nonzero coordinate is 1 and are
 addressed by an index in a fixed enumeration (leading position ascending,
 then remaining coordinates lexicographic).  Lines are 2-dimensional
-subspaces addressed through their reduced row-echelon basis.  Small
-spaces carry full join/meet lookup tables; larger ones fall back to
-arithmetic on demand.
+subspaces enumerated by their reduced row-echelon basis and looked up by
+their two lowest points.  Small spaces carry full join/meet lookup
+tables; larger ones fall back to arithmetic on demand.
 """
 
 from dataclasses import dataclass
@@ -82,7 +82,6 @@ class ProjSpace:
 
     def _build_lines(self):
         q, d = self.q, self.d
-        f = self.field
         r0s, r1s = [], []
         for j0 in range(d):
             for j1 in range(j0 + 1, d):
@@ -107,17 +106,13 @@ class ProjSpace:
         self.line_b0 = np.concatenate(r0s)
         self.line_b1 = np.concatenate(r1s)
         assert len(self.line_b0) == self.n_lines
-        # points on each line: (1:c) combos then (0:1)
-        cols = [self.canon_index_many(
-            f.add_t[self.line_b0, f.mul_t[c, self.line_b1]])
-            for c in range(q)]
-        cols.append(self.canon_index_many(self.line_b1))
-        lp = np.stack(cols, axis=1).astype(np.int32)
+        lp = self.span_points(self.line_b0, self.line_b1).astype(np.int32)
         lp.sort(axis=1)
         self.line_pts = lp
-        # canonical-basis key -> line index, for fallback joins
-        self._line_key = {self._basis_key(self.line_b0[i], self.line_b1[i]): i
-                          for i in range(self.n_lines)}
+        # two distinct points lie on one line, so its lowest pair keys it
+        keys = lp[:, 0].astype(np.int64) * self.n_points + lp[:, 1]
+        self._key_order = np.argsort(keys, kind="stable")
+        self._keys = keys[self._key_order]
 
     def _build_incidence(self):
         P, L, k = self.n_points, self.n_lines, self.pts_per_line
@@ -201,16 +196,29 @@ class ProjSpace:
         point_of[multiples @ self._qpow] = np.arange(self.n_points)
         return point_of
 
-    def _basis_key(self, r0, r1):
-        return bytes(np.asarray(r0, dtype=np.int32)) + bytes(np.asarray(r1, dtype=np.int32))
+    def span_points(self, b0, b1):
+        """Points of span(b0[i], b1[i]) for [n, d] stacks of independent
+        vectors, as an [n, q + 1] array: b0 + c b1 for c < q, then b1."""
+        f = self.field
+        cols = [self.canon_index_many(f.add_t[b0, f.mul_t[c, b1]])
+                for c in range(self.q)]
+        cols.append(self.canon_index_many(b1))
+        return np.stack(cols, axis=1)
+
+    def line_of(self, a, b):
+        """Line whose two lowest points are a < b, elementwise; -1 where
+        no line has that lowest pair."""
+        key = np.asarray(a, dtype=np.int64) * self.n_points + b
+        pos = np.minimum(np.searchsorted(self._keys, key), self.n_lines - 1)
+        return np.where(self._keys[pos] == key, self._key_order[pos], -1)
 
     def line_through_vecs(self, v0, v1):
         """Line index of the span of two independent vectors."""
-        R, piv = rref(self.field, [list(map(int, v0)), list(map(int, v1))])
-        if len(piv) != 2:
+        v = np.array([v0, v1], dtype=np.int32)
+        if not v.any(axis=1).all() or np.ptp(self.canon_index_many(v)) == 0:
             raise GeomError("vectors are dependent, no unique line")
-        key = self._basis_key(np.array(R[0], dtype=np.int32), np.array(R[1], dtype=np.int32))
-        return self._line_key[key]
+        a, b = np.sort(self.span_points(v[:1], v[1:])[0])[:2]
+        return int(self.line_of(a, b))
 
     # -- index-level operations -------------------------------------------
 

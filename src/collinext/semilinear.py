@@ -123,15 +123,11 @@ class Collineation:
         if len(np.unique(sigma)) != space.n_points:
             raise SemilinearError("sigma is not a bijection")
         self.sigma = sigma
-        img = np.sort(sigma[space.line_pts], axis=1).astype(np.int64)
-        key = {row.tobytes(): i for i, row in
-               enumerate(np.sort(space.line_pts, axis=1).astype(np.int64))}
-        tau = np.empty(space.n_lines, dtype=np.int64)
-        for l, row in enumerate(img):
-            t = key.get(row.tobytes())
-            if t is None:
-                raise SemilinearError("point map does not carry lines to lines")
-            tau[l] = t
+        # each image line is named by its two lowest points, then checked whole
+        img = np.sort(sigma[space.line_pts], axis=1)
+        tau = space.line_of(img[:, 0], img[:, 1])
+        if (tau < 0).any() or (space.line_pts[tau] != img).any():
+            raise SemilinearError("point map does not carry lines to lines")
         self.tau = tau
 
     def point_map(self, i):
@@ -157,10 +153,6 @@ class Collineation:
 
     def __repr__(self):
         return "Collineation(P=%d)" % len(self.sigma)
-
-
-def induce_collineation(iso):
-    return iso.induce()
 
 
 def random_semilinear(space, rng):

@@ -187,3 +187,17 @@ def test_checkgeom_projective_line_rejected():
         capture_output=True, text=True, timeout=120, env=child_env())
     assert r.returncode == 2
     assert "rejected" in r.stderr and r.stdout == ""
+
+
+def test_config_trials_echo_the_battery_that_ran(capsys):
+    # single-record commands ignore --trials; the report must not claim it
+    for args in (["--cmd", "checkgeom", "--q", "2", "--d", "3",
+                  "--trials", "3"],
+                 ["--cmd", "ffdemo", "--q", "9", "--trials", "0"],
+                 ["--cmd", "primesets", "--bound", "1000"],
+                 ["--cmd", "extend", "--q", "5", "--d", "3", "--trials", "2"]):
+        code, out = run_main(args, capsys)
+        rep = json.loads(out)
+        assert code == 0, args
+        assert rep["config"]["trials"] == rep["aggregate"]["n"] \
+            == len(rep["trials"]), args

@@ -14,7 +14,6 @@ from collinext.semilinear import (
     SemilinearIso,
     decode_ftpg,
     equal_up_to_scalar,
-    induce_collineation,
     random_semilinear,
 )
 
@@ -129,7 +128,7 @@ def test_collineation_tau_consistent():
     S = space(3, 1, 3)
     rng = np.random.default_rng(4)
     iso = random_semilinear(S, rng)
-    coll = induce_collineation(iso)
+    coll = iso.induce()
     for l in range(S.n_lines):
         img = sorted(int(coll.sigma[p]) for p in S.line_pts[l])
         assert img == [int(x) for x in S.line_pts[coll.line_map(l)]]
