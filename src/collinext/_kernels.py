@@ -55,27 +55,25 @@ def _on(line_pts, x, l):
     return (line_pts[l] == x[:, None]).any(axis=1)
 
 
-def desargues_scan(frame, tri, join_t, meet_t, line_pts):
-    """Left/right agreement of (frame, b) over every admissible row b of tri.
+def desargues_scan(ps, qs, join_t, meet_t, line_pts):
+    """Left/right agreement of (a, b) over every admissible row pair: a is
+    ps ([3], such as the frame, paired with every row) or its row of ps
+    ([n, 3]), b the row of qs ([n, 3]); every triple is non-collinear.
 
     Left: the connectors p_i v q_i are concurrent.  Right: the side meets
     (p_i v p_j) ^ (q_i v q_j) exist and are collinear.  Returns
-    (n_checked, witness): witness is None or the 6-tuple frame + b of the
+    (n_checked, witness): witness is None or the 6-tuple a + b of the
     first disagreement in row order, n_checked counting the admissible
     rows through it."""
-    p1, p2, p3 = (int(x) for x in frame)
-    s12, s23, s31 = join_t[p1, p2], join_t[p2, p3], join_t[p3, p1]
+    ps = np.broadcast_to(ps, np.shape(qs))
     step = _CHUNK // 16  # about 16 row-length temporaries live at once
     checked = 0
-    for s in range(0, len(tri), step):
-        q1, q2, q3 = np.asarray(tri[s:s + step]).T
-        t12, t23, t31 = join_t[q1, q2], join_t[q2, q3], join_t[q3, q1]
-        adm = ((q1 != p1) & (q2 != p2) & (q3 != p3)
-               & (t12 != s12) & (t23 != s23) & (t31 != s31))
-        rows = np.nonzero(adm)[0]
-        q1, q2, q3 = q1[rows], q2[rows], q3[rows]
-        t12, t23, t31 = t12[rows], t23[rows], t31[rows]
-        l1, l2, l3 = join_t[p1, q1], join_t[p2, q2], join_t[p3, q3]
+    for s in range(0, len(qs), step):
+        p, q = ps[s:s + step], np.asarray(qs[s:s + step])
+        # the sides 12, 23, 31 of each triple, as columns
+        sp, sq = join_t[p, p[:, [1, 2, 0]]], join_t[q, q[:, [1, 2, 0]]]
+        rows = np.nonzero(((p != q) & (sp != sq)).all(axis=1))[0]
+        l1, l2, l3 = join_t[p[rows], q[rows]].T
         x = meet_t[l1, l2]
         generic = (x >= 0) & _on(line_pts, x, l3)
         left = np.where(
@@ -83,16 +81,16 @@ def desargues_scan(frame, tri, join_t, meet_t, line_pts):
             (l1 == l3) | (meet_t[l1, l3] >= 0),
             np.where((l1 == l3) | (l2 == l3), x >= 0, generic),
         )
-        r12, r23, r31 = meet_t[s12, t12], meet_t[s23, t23], meet_t[s31, t31]
+        r12, r23, r31 = meet_t[sp[rows], sq[rows]].T
         exists = (r12 >= 0) & (r23 >= 0) & (r31 >= 0)
         dup = (r12 == r23) | (r23 == r31) | (r12 == r31)
         right = exists & (dup | _on(line_pts, r31, join_t[r12, r23]))
         bad = left != right
         if bad.any():
             i = int(np.argmax(bad))
-            b = tri[s + rows[i]]
+            r = s + rows[i]
             return (checked + i + 1,
-                    (p1, p2, p3) + tuple(int(v) for v in b))
+                    tuple(int(v) for v in (*ps[r], *qs[r])))
         checked += len(rows)
     return checked, None
 
@@ -109,21 +107,28 @@ def matrix_filter(codes, reps, expect, vecs, point_of, mul_t, add_t):
     code; point_of: [q^d] the point index of every code, -1 for zero;
     reps: [m, d] (already frobenius twisted by the caller); expect: [m]
     point indices.  Row i of M v is dot[code of row i] for the table
-    dot = vecs . v, so each image is d gathers and one point lookup."""
+    dot = vecs . v, so each image is d gathers and one point lookup.  The
+    reps go one at a time over the survivors of the ones before, so one
+    [q^d] table is live at once and none is built once nothing survives."""
     q, d = len(mul_t), codes.shape[1]
     weights = q ** np.arange(d - 1, -1, -1)
-    dots = 0
-    for j in range(d):
-        dots = add_t[dots, mul_t[vecs[:, j], reps[:, j, None]]]
+    n, step = len(codes), _CHUNK * 4
+    alive = None   # every candidate, without a full-length index array
+    for v, e in zip(reps, expect):
+        if not n:
+            break
+        dot = 0
+        for j in range(d):
+            dot = add_t[dot, mul_t[vecs[:, j], v[j]]]
+        keep = []
+        for s in range(0, n, step):
+            a = (np.arange(s, min(s + step, n)) if alive is None
+                 else alive[s:s + step])
+            keep.append(a[point_of[dot[codes[a]] @ weights] == e])
+        alive = np.concatenate(keep)
+        n = len(alive)
     out = np.zeros(len(codes), dtype=bool)
-    step = _CHUNK * 4
-    for s in range(0, len(codes), step):
-        alive = np.arange(s, min(s + step, len(codes)))
-        for dot, e in zip(dots, expect):
-            alive = alive[point_of[dot[codes[alive]] @ weights] == e]
-            if not len(alive):
-                break
-        out[alive] = True
+    out[slice(None) if alive is None else alive] = True
     return out
 
 

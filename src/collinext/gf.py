@@ -546,15 +546,6 @@ def solve_linear(f, A, b):
     return x
 
 
-def mat_inv(f, A):
-    n = len(A)
-    aug = [list(A[i]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-    R, pivots = rref(f, aug)
-    if pivots[:n] != list(range(n)):
-        return None
-    return [row[n:] for row in R[:n]]
-
-
 def mat_det(f, A):
     n = len(A)
     R = [list(int(x) for x in row) for row in A]

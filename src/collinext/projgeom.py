@@ -638,33 +638,37 @@ def desargues_sweep(space, sample=None, seed=0):
     incidence-defined, so once the tables are consistent and every g_a is
     certified a collineation, each row has the frame row's count and the
     total is T times it.  A witness is a disagreement in the frame row,
-    reported with the configurations checked up to it.  Otherwise draws
-    `sample` random admissible configs.  Returns (checked, witness).
+    reported with the configurations checked up to it.  Otherwise checks
+    the first `sample` admissible configs among seeded uniform 6-tuples of
+    points, drawn in batches through the same kernel, and counts those that
+    agree before the witness.  Returns (checked, witness).
     """
     from . import _kernels
     if space.d < 3:
         raise GeomError("Desargues needs a plane: dimension must be at "
                         "least 3")
+    jt, mt, lp = space.join_t, space.meet_t, space.line_pts
+    if jt is None or mt is None:
+        raise GeomError("Desargues sweep needs full incidence tables")
     if sample is None:
-        if space.join_t is None or space.meet_t is None:
-            raise GeomError("exhaustive sweep needs full incidence tables")
         tri = noncollinear_triples(space)
         _check_tables(space)   # before the certificate, which relies on it
         _certify_transports(space, tri)
-        n, witness = _kernels.desargues_scan(
-            space._offs[:3], tri, space.join_t, space.meet_t, space.line_pts)
+        n, witness = _kernels.desargues_scan(space._offs[:3], tri, jt, mt, lp)
         return (n if witness else len(tri) * n), witness
     rng = np.random.default_rng(seed)
     checked = 0
     while checked < sample:
-        idx = rng.integers(0, space.n_points, size=6)
-        ps, qs = [int(i) for i in idx[:3]], [int(i) for i in idx[3:]]
-        if len(set(ps)) < 3 or len(set(qs)) < 3:
-            continue
-        if not desargues_admissible(space, ps, qs):
-            continue
-        res = check_desargues(space, ps, qs)
-        if not res.agree:
-            return checked, tuple(ps) + tuple(qs)
-        checked += 1
+        need = sample - checked
+        # one (n, 6) draw is the same stream as n draws of 6
+        draw = rng.integers(0, space.n_points, size=(2 * need + 16, 6))
+        # p- and q-triples in turn; c = a or b lies on a v b, so is dropped
+        a, b, c = draw.reshape(-1, 3).T
+        ok = (a != b) & ~_kernels._on(lp, c, jt[a, b])
+        draw = draw[ok.reshape(-1, 2).all(axis=1)]
+        n, witness = _kernels.desargues_scan(draw[:, :3], draw[:, 3:],
+                                             jt, mt, lp)
+        if witness is not None and n <= need:
+            return checked + n - 1, witness
+        checked += min(n, need)
     return checked, None

@@ -5,6 +5,7 @@ filter that the row-by-row enumeration replaced; the reference filter
 applies each candidate matrix to each rep, one at a time."""
 
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,7 +77,8 @@ def ref_matrix_filter(S, mats, reps, expect):
 
 @pytest.mark.parametrize("p,n,d", [(2, 2, 3), (2, 3, 3), (3, 2, 2),
                                    (5, 1, 3), (3, 1, 4)])
-def test_matrix_filter_matches_per_candidate_loop(p, n, d):
+def test_matrix_filter_matches_per_candidate_loop(p, n, d, monkeypatch):
+    monkeypatch.setattr(_kernels, "_CHUNK", 1)   # filter chunks of 4 codes
     S = space(p, n, d)
     f, q = S.field, S.q
     vecs = S.code_vectors()
@@ -100,6 +102,28 @@ def test_matrix_filter_matches_per_candidate_loop(p, n, d):
         assert mask.dtype == bool and mask[at].all()
         assert (mask == ref_matrix_filter(S, vecs[codes], reps,
                                           expect)).all()
+
+
+def test_matrix_filter_memory_stays_near_the_mask():
+    # P^1(F_211) with all but one point fixed: 9.4M candidates, 211 reps,
+    # of which nearly every candidate fails the first.  One [q^d] dot table
+    # at a time keeps the peak near the B-byte mask; building all 211 up
+    # front peaked at 108 MB above the candidate codes.
+    S = ProjSpace(make_field(211), 2)
+    f = S.field
+    codes = E._candidate_matrices(S)
+    U = np.arange(1, S.n_points)
+    sigma = random_semilinear(S, np.random.default_rng(211)).sigma_array()
+    args = (codes, S.pts[U], sigma[U], S.code_vectors(), S.code_points(),
+            f.mul_t, f.add_t)
+    tracemalloc.start()
+    try:
+        mask = _kernels.matrix_filter(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mask.sum() == 1
+    assert peak < len(codes) + (8 << 20)
 
 
 def test_code_points_inverts_the_code():

@@ -5,7 +5,7 @@ import pytest
 
 from collinext.gf import (
     GF, Fe, GFError, make_field, fe_arith, frobenius, enumerate_field,
-    field_of_order, mat_apply, mat_mul, mat_vec, mat_inv, mat_det, rref,
+    field_of_order, mat_apply, mat_mul, mat_vec, mat_det, rref,
     solve_linear,
 )
 
@@ -205,6 +205,16 @@ def test_untabled_matches_tabled():
 # ---------------------------------------------------------------------------
 # matrix helpers
 # ---------------------------------------------------------------------------
+
+def mat_inv(f, A):
+    """Inverse by row reduction of [A | I], None when A is singular."""
+    n = len(A)
+    aug = [list(A[i]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
+    R, pivots = rref(f, aug)
+    if pivots[:n] != list(range(n)):
+        return None
+    return [row[n:] for row in R[:n]]
+
 
 def test_linalg_roundtrip():
     f = make_field(5)

@@ -5,6 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from collinext.gf import make_field
 from collinext import _kernels, cli
@@ -395,6 +396,79 @@ def test_desargues_kernel_twins_agree():
 def test_desargues_sampled_dim4():
     n, wit = desargues_sweep(space(3, 1, 4), sample=150, seed=5)
     assert n == 150 and wit is None
+
+
+def ref_sampled_desargues(space, sample, seed=0):
+    """Per-draw object-level loop the batched sampled sweep replaced."""
+    rng = np.random.default_rng(seed)
+    checked = 0
+    while checked < sample:
+        idx = rng.integers(0, space.n_points, size=6)
+        ps, qs = [int(i) for i in idx[:3]], [int(i) for i in idx[3:]]
+        if len(set(ps)) < 3 or len(set(qs)) < 3:
+            continue
+        if not desargues_admissible(space, ps, qs):
+            continue
+        res = check_desargues(space, ps, qs)
+        if not res.agree:
+            return checked, tuple(ps) + tuple(qs)
+        checked += 1
+    return checked, None
+
+
+def _knockout(S, rng):
+    """meet_t with a random quarter of the meeting pairs (l, m) made skew,
+    one way round."""
+    bad = S.meet_t.copy()
+    l, m = np.nonzero(bad >= 0)
+    pick = rng.choice(len(l), size=len(l) // 4, replace=False)
+    bad[l[pick], m[pick]] = -1
+    return bad
+
+
+SAMPLED = [(3, 1, 3), (2, 1, 4), (3, 1, 4), (2, 2, 4), (2, 1, 5)]
+
+
+@pytest.mark.parametrize("p,n,d", SAMPLED)
+def test_sampled_sweep_matches_object_loop(p, n, d, monkeypatch):
+    monkeypatch.setattr(_kernels, "_CHUNK", 256)   # kernel chunks of 16 rows
+    S = space(p, n, d)
+    for seed in range(5):
+        want = ref_sampled_desargues(S, 400, seed)
+        assert want == (400, None)
+        assert desargues_sweep(S, sample=400, seed=seed) == want
+    # corrupted meet tables: the witness and the count before it agree
+    rng = np.random.default_rng(100 * p + d)
+    witnesses = 0
+    for seed in range(5):
+        for mt in (_planted_meet(S), _knockout(S, rng)):
+            T = copy.copy(S)
+            T.meet_t = mt
+            want = ref_sampled_desargues(T, 300, seed)
+            assert desargues_sweep(T, sample=300, seed=seed) == want
+            witnesses += want[1] is not None
+    assert witnesses >= 5
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 300))
+def test_sampled_sweep_property(seed, sample):
+    S = space(3, 1, 4)
+    T = copy.copy(S)
+    T.meet_t = _knockout(S, np.random.default_rng(seed))
+    for U in (S, T):
+        assert (desargues_sweep(U, sample=sample, seed=seed)
+                == ref_sampled_desargues(U, sample, seed))
+
+
+def test_sampled_sweep_needs_tables():
+    S = space(3, 1, 4)
+    for name in ("join_t", "meet_t"):
+        bare = copy.copy(S)
+        setattr(bare, name, None)
+        for sample in (None, 50):
+            with pytest.raises(GeomError, match="full incidence tables"):
+                desargues_sweep(bare, sample=sample)
 
 
 # ---------------------------------------------------------------------------
