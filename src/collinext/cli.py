@@ -124,7 +124,7 @@ def cmd_ffdemo(cfg):
 def cmd_checkgeom(cfg):
     """Exhaustive incidence axioms and the Desargues property."""
     space = ProjSpace(field_of_order(cfg.q), cfg.d)
-    ax = check_axioms(space, mode="exhaustive")
+    ax = check_axioms(space)
     sample = None if space.d == 3 else 2000
     checked, witness = desargues_sweep(space, sample=sample, seed=cfg.seed)
     rec = {

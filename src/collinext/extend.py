@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import rref
+from .gf import mat_apply, rref
 from .projgeom import ProjSpace
 from .semilinear import Collineation, SemilinearError, SemilinearIso, decode_ftpg
 from .ample import is_ample, is_mn_admissible
@@ -387,10 +387,16 @@ def brute_force_extensions(pc):
     point_of = S.code_points()
     expect = np.array([pc.sigma[p] for p in pc.U1], dtype=np.int64)
     out = []
+    step = max(1, _kernels._CHUNK // S.n_points)
     for e in range(f.n):
-        reps = f.frob_t[e][S.pts[pc.U1]]
+        moved = f.frob_t[e][S.pts]
+        reps = moved[pc.U1]
         mask = _kernels.matrix_filter(codes, reps, expect, vecs, point_of,
                                       f.mul_t, f.add_t)
-        for M in vecs[codes[mask]]:
-            out.append(SemilinearIso(S, M, e).induce())
+        # the point maps v -> M mu(v) of the survivors, a chunk at a time;
+        # each M is invertible by construction
+        mats = vecs[codes[mask]]
+        for s in range(0, len(mats), step):
+            maps = point_of[mat_apply(f, mats[s:s + step], moved) @ S._qpow]
+            out += [Collineation(S, sigma) for sigma in maps]
     return out

@@ -2,15 +2,14 @@
 
 An element is an index in 0..q-1 whose base-p digits are the coefficients
 of the residue polynomial, constant term first: idx = sum(c_i * p**i).
-Index 0 is zero and index 1 is one in every field.  Fields up to q = 2**16
-are supported; below _TABLE_CAP all arithmetic is table lookups, above it
-operations fall back to direct polynomial arithmetic.
+Index 0 is zero and index 1 is one in every field.  Fields up to
+q = Q_CAP = 2**10 are supported, and all arithmetic is lookups in full
+q x q tables built at construction.
 """
 
 import numpy as np
 
-Q_CAP = 1 << 16
-_TABLE_CAP = 1 << 10  # full q x q tables kept below this
+Q_CAP = 1 << 10  # full q x q tables are built up to this
 
 
 class GFError(Exception):
@@ -154,9 +153,7 @@ class GF:
         if len(self.modulus) != self.n + 1 or self.modulus[-1] != 1:
             raise GFError("modulus must be monic of degree n")
         self._pw = [self.p ** i for i in range(self.n + 1)]
-        self.tabled = self.q <= _TABLE_CAP
-        if self.tabled:
-            self._build_tables()
+        self._build_tables()
 
     # -- encoding ----------------------------------------------------------
 
@@ -259,32 +256,21 @@ class GF:
     # -- scalar arithmetic -------------------------------------------------
 
     def add(self, a, b):
-        if self.tabled:
-            return int(self.add_t[a, b])
-        return self._digits_to_idx([(x + y) % self.p for x, y in
-                                    zip(self.coeffs(a), self.coeffs(b))])
+        return int(self.add_t[a, b])
 
     def neg(self, a):
-        if self.tabled:
-            return int(self.neg_t[a])
-        return self._digits_to_idx([(-x) % self.p for x in self.coeffs(a)])
+        return int(self.neg_t[a])
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
-        if self.tabled:
-            return int(self.mul_t[a, b])
-        prod = _pmod(_pmul(list(self.coeffs(a)), list(self.coeffs(b)), self.p),
-                     list(self.modulus), self.p)
-        return self._digits_to_idx(prod)
+        return int(self.mul_t[a, b])
 
     def inv(self, a):
         if a == 0:
             raise GFError("zero has no inverse")
-        if self.tabled:
-            return int(self.inv_t[a])
-        return self._pow_scalar(a, self.q - 2)
+        return int(self.inv_t[a])
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -306,13 +292,7 @@ class GF:
 
     def frob(self, a, i):
         """a ** (p**i); i is reduced mod n."""
-        i = int(i) % self.n
-        if self.tabled:
-            return int(self.frob_t[i, a])
-        return self._pow_scalar(a, self.p ** i)
-
-    def _digits_to_idx(self, digs):
-        return sum(d * self._pw[i] for i, d in enumerate(digs))
+        return int(self.frob_t[int(i) % self.n, a])
 
     # -- misc --------------------------------------------------------------
 
@@ -479,8 +459,7 @@ def mat_vec(f, A, v):
 def mat_apply(f, mats, vecs):
     """M v for every matrix M of a stack and every index vector v.
 
-    mats is [..., d, d] and vecs is [N, d]; the result is [..., N, d].
-    Needs a table-backed field."""
+    mats is [..., d, d] and vecs is [N, d]; the result is [..., N, d]."""
     mats = np.asarray(mats)
     vecs = np.asarray(vecs)
     out = 0

@@ -41,8 +41,6 @@ class ProjSpace:
             raise GeomError("field must be a GF instance")
         if dim_v < 2:
             raise GeomError("dim_v must be >= 2")
-        if not field.tabled:
-            raise GeomError("geometry needs a table-backed field (q too large)")
         self.field = field
         self.d = int(dim_v)
         q = field.q
@@ -417,7 +415,6 @@ class AxiomReport:
     axiom_i: bool
     axiom_ii: bool
     axiom_iii: bool
-    mode: str
     checked: dict
     witness: tuple | None
 
@@ -462,48 +459,21 @@ def _axiom_i_iii(space):
     return ax1, ax3, None
 
 
-def check_axioms(space, mode="exhaustive", samples=20_000, seed=0):
-    """Verify the three incidence axioms; exhaustive needs <= 1e4 points."""
+def check_axioms(space):
+    """Verify the three incidence axioms; axiom II on every configuration."""
     from . import _kernels
-    if mode == "exhaustive" and space.n_points > P_CAP:
-        raise GeomError("exhaustive mode capped at %d points" % P_CAP)
+    if space.join_t is None or space.meet_t is None:
+        raise GeomError("axiom II sweep needs full incidence tables")
     ax1, ax3, wit = _axiom_i_iii(space)
-    checked = {"points": space.n_points, "lines": space.n_lines}
-    if mode == "exhaustive":
-        tri = noncollinear_triples(space)
-        n2, bad = _kernels.axiom2_scan(tri, space.join_t, space.meet_t,
-                                       space.line_pts)
-        ax2 = bad is None
-        checked["axiom_ii_configs"] = int(n2)
-        if not ax2:
-            wit = wit or tuple(int(x) for x in bad)
-    else:
-        rng = np.random.default_rng(seed)
-        ax2 = True
-        n2 = 0
-        for _ in range(samples):
-            a, b, c = rng.integers(0, space.n_points, size=3)
-            a, b, c = int(a), int(b), int(c)
-            if a == b or a == c:
-                continue
-            lab = space.join_idx(a, b)
-            lac = space.join_idx(a, c) if not space.on_line[c, lab] else None
-            if lac is None:
-                continue
-            q1 = int(space.line_pts[lab][rng.integers(0, space.pts_per_line)])
-            q2 = int(space.line_pts[lac][rng.integers(0, space.pts_per_line)])
-            if q1 == q2:
-                continue
-            n2 += 1
-            l = space.join_idx(b, c)
-            m = space.join_idx(q1, q2)
-            if l != m and space.meet_idx(l, m) < 0:
-                ax2 = False
-                wit = (a, b, c, q1, q2)
-                break
-        checked["axiom_ii_configs"] = n2
-    ok = ax1 and ax2 and ax3
-    return AxiomReport(ok, ax1, ax2, ax3, mode, checked, wit)
+    tri = noncollinear_triples(space)
+    n2, bad = _kernels.axiom2_scan(tri, space.join_t, space.meet_t,
+                                   space.line_pts)
+    ax2 = bad is None
+    if not ax2:
+        wit = wit or tuple(int(x) for x in bad)
+    checked = {"points": space.n_points, "lines": space.n_lines,
+               "axiom_ii_configs": int(n2)}
+    return AxiomReport(ax1 and ax2 and ax3, ax1, ax2, ax3, checked, wit)
 
 
 # ---------------------------------------------------------------------------
@@ -558,61 +528,66 @@ def check_desargues(space, ps, qs):
     return DesarguesCheck(left, right, left == right, tuple(rs))
 
 
-def _frame_transports(space, tri, point_of):
-    """Point maps g_a with g_a(e1, e2, e3) = a, one row per triple a.
+def _transvection_maps(space):
+    """Point maps of the transvections I + x^k E_ij, i != j, 0 <= k < n,
+    as a [d (d - 1) n, P] array.
 
-    g_a is induced by the matrix whose first three columns are the
-    representatives pts[a], completed by standard basis vectors off the
-    pivot columns of a row echelon form of pts[a].  point_of is
-    space.code_points().  A point whose image is zero (a singular matrix,
-    from a collinear triple) maps to -1."""
-    f, d, n = space.field, space.d, len(tri)
-    rows = space.pts[tri].astype(np.int64)
-    mats = np.zeros((n, d, d), dtype=np.int64)
-    mats[:, :, :3] = rows.transpose(0, 2, 1)
-    if d > 3:
-        ech, ar = rows.copy(), np.arange(n)
-        pivot = np.zeros((n, d), dtype=bool)
-        for r in range(3):
-            c = np.argmax(ech[:, r] != 0, axis=1)
-            pivot[ar, c] = True
-            inv = f.inv_t[ech[ar, r, c]]
-            for s in range(r + 1, 3):
-                fac = f.neg_t[f.mul_t[ech[ar, s, c], inv]]
-                ech[:, s] = f.add_t[ech[:, s], f.mul_t[fac[:, None], ech[:, r]]]
-        free = np.argsort(pivot, axis=1, kind="stable")[:, :d - 3]
-        mats[ar[:, None], free, np.arange(3, d)] = 1
+    Element index p^k is the monomial x^k, so the x^k are an F_p-basis of
+    F_q and these transvections generate SL_d(q).  Representatives of a
+    triple can be rescaled, so SL_d(q) is already transitive on ordered
+    non-collinear triples and no diagonal generator is needed."""
+    f, d = space.field, space.d
+    i, j = np.nonzero(~np.eye(d, dtype=bool))
+    mats = np.tile(np.eye(d, dtype=np.int64), (len(i) * f.n, 1, 1))
+    mats[np.arange(len(mats)), np.repeat(i, f.n), np.repeat(j, f.n)] = \
+        np.tile(f.p ** np.arange(f.n), len(i))
     # canon_index as one lookup
-    return point_of[mat_apply(f, mats, space.pts) @ space._qpow]
+    return space.code_points()[mat_apply(f, mats, space.pts) @ space._qpow]
 
 
-def _certify_transports(space, tri):
-    """Raise GeomError unless every transport of a row of tri is a
-    collineation of the tables: a bijection that sends the standard frame
-    to the row and carries each row of line_pts onto a row of line_pts.
+def _frame_orbit(space, gens):
+    """Orbit of the frame triple (e1, e2, e3) under the point maps gens,
+    as a seen-mask over the triple codes (a P + b) P + c.
 
-    Needs join_t consistent with line_pts (_check_tables): then a line
-    goes onto the join of its first two images when every image lies on
-    that join, and bijectivity makes the images fill it."""
+    Breadth-first: each level gathers the images of its frontier under
+    every generator at once, and the next frontier is what they add."""
     from . import _kernels
-    P, L, k = space.n_points, space.n_lines, space.pts_per_line
-    frame = space._offs[:3]   # indices of e1, e2, e3
-    point_of = space.code_points()
-    step = max(1, _kernels._CHUNK // (L * k + P * space.d))
-    for s in range(0, len(tri), step):
-        part = tri[s:s + step]
-        g = _frame_transports(space, part, point_of)
-        ok = (np.sort(g, axis=1) == np.arange(P)).all(axis=1)
-        ok &= (g[:, frame] == part).all(axis=1)
-        img = g[:, space.line_pts]
-        # joins of each line's first image with the others, all one line
-        joins = space.join_t.ravel()[img[..., :1] * P + img[..., 1:]]
-        ok &= ((joins[..., 0] >= 0).all(axis=1)
-               & (joins == joins[..., :1]).all(axis=(1, 2)))
-        if not ok.all():
-            bad = tuple(int(x) for x in part[np.argmin(ok)])
-            raise GeomError("transport of triple %s is not a collineation "
-                            "of the incidence tables" % (bad,))
+    P = space.n_points
+    g = np.asarray(gens, dtype=np.int64)
+    a, b, c = space._offs[:3]
+    frontier = np.array([(a * P + b) * P + c])
+    seen = np.zeros(P ** 3, dtype=bool)
+    seen[frontier] = True
+    step = max(1, _kernels._CHUNK // len(g))
+    while len(frontier):
+        grown = seen.copy()
+        for s in range(0, len(frontier), step):
+            ab, c = np.divmod(frontier[s:s + step], P)
+            a, b = np.divmod(ab, P)
+            grown[(g[:, a] * P + g[:, b]) * P + g[:, c]] = True
+        frontier = np.flatnonzero(grown ^ seen)
+        seen = grown
+    return seen
+
+
+def _certify_orbit(space, tri):
+    """Raise GeomError unless every row of tri is the image of the frame
+    triple under a word in transvections, each certified a collineation
+    of line_pts.  This is the orbit half of Schreier-Sims (Sims, 1970)."""
+    from .semilinear import Collineation, SemilinearError
+    gens = _transvection_maps(space)
+    for g in gens:
+        try:
+            Collineation(space, g)
+        except SemilinearError as err:
+            raise GeomError("generator is not a collineation of the "
+                            "incidence tables: %s" % err)
+    P = space.n_points
+    codes = (tri[:, 0].astype(np.int64) * P + tri[:, 1]) * P + tri[:, 2]
+    reached = int(np.count_nonzero(_frame_orbit(space, gens)[codes]))
+    if reached < len(tri):
+        raise GeomError("frame orbit reaches %d of %d non-collinear triples"
+                        % (reached, len(tri)))
 
 
 def _check_tables(space):
@@ -632,16 +607,18 @@ def _check_tables(space):
 def desargues_sweep(space, sample=None, seed=0):
     """Check left/right agreement over admissible configurations.
 
-    Exhaustive when sample is None: PGL acts transitively on ordered
-    non-collinear triples, so every pair (a, b) is the image under a
-    transport g_a of (frame, g_a^-1 b).  Admissibility and both sides are
-    incidence-defined, so once the tables are consistent and every g_a is
-    certified a collineation, each row has the frame row's count and the
-    total is T times it.  A witness is a disagreement in the frame row,
-    reported with the configurations checked up to it.  Otherwise checks
-    the first `sample` admissible configs among seeded uniform 6-tuples of
-    points, drawn in batches through the same kernel, and counts those that
-    agree before the witness.  Returns (checked, witness).
+    Exhaustive when sample is None: SL_d acts transitively on ordered
+    non-collinear triples, so every pair (a, b) is the image under some
+    g with g(frame) = a of (frame, g^-1 b).  Admissibility and both sides
+    are incidence-defined, so once the tables are consistent, each
+    transvection generator is certified a collineation and the frame's
+    orbit under them is every triple, each row has the frame row's count
+    and the total is T times it.  A witness is a disagreement in the
+    frame row, reported with the configurations checked up to it.
+    Otherwise checks the first `sample` admissible configs among seeded
+    uniform 6-tuples of points, drawn in batches through the same kernel,
+    and counts those that agree before the witness.  Returns (checked,
+    witness).
     """
     from . import _kernels
     if space.d < 3:
@@ -652,8 +629,8 @@ def desargues_sweep(space, sample=None, seed=0):
         raise GeomError("Desargues sweep needs full incidence tables")
     if sample is None:
         tri = noncollinear_triples(space)
-        _check_tables(space)   # before the certificate, which relies on it
-        _certify_transports(space, tri)
+        _check_tables(space)   # a collineation of line_pts keeps every table
+        _certify_orbit(space, tri)
         n, witness = _kernels.desargues_scan(space._offs[:3], tri, jt, mt, lp)
         return (n if witness else len(tri) * n), witness
     rng = np.random.default_rng(seed)

@@ -93,7 +93,7 @@ def test_criterion_3_geometry_ground_truth():
     counts = {}
     for q in (2, 3):
         space = ProjSpace(field(q), 3)
-        ax = check_axioms(space, mode="exhaustive")
+        ax = check_axioms(space)
         checked, witness = desargues_sweep(space)
         ok &= ax.ok and witness is None
         counts[q] = (ax.checked["axiom_ii_configs"], checked)

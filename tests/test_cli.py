@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -187,6 +188,18 @@ def test_checkgeom_projective_line_rejected():
         capture_output=True, text=True, timeout=120, env=child_env())
     assert r.returncode == 2
     assert "rejected" in r.stderr and r.stdout == ""
+
+
+def test_checkgeom_refuses_untabled_inputs(capsys):
+    # P^6(F_2) has 2667 lines, too many for a meet table; axiom II used to
+    # end in a bare ValueError traceback there.  GF(2048) is over Q_CAP.
+    t0 = time.perf_counter()
+    code, out = run_main(["--cmd", "checkgeom", "--q", "2", "--d", "7"],
+                         capsys)
+    assert code == 2 and out == ""
+    assert time.perf_counter() - t0 < 1.0
+    code, out = run_main(["--cmd", "checkgeom", "--q", "2048"], capsys)
+    assert code == 2 and out == ""
 
 
 def test_config_trials_echo_the_battery_that_ran(capsys):
