@@ -9,7 +9,6 @@ and the result is verified end to end before being decoded into matrix
 plus twist form.  Error messages name the construction step that failed.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,10 @@ class ExtendError(Exception):
 
 
 class PartialCollineation:
-    """sigma on U1 (point indices) and tau on the lines meeting U1."""
+    """sigma on U1 (point indices) and tau on the lines meeting U1.
+
+    Both are -1-padded int64 arrays, of length P and L; each may be given
+    as such an array or as a dict from indices to indices."""
 
     def __init__(self, space1, sigma, tau, space2=None):
         if not isinstance(space1, ProjSpace):
@@ -44,21 +46,54 @@ class PartialCollineation:
                 raise ExtendError("spaces disagree on enumeration")
         self.space1 = space1
         self.space2 = space2
-        self.sigma = {int(k): int(v) for k, v in sigma.items()}
-        self.tau = {int(k): int(v) for k, v in tau.items()}
+        self.sigma = _index_map(sigma, space1.n_points, "sigma")
+        self.tau = _index_map(tau, space1.n_lines, "tau")
 
     # derived on access: callers may edit sigma in place
     @property
     def U1(self):
-        return sorted(self.sigma)
+        return np.flatnonzero(self.sigma >= 0).tolist()
 
     @property
     def U2(self):
-        return sorted(set(self.sigma.values()))
+        return np.flatnonzero(_image_mask(self.space2, self.sigma)).tolist()
 
     def meeting_lines(self):
-        hit = np.isin(self.space1.line_pts, self.U1).any(axis=1)
-        return np.nonzero(hit)[0].tolist()
+        return np.flatnonzero(_meets(self.space1, self.sigma)).tolist()
+
+
+def _index_map(m, n, name):
+    """A partial map of [0, n) into itself, given as a dict or as a
+    -1-padded array, as a -1-padded int64 array of length n."""
+    try:
+        if isinstance(m, dict):
+            keys = np.array(list(m), dtype=np.int64)
+            vals = np.array(list(m.values()), dtype=np.int64)
+            if ((keys < 0) | (keys >= n) | (vals < 0)).any():
+                raise ExtendError("%s has an entry outside [0, %d)"
+                                  % (name, n))
+            m = np.full(n, -1, dtype=np.int64)
+            m[keys] = vals
+        out = np.array(m, dtype=np.int64)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ExtendError("%s is not an integer map: %s" % (name, err))
+    if out.shape != (n,):
+        raise ExtendError("%s must be an array of length %d" % (name, n))
+    if ((out < -1) | (out >= n)).any():
+        raise ExtendError("%s has an entry outside [-1, %d)" % (name, n))
+    return out
+
+
+def _image_mask(space, sigma):
+    """Mask of the points of space hit by sigma."""
+    hit = np.zeros(space.n_points, dtype=bool)
+    hit[sigma[sigma >= 0]] = True
+    return hit
+
+
+def _meets(space, sigma):
+    """Mask of the lines that meet the domain of sigma."""
+    return (sigma >= 0)[space.line_pts].any(axis=1)
 
 
 @dataclass
@@ -68,80 +103,74 @@ class ValidationReport:
     witness: tuple | None
 
 
-def _as_arrays(pc):
-    """sigma and tau as index arrays over points and lines, -1 off domain."""
-    sig = np.full(pc.space1.n_points, -1, dtype=np.int64)
-    sig[list(pc.sigma)] = list(pc.sigma.values())
-    tau = np.full(pc.space1.n_lines, -1, dtype=np.int64)
-    tau[list(pc.tau)] = list(pc.tau.values())
-    return sig, tau
-
-
 def validate_partial(pc, concurrency="sampled", samples=300, seed=0):
     """Bijectivity, domain coverage, and the intersection identity.
 
-    concurrency: None, "sampled", or "exhaustive" pair/triple preservation
-    checks on the lines meeting U1."""
+    concurrency: None, "sampled", or "exhaustive" pair preservation
+    checks on the lines meeting U1.
+
+    The identity carries sigma(p) onto tau(l) for every line l through a
+    domain point p, so an injective tau maps the pencil at p injectively,
+    hence bijectively, onto the equal-sized pencil at sigma(p)."""
     S1, S2 = pc.space1, pc.space2
-    if not pc.U1:
+    sig, tau = pc.sigma, pc.tau
+    n_dom = np.count_nonzero(sig >= 0)
+    if not n_dom:
         return ValidationReport(False, "empty domain", None)
-    if len(set(pc.sigma.values())) != len(pc.sigma):
+    in_u2 = _image_mask(S2, sig)
+    if np.count_nonzero(in_u2) != n_dom:
         return ValidationReport(False, "sigma is not injective", None)
-    meeting = pc.meeting_lines()
-    if set(pc.tau) != set(meeting):
+    meets = _meets(S1, sig)
+    if (meets != (tau >= 0)).any():
         return ValidationReport(
             False, "tau domain differs from the lines meeting U1", None)
-    if len(set(pc.tau.values())) != len(pc.tau):
+    meeting = np.flatnonzero(meets)
+    tau_img = np.zeros(S2.n_lines, dtype=bool)
+    tau_img[tau[meeting]] = True
+    if np.count_nonzero(tau_img) != len(meeting):
         return ValidationReport(False, "tau is not injective", None)
-    sig, tau = _as_arrays(pc)
     # sigma(l cap U1) against tau(l) cap U2, as sorted rows padded with -1
     src = np.sort(sig[S1.line_pts[meeting]], axis=1)
     dst = S2.line_pts[tau[meeting]]
-    dst = np.sort(np.where(np.isin(dst, pc.U2), dst, -1), axis=1)
-    bad = np.nonzero((src != dst).any(axis=1))[0]
+    dst = np.sort(np.where(in_u2[dst], dst, -1), axis=1)
+    bad = np.flatnonzero((src != dst).any(axis=1))
     if len(bad):
-        l = meeting[bad[0]]
+        l = int(meeting[bad[0]])
         return ValidationReport(
             False, "tau(l) cuts U2 differently than sigma maps l cap U1",
-            (l, pc.tau[l]))
-    # Step1: the pencil at p must go bijectively onto the pencil at
-    # sigma(p); pencils are sorted rows of pt_lines
-    img = np.sort(tau[S1.pt_lines[pc.U1]], axis=1)
-    dup = (img[:, 1:] == img[:, :-1]).any(axis=1)
-    miss = (img != S2.pt_lines[sig[pc.U1]]).any(axis=1)
-    bad = np.nonzero(dup | miss)[0]
-    if len(bad):
-        i = bad[0]
-        reason = ("Step1: line pencil at a domain point does not stay "
-                  "bijective" if dup[i] else
-                  "Step1: image line misses the image point")
-        return ValidationReport(False, reason, (pc.U1[i],))
+            (l, int(tau[l])))
     if concurrency:
         pairs = _line_pairs(meeting, concurrency, samples, seed)
-        for l, m in pairs:
-            x = S1.meet_idx(l, m)
-            y = S2.meet_idx(pc.tau[l], pc.tau[m])
-            if x >= 0 and y < 0:
-                return ValidationReport(
-                    False, "Step2-1: images not concurrent", (l, m))
-            if x >= 0 and int(x) in pc.sigma and pc.sigma[int(x)] != y:
-                return ValidationReport(
-                    False, "Step2-1: image lines miss the image of the "
-                    "common point", (l, m))
+        step = max(1, _kernels._CHUNK // S1.pts_per_line ** 2)
+        for s in range(0, len(pairs), step):
+            l, m = pairs[s:s + step].T
+            x = S1.meet_many(l, m)
+            y = S2.meet_many(tau[l], tau[m])
+            sx = sig[np.maximum(x, 0)]   # sigma of the common point, or -1
+            bad = np.flatnonzero((x >= 0) & ((y < 0) | (sx >= 0) & (sx != y)))
+            if len(bad):
+                i = bad[0]
+                reason = ("Step2-1: images not concurrent" if y[i] < 0 else
+                          "Step2-1: image lines miss the image of the "
+                          "common point")
+                return ValidationReport(False, reason, (int(l[i]), int(m[i])))
     return ValidationReport(True, "", None)
 
 
 def _line_pairs(meeting, mode, samples, seed):
+    """Pairs of distinct meeting lines to check, as an [N, 2] array: all
+    of them in combination order, or `samples` seeded draws."""
+    meeting = np.asarray(meeting, dtype=np.int64)
     n = len(meeting)
     if mode == "exhaustive" or n * (n - 1) // 2 <= samples:
-        return list(itertools.combinations(meeting, 2))
+        return meeting[np.stack(np.triu_indices(n, 1), axis=1)]
     rng = np.random.default_rng(seed)
     out = []
     while len(out) < samples:
         i, j = rng.integers(0, n, size=2)
         if i != j:
-            out.append((meeting[int(i)], meeting[int(j)]))
-    return out
+            out.append((i, j))
+    return meeting[np.array(out)]
 
 
 # ---------------------------------------------------------------------------
@@ -152,11 +181,12 @@ def extend_point(pc, p, order=None, diagnostics=None):
     """Image of one point: sigma(p) on U1, else the meet of two
     transported lines through p."""
     p = int(p)
-    if p in pc.sigma:
-        return pc.sigma[p]
+    if not 0 <= p < pc.space1.n_points:
+        raise ExtendError("point %d is outside the space" % p)
+    if pc.sigma[p] >= 0:
+        return int(pc.sigma[p])
     seq = [int(u) for u in (pc.U1 if order is None else order) if int(u) != p]
-    return int(_extend_points(pc, [p], [seq], _as_arrays(pc)[1],
-                              diagnostics)[0])
+    return int(_extend_points(pc, [p], [seq], pc.tau, diagnostics)[0])
 
 
 def _extend_points(pc, pts, seqs, tau, diagnostics=None):
@@ -228,14 +258,14 @@ def extend(pc, fam1, fam2=None, order="canonical", seed=0, decode=True):
     if not val.ok:
         raise ExtendError("precondition: %s" % val.reason)
 
-    sigma_tilde, tau = _as_arrays(pc)
-    outside = np.nonzero(sigma_tilde < 0)[0]
+    sigma_tilde, tau = pc.sigma.copy(), pc.tau
+    outside = np.flatnonzero(sigma_tilde < 0)
     diagnostics = {"line_searches": 0, "points_extended": len(outside),
                    "lines_verified": S1.n_lines,
                    "t_star": max(rep1.t_star, rep2.t_star)}
     if order not in ("canonical", "reversed", "shuffled"):
         raise ExtendError("unknown order %r" % order)
-    U1 = np.asarray(pc.U1)
+    U1 = np.flatnonzero(pc.sigma >= 0)
     seqs = np.tile(U1[::-1] if order == "reversed" else U1, (len(outside), 1))
     if order == "shuffled":
         seqs = np.random.default_rng(seed).permuted(seqs, axis=1)
@@ -264,12 +294,14 @@ def restrict(mapping, U1):
     else:
         raise ExtendError("mapping must be a SemilinearIso or Collineation")
     S = coll.space
-    U1 = sorted(int(p) for p in U1)
-    if not U1:
+    U1 = np.asarray(U1, dtype=np.int64)
+    if not U1.size:
         raise ExtendError("restriction needs a nonempty subset")
-    sigma = {p: int(coll.sigma[p]) for p in U1}
-    pc = PartialCollineation(S, sigma, {})
-    tau = {l: int(coll.tau[l]) for l in pc.meeting_lines()}
+    if ((U1 < 0) | (U1 >= S.n_points)).any():
+        raise ExtendError("restriction domain has a point outside the space")
+    sigma = np.full(S.n_points, -1, dtype=np.int64)
+    sigma[U1] = coll.sigma[U1]
+    tau = np.where(_meets(S, sigma), coll.tau, -1)
     return PartialCollineation(S, sigma, tau)
 
 
@@ -321,7 +353,7 @@ def random_ample_instance(space, t, rng):
         while True:
             a, b, c = map(int, rng.choice(P, size=3, replace=False))
             l = space.join_idx(a, b)
-            if not space.on_line[c, l]:
+            if c not in space.line_pts[l]:
                 removed = {a, b, c}
                 break
     return [p for p in range(P) if p not in removed], kind
@@ -384,19 +416,19 @@ def brute_force_extensions(pc):
                           "(%d elements)" % group)
     codes = _candidate_matrices(S)
     vecs = S.code_vectors()
-    point_of = S.code_points()
-    expect = np.array([pc.sigma[p] for p in pc.U1], dtype=np.int64)
+    U1 = np.flatnonzero(pc.sigma >= 0)
+    expect = pc.sigma[U1]
     out = []
     step = max(1, _kernels._CHUNK // S.n_points)
     for e in range(f.n):
         moved = f.frob_t[e][S.pts]
-        reps = moved[pc.U1]
-        mask = _kernels.matrix_filter(codes, reps, expect, vecs, point_of,
-                                      f.mul_t, f.add_t)
+        reps = moved[U1]
+        mask = _kernels.matrix_filter(codes, reps, expect, vecs,
+                                      S.code_points(), f.mul_t, f.add_t)
         # the point maps v -> M mu(v) of the survivors, a chunk at a time;
         # each M is invertible by construction
         mats = vecs[codes[mask]]
         for s in range(0, len(mats), step):
-            maps = point_of[mat_apply(f, mats[s:s + step], moved) @ S._qpow]
+            maps = S.canon_index_many(mat_apply(f, mats[s:s + step], moved))
             out += [Collineation(S, sigma) for sigma in maps]
     return out

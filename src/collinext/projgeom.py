@@ -57,6 +57,11 @@ class ProjSpace:
         for j in range(1, self.d):
             self._offs[j] = self._offs[j - 1] + q ** (self.d - 1 - (j - 1))
         self._build_points()
+        # point index of every vector code, from the nonzero multiples
+        multiples = field.mul_t[np.arange(1, q)[:, None, None], self.pts]
+        self._point_of = np.full(q ** self.d, -1, dtype=np.int32)
+        self._point_of[self._vector_code(multiples)] = np.arange(self.n_points)
+        self._point_of.flags.writeable = False
         self._build_lines()
         self._build_incidence()
 
@@ -104,7 +109,7 @@ class ProjSpace:
         self.line_b0 = np.concatenate(r0s)
         self.line_b1 = np.concatenate(r1s)
         assert len(self.line_b0) == self.n_lines
-        lp = self.span_points(self.line_b0, self.line_b1).astype(np.int32)
+        lp = self.span_points(self.line_b0, self.line_b1)
         lp.sort(axis=1)
         self.line_pts = lp
         # two distinct points lie on one line, so its lowest pair keys it
@@ -123,24 +128,26 @@ class ProjSpace:
         self.on_line = np.zeros((P, L), dtype=bool)
         self.on_line[flat_pts, flat_lns] = True
         if P <= _JOIN_TABLE_CAP:
-            jt = np.full((P, P), -1, dtype=np.int32)
-            a = np.repeat(self.line_pts, k, axis=1).ravel()
-            b = np.tile(self.line_pts, (1, k)).ravel()
-            jt[a, b] = np.repeat(np.arange(L, dtype=np.int32), k * k)
-            np.fill_diagonal(jt, -1)
-            self.join_t = jt
+            self.join_t = self._pair_table(self.line_pts, P)
         else:
             self.join_t = None
         if L <= _MEET_TABLE_CAP:
-            mt = np.full((L, L), -1, dtype=np.int32)
-            kk = self.lines_per_pt
-            a = np.repeat(self.pt_lines, kk, axis=1).ravel()
-            b = np.tile(self.pt_lines, (1, kk)).ravel()
-            mt[a, b] = np.repeat(np.arange(P, dtype=np.int32), kk * kk)
-            np.fill_diagonal(mt, -1)
-            self.meet_t = mt
+            self.meet_t = self._pair_table(self.pt_lines, L)
         else:
             self.meet_t = None
+
+    @staticmethod
+    def _pair_table(rows, n):
+        """[n, n] table of the row holding each pair of distinct entries,
+        -1 on the diagonal and for pairs that share no row; one row
+        scatter per column, with no [rows * k^2] temporary."""
+        t = np.full((n, n), -1, dtype=np.int32)
+        idx = np.arange(len(rows), dtype=np.int32)[:, None]
+        rows = rows.astype(np.intp)   # native index width scatters faster
+        for i in range(rows.shape[1]):
+            t[rows[:, i:i + 1], rows] = idx
+        np.fill_diagonal(t, -1)
+        return t
 
     # -- canonical forms ---------------------------------------------------
 
@@ -159,24 +166,19 @@ class ProjSpace:
         return idx
 
     def canon_index_many(self, vecs):
-        """Vectorized canon_index for an [N, d] array of index vectors."""
-        f, q, d = self.field, self.q, self.d
-        vecs = np.asarray(vecs, dtype=np.int32)
-        nz = vecs != 0
-        if not nz.any(axis=1).all():
+        """Point index of every nonzero vector of an [..., d] array of
+        index vectors: its vector code, then one code_points lookup."""
+        idx = self._point_of[self._vector_code(np.asarray(vecs))]
+        if (idx < 0).any():
             raise GeomError("zero vector has no projective class")
-        lead = np.argmax(nz, axis=1)
-        s = f.inv_t[vecs[np.arange(len(vecs)), lead]]
-        scaled = f.mul_t[s[:, None], vecs]
-        idx = self._offs[lead].copy()
-        for j in range(d):
-            rows = lead == j
-            if not rows.any():
-                continue
-            nfree = d - 1 - j
-            for i in range(nfree):
-                idx[rows] += scaled[rows, j + 1 + i].astype(np.int64) * q ** (nfree - 1 - i)
         return idx
+
+    def _vector_code(self, vecs):
+        """Vector code of every row of an [..., d] array, by Horner."""
+        code = vecs[..., 0].astype(np.int64)
+        for j in range(1, self.d):
+            code = code * self.q + vecs[..., j]
+        return code
 
     def code_vectors(self):
         """The coordinate vector of every vector code 0 .. q^d - 1.
@@ -187,12 +189,9 @@ class ProjSpace:
         return (codes // self._qpow % self.q).astype(np.int32)
 
     def code_points(self):
-        """Point index of every vector code, int32, -1 for the zero vector."""
-        f, q = self.field, self.q
-        point_of = np.full(q ** self.d, -1, dtype=np.int32)
-        multiples = f.mul_t[np.arange(1, q)[:, None, None], self.pts]
-        point_of[multiples @ self._qpow] = np.arange(self.n_points)
-        return point_of
+        """Point index of every vector code, int32, -1 for the zero vector;
+        one read-only table built with the space."""
+        return self._point_of
 
     def span_points(self, b0, b1):
         """Points of span(b0[i], b1[i]) for [n, d] stacks of independent
@@ -310,7 +309,7 @@ class ProjLine:
         return [ProjPoint(self.space, i) for i in self.point_indices]
 
     def __contains__(self, p):
-        return bool(self.space.on_line[p.idx, self.idx])
+        return p.idx in self.space.line_pts[self.idx]
 
     def __eq__(self, other):
         return (isinstance(other, ProjLine) and other.space is self.space
@@ -541,8 +540,7 @@ def _transvection_maps(space):
     mats = np.tile(np.eye(d, dtype=np.int64), (len(i) * f.n, 1, 1))
     mats[np.arange(len(mats)), np.repeat(i, f.n), np.repeat(j, f.n)] = \
         np.tile(f.p ** np.arange(f.n), len(i))
-    # canon_index as one lookup
-    return space.code_points()[mat_apply(f, mats, space.pts) @ space._qpow]
+    return space.canon_index_many(mat_apply(f, mats, space.pts))
 
 
 def _frame_orbit(space, gens):

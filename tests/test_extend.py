@@ -70,7 +70,7 @@ def test_validate_catches_redirected_tau():
 def test_validate_catches_wrong_tau_domain():
     S = space(5, 1)
     pc = restrict(SemilinearIso(S, np.eye(3, dtype=int), 0), minus(S, {0}))
-    del pc.tau[pc.meeting_lines()[0]]
+    pc.tau[pc.meeting_lines()[0]] = -1
     assert not validate_partial(pc).ok
     assert "tau domain" in validate_partial(pc).reason
 
@@ -166,7 +166,8 @@ def test_extend_roundtrip_plane_f5():
         assert equal_up_to_scalar(res.decoded, iso)
         # restriction invariants: the extension agrees with the data
         assert all(res.sigma_tilde[p] == pc.sigma[p] for p in pc.U1)
-        assert all(res.tau_tilde[l] == pc.tau[l] for l in pc.tau)
+        assert all(res.tau_tilde[l] == pc.tau[l]
+                   for l in np.flatnonzero(pc.tau >= 0))
 
 
 def test_extend_roundtrip_frobenius_f9():
@@ -248,6 +249,70 @@ def test_partial_between_twin_spaces():
     assert pc.space2 is Sb
     with pytest.raises(ExtendError):
         PartialCollineation(Sa, {0: 0}, {}, space2=space(5, 1, 4))
+
+
+def _malformed_maps(S):
+    """(sigma, tau) pairs the constructor must refuse on S."""
+    P, L = S.n_points, S.n_lines
+    ok_sigma, ok_tau = np.full(P, -1), np.full(L, -1)
+    return {
+        "sigma key past P": ({10 ** 6: 0}, {}),
+        "sigma key -1": ({-1: 0}, {}),
+        "sigma key P": ({P: 0}, {}),
+        "sigma value past P": ({0: P}, {}),
+        "sigma value -1": ({0: -1}, {}),
+        "sigma key beyond int64": ({10 ** 30: 0}, {}),
+        "tau key past L": ({0: 0}, {L: 0}),
+        "tau key -1": ({0: 0}, {-1: 0}),
+        "tau value past L": ({0: 0}, {0: L}),
+        "tau value -1": ({0: 0}, {0: -1}),
+        "sigma array short": (ok_sigma[1:], ok_tau),
+        "sigma array long": (np.append(ok_sigma, -1), ok_tau),
+        "sigma array 2-d": (ok_sigma[None], ok_tau),
+        "tau array short": (ok_sigma, ok_tau[1:]),
+        "sigma entry -2": (np.where(np.arange(P) == 3, -2, ok_sigma), ok_tau),
+        "sigma entry P": (np.where(np.arange(P) == 3, P, ok_sigma), ok_tau),
+        "tau entry -2": (ok_sigma, np.where(np.arange(L) == 3, -2, ok_tau)),
+        "tau entry L": (ok_sigma, np.where(np.arange(L) == 3, L, ok_tau)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_malformed_maps(space(3, 1))))
+def test_partial_refuses_malformed_maps(case):
+    # out-of-range keys once ended in an IndexError inside validation, or
+    # (-1) silently aliased the last point
+    S = space(3, 1)
+    sigma, tau = _malformed_maps(S)[case]
+    with pytest.raises(ExtendError):
+        PartialCollineation(S, sigma, tau)
+
+
+def test_partial_accepts_dicts_and_arrays_alike():
+    S = space(3, 1)
+    full = restrict(SemilinearIso(S, np.eye(3, dtype=int), 0), [0, 5, 9])
+    sigma = {int(p): int(full.sigma[p]) for p in full.U1}
+    tau = {int(l): int(full.tau[l]) for l in full.meeting_lines()}
+    pc = PartialCollineation(S, sigma, tau)
+    assert (pc.sigma == full.sigma).all() and (pc.tau == full.tau).all()
+    assert pc.sigma.dtype == pc.tau.dtype == np.int64
+    # the constructor copies: editing its input leaves the map alone
+    arr = full.sigma.copy()
+    pc = PartialCollineation(S, arr, full.tau)
+    arr[0] = -1
+    assert pc.sigma[0] == 0
+
+
+def test_restrict_refuses_points_outside_the_space():
+    S = space(3, 1)
+    iso = SemilinearIso(S, np.eye(3, dtype=int), 0)
+    for U in ([0, S.n_points], [-1, 2]):
+        with pytest.raises(ExtendError, match="outside"):
+            restrict(iso, U)
+    # a negative point once aliased a point counted from the end
+    pc = restrict(iso, list(range(1, S.n_points)))
+    for p in (-1, -S.n_points, S.n_points):
+        with pytest.raises(ExtendError, match="outside"):
+            extend_point(pc, p)
 
 
 # ---------------------------------------------------------------------------
