@@ -4,7 +4,7 @@ genus-zero function field demonstration pipeline."""
 
 __version__ = "0.1.0"
 
-from .gf import GF, Fe, GFError, make_field, fe_arith, frobenius, enumerate_field
+from .gf import GF, GFError, make_field
 from .projgeom import (GeomError, ProjSpace, ProjPoint, ProjLine, join, meet,
                        collinear, concurrent, span_rank, perspectivity,
                        AxiomReport, noncollinear_triples, check_axioms,

@@ -84,6 +84,13 @@ def _index_map(m, n, name):
     return out
 
 
+def _check_ranges(pc):
+    """Re-run the construction's range checks: sigma and tau are public
+    arrays that callers may edit in place."""
+    _index_map(pc.sigma, pc.space1.n_points, "sigma")
+    _index_map(pc.tau, pc.space1.n_lines, "tau")
+
+
 def _image_mask(space, sigma):
     """Mask of the points of space hit by sigma."""
     hit = np.zeros(space.n_points, dtype=bool)
@@ -111,7 +118,12 @@ def validate_partial(pc, concurrency="sampled", samples=300, seed=0):
 
     The identity carries sigma(p) onto tau(l) for every line l through a
     domain point p, so an injective tau maps the pencil at p injectively,
-    hence bijectively, onto the equal-sized pencil at sigma(p)."""
+    hence bijectively, onto the equal-sized pencil at sigma(p).  The same
+    argument puts sigma(x) on both images of two lines meeting at x in U1,
+    so only a common point outside U1 can lose its image.
+
+    Raises ExtendError when sigma or tau was edited out of range."""
+    _check_ranges(pc)
     S1, S2 = pc.space1, pc.space2
     sig, tau = pc.sigma, pc.tau
     n_dom = np.count_nonzero(sig >= 0)
@@ -144,16 +156,12 @@ def validate_partial(pc, concurrency="sampled", samples=300, seed=0):
         step = max(1, _kernels._CHUNK // S1.pts_per_line ** 2)
         for s in range(0, len(pairs), step):
             l, m = pairs[s:s + step].T
-            x = S1.meet_many(l, m)
-            y = S2.meet_many(tau[l], tau[m])
-            sx = sig[np.maximum(x, 0)]   # sigma of the common point, or -1
-            bad = np.flatnonzero((x >= 0) & ((y < 0) | (sx >= 0) & (sx != y)))
+            bad = np.flatnonzero((S1.meet_many(l, m) >= 0)
+                                 & (S2.meet_many(tau[l], tau[m]) < 0))
             if len(bad):
                 i = bad[0]
-                reason = ("Step2-1: images not concurrent" if y[i] < 0 else
-                          "Step2-1: image lines miss the image of the "
-                          "common point")
-                return ValidationReport(False, reason, (int(l[i]), int(m[i])))
+                return ValidationReport(False, "Step2-1: images not concurrent",
+                                        (int(l[i]), int(m[i])))
     return ValidationReport(True, "", None)
 
 
@@ -183,6 +191,7 @@ def extend_point(pc, p, order=None, diagnostics=None):
     p = int(p)
     if not 0 <= p < pc.space1.n_points:
         raise ExtendError("point %d is outside the space" % p)
+    _check_ranges(pc)
     if pc.sigma[p] >= 0:
         return int(pc.sigma[p])
     seq = [int(u) for u in (pc.U1 if order is None else order) if int(u) != p]
@@ -232,26 +241,24 @@ class ExtensionResult:
     diagnostics: dict
 
 
-def extend(pc, fam1, fam2=None, order="canonical", seed=0, decode=True):
+def extend(pc, fam, order="canonical", seed=0):
     """Full extension with verification; raises on any inconsistency.
 
-    order picks the line-search sequence per point: "canonical" ascending,
-    "reversed", or "shuffled" (seeded); the result must not depend on it.
+    fam governs both the domain and its image.  order picks the
+    line-search sequence per point: "canonical" ascending, "reversed", or
+    "shuffled" (seeded); the result must not depend on it.
     """
-    if fam2 is None:
-        fam2 = fam1
     S1, S2 = pc.space1, pc.space2
     if S1.d < 3:
         raise ExtendError("precondition: dimension must be at least 3")
-    q = S1.q
-    for fam, who in ((fam1, "source"), (fam2, "target")):
-        if not is_mn_admissible(fam, q, 3, 2):
-            raise ExtendError("precondition: %s family is not "
-                              "(3,2)-admissible at q=%d" % (who, q))
-    rep1 = is_ample(S1, pc.U1, fam1)
+    _check_ranges(pc)
+    if not is_mn_admissible(fam, S1.q, 3, 2):
+        raise ExtendError("precondition: family is not (3,2)-admissible "
+                          "at q=%d" % S1.q)
+    rep1 = is_ample(S1, pc.U1, fam)
     if not rep1.ample:
         raise ExtendError("precondition: domain is not ample (%s)" % rep1.reason)
-    rep2 = is_ample(S2, pc.U2, fam2)
+    rep2 = is_ample(S2, pc.U2, fam)
     if not rep2.ample:
         raise ExtendError("precondition: image is not ample (%s)" % rep2.reason)
     val = validate_partial(pc, concurrency=None)
@@ -280,9 +287,8 @@ def extend(pc, fam1, fam2=None, order="canonical", seed=0, decode=True):
     if len(bad):
         raise ExtendError("Step3-2: extended line map disagrees with tau "
                           "on line %d" % bad[0])
-    decoded = decode_ftpg(coll) if decode else None
-    return ExtensionResult(sigma_tilde, coll.tau.copy(), coll, decoded,
-                           diagnostics)
+    return ExtensionResult(sigma_tilde, coll.tau.copy(), coll,
+                           decode_ftpg(coll), diagnostics)
 
 
 def restrict(mapping, U1):

@@ -10,7 +10,7 @@ so its projectivization is a standard ProjSpace and the whole extension
 machinery applies unchanged.
 """
 
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -448,7 +448,8 @@ def unit_subset(D, E):
         if any(not pdivmod(f, pn, g)[1] for g in finite):
             continue
         keep.append(i)
-    one = space.canon_index(list(rr.mpoly) + [0] * (rr.dim - len(rr.mpoly)))
+    one = space.canon_index_many(
+        np.array(list(rr.mpoly) + [0] * (rr.dim - len(rr.mpoly))))
     U = UnitSubset(rr, E, space, np.array(keep, dtype=np.int64), int(one))
     if int(one) not in set(keep):
         raise FuncFieldError("internal: the constant 1 is not a unit")
@@ -635,7 +636,7 @@ def _normalize_fixing_one(iso, rr):
     f = iso.field
     v1 = np.zeros(rr.dim, dtype=np.int64)
     v1[:len(rr.mpoly)] = rr.mpoly
-    u = np.array(iso.apply_vec(v1), dtype=np.int64)
+    u = mat_apply(f, iso.mat, iso.mu.table()[v1][None])[0].astype(np.int64)
     j0 = int(np.argmax(v1 != 0))
     s = f.mul(int(u[j0]), f.inv(int(v1[j0])))
     if s == 0 or not np.array_equal(u, f.mul_t[s, v1].astype(np.int64)):

@@ -139,8 +139,7 @@ def _prime_divisors(n):
 class GF:
     """GF(p^n) with modulus fixed at construction.
 
-    All index-level operations accept and return plain ints; the Fe
-    wrapper provides operator syntax on top.
+    All index-level operations accept and return plain ints.
     """
 
     def __init__(self, p, n, modulus):
@@ -168,10 +167,6 @@ class GF:
     def el(self, c):
         """Element from an int (coerced mod p if n == 1 semantics do not
         apply: ints 0..q-1 are taken as indices) or a coefficient list."""
-        if isinstance(c, Fe):
-            if c.field is not self:
-                raise GFError("element belongs to a different field")
-            return c.i
         if isinstance(c, (list, tuple)):
             if len(c) > self.n:
                 raise GFError("coefficient vector longer than n")
@@ -180,9 +175,6 @@ class GF:
         if not 0 <= c < self.q:
             raise GFError("index %d out of range for q=%d" % (c, self.q))
         return c
-
-    def fe(self, c):
-        return Fe(self, self.el(c))
 
     def elements(self):
         """All q elements in canonical order: zero first, then one."""
@@ -312,84 +304,6 @@ class GF:
         return "GF(%d^%d)" % (self.p, self.n)
 
 
-class Fe:
-    """Element wrapper: a field together with an index."""
-
-    __slots__ = ("field", "i")
-
-    def __init__(self, field, i):
-        self.field = field
-        self.i = int(i)
-
-    @property
-    def coeffs(self):
-        return self.field.coeffs(self.i)
-
-    def _peer(self, other):
-        if isinstance(other, Fe):
-            if other.field != self.field:
-                raise GFError("mixed-field arithmetic")
-            return other.i
-        return self.field.el(other)
-
-    def __add__(self, other):
-        return Fe(self.field, self.field.add(self.i, self._peer(other)))
-
-    def __sub__(self, other):
-        return Fe(self.field, self.field.sub(self.i, self._peer(other)))
-
-    def __neg__(self):
-        return Fe(self.field, self.field.neg(self.i))
-
-    def __mul__(self, other):
-        return Fe(self.field, self.field.mul(self.i, self._peer(other)))
-
-    def __truediv__(self, other):
-        return Fe(self.field, self.field.div(self.i, self._peer(other)))
-
-    def __pow__(self, e):
-        return Fe(self.field, self.field.pow_(self.i, e))
-
-    def __eq__(self, other):
-        if isinstance(other, Fe):
-            return self.field == other.field and self.i == other.i
-        if isinstance(other, int):
-            return self.i == self.field.el(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((id(self.field), self.i))
-
-    def __repr__(self):
-        return "Fe(%d, %r)" % (self.i, self.field)
-
-
-def fe_arith(op, a, b=None):
-    """Functional arithmetic surface: op in add/sub/mul/div/neg/inv."""
-    if not isinstance(a, Fe):
-        raise GFError("fe_arith operates on Fe values")
-    f = a.field
-    if op == "neg":
-        return -a
-    if op == "inv":
-        return Fe(f, f.inv(a.i))
-    if b is None or not isinstance(b, Fe):
-        raise GFError("binary op %r needs two Fe values" % op)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise GFError("unknown op %r" % op)
-
-
-def frobenius(a, i):
-    return Fe(a.field, a.field.frob(a.i, i))
-
-
 _FIELD_CACHE = {}
 
 
@@ -436,25 +350,9 @@ def field_of_order(q):
     raise GFError("q = %d is not a supported prime power" % q)
 
 
-def enumerate_field(field):
-    """All elements as Fe, zero first, then one, then index order."""
-    return [Fe(field, i) for i in field.elements()]
-
-
 # ---------------------------------------------------------------------------
 # small dense linear algebra over a field (index-valued int arrays)
 # ---------------------------------------------------------------------------
-
-def mat_vec(f, A, v):
-    d = len(v)
-    out = []
-    for i in range(len(A)):
-        acc = 0
-        for j in range(d):
-            acc = f.add(acc, f.mul(int(A[i][j]), int(v[j])))
-        out.append(acc)
-    return out
-
 
 def mat_apply(f, mats, vecs):
     """M v for every matrix M of a stack and every index vector v.
@@ -465,20 +363,6 @@ def mat_apply(f, mats, vecs):
     out = 0
     for j in range(vecs.shape[-1]):
         out = f.add_t[out, f.mul_t[mats[..., None, :, j], vecs[:, None, j]]]
-    return out
-
-
-def mat_mul(f, A, B):
-    rows = len(A)
-    inner = len(B)
-    cols = len(B[0])
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        for k in range(inner):
-            a = int(A[i][k])
-            if a:
-                for j in range(cols):
-                    out[i][j] = f.add(out[i][j], f.mul(a, int(B[k][j])))
     return out
 
 
@@ -523,27 +407,3 @@ def solve_linear(f, A, b):
     for r, c in enumerate(pivots):
         x[c] = R[r][m]
     return x
-
-
-def mat_det(f, A):
-    n = len(A)
-    R = [list(int(x) for x in row) for row in A]
-    det = 1
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if R[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            return 0
-        if piv != c:
-            R[c], R[piv] = R[piv], R[c]
-            det = f.neg(det)
-        det = f.mul(det, R[c][c])
-        s = f.inv(R[c][c])
-        for i in range(c + 1, n):
-            if R[i][c] != 0:
-                t = f.mul(s, R[i][c])
-                R[i] = [f.sub(x, f.mul(t, y)) for x, y in zip(R[i], R[c])]
-    return det

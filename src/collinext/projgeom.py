@@ -151,20 +151,6 @@ class ProjSpace:
 
     # -- canonical forms ---------------------------------------------------
 
-    def canon_index(self, vec):
-        """Point index of a nonzero coordinate vector."""
-        f, q, d = self.field, self.q, self.d
-        vec = [int(x) for x in vec]
-        j = next((i for i, x in enumerate(vec) if x != 0), None)
-        if j is None:
-            raise GeomError("zero vector has no projective class")
-        s = f.inv(vec[j])
-        idx = int(self._offs[j])
-        nfree = d - 1 - j
-        for i in range(nfree):
-            idx += f.mul(s, vec[j + 1 + i]) * q ** (nfree - 1 - i)
-        return idx
-
     def canon_index_many(self, vecs):
         """Point index of every nonzero vector of an [..., d] array of
         index vectors: its vector code, then one code_points lookup."""
@@ -252,7 +238,16 @@ class ProjSpace:
             if not 0 <= i < self.n_points:
                 raise GeomError("point index out of range")
             return ProjPoint(self, i)
-        return ProjPoint(self, self.canon_index(spec))
+        try:
+            vec = np.array(spec, dtype=np.int64)
+        except (TypeError, ValueError, OverflowError) as err:
+            raise GeomError("point spec is not an index vector: %s" % err)
+        if vec.shape != (self.d,):
+            raise GeomError("point vector must have %d entries" % self.d)
+        if ((vec < 0) | (vec >= self.q)).any():
+            raise GeomError("point vector has an entry outside [0, %d)"
+                            % self.q)
+        return ProjPoint(self, int(self.canon_index_many(vec)))
 
     def line(self, i):
         i = int(i)

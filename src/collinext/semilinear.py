@@ -6,12 +6,12 @@ point bijection of P(k^d) arises this way, uniquely up to a scalar on M;
 decode_ftpg performs that reconstruction.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import GF, mat_apply, mat_det, mat_mul, mat_vec, solve_linear
-from .projgeom import GeomError, ProjSpace
+from .gf import GF, mat_apply, rref, solve_linear
+from .projgeom import ProjSpace
 
 
 class SemilinearError(Exception):
@@ -27,9 +27,6 @@ class FieldIso:
 
     def __post_init__(self):
         object.__setattr__(self, "e", int(self.e) % self.field.n)
-
-    def __call__(self, a):
-        return self.field.frob(a, self.e)
 
     def table(self):
         return self.field.frob_t[self.e].astype(np.int64)
@@ -58,7 +55,7 @@ class SemilinearIso:
         mat = np.asarray(mat, dtype=np.int64)
         if mat.shape != (space.d, space.d):
             raise SemilinearError("matrix must be %d x %d" % (space.d, space.d))
-        if mat_det(self.field, mat.tolist()) == 0:
+        if len(rref(self.field, mat.tolist())[1]) != space.d:
             raise SemilinearError("matrix is singular")
         self.mat = mat
         self.mu = FieldIso(self.field, frob_exp)
@@ -66,13 +63,6 @@ class SemilinearIso:
     @property
     def frob_exp(self):
         return self.mu.e
-
-    def apply_vec(self, v):
-        moved = [self.mu(int(x)) for x in v]
-        return mat_vec(self.field, self.mat.tolist(), moved)
-
-    def apply_point(self, i):
-        return self.space.canon_index(self.apply_vec(self.space.pts[i]))
 
     def sigma_array(self):
         """Induced map on point indices, vectorized over the whole space."""
@@ -97,11 +87,8 @@ class SemilinearIso:
         """self after other, as a semilinear map."""
         if other.space is not self.space:
             raise SemilinearError("maps on different spaces")
-        f = self.field
-        twisted = np.array(
-            [[self.mu(int(x)) for x in row] for row in other.mat], dtype=np.int64
-        )
-        prod = mat_mul(f, self.mat.tolist(), twisted.tolist())
+        # the columns of mu(B), each taken through A
+        prod = mat_apply(self.field, self.mat, self.mu.table()[other.mat].T).T
         return SemilinearIso(self.space, prod, self.mu.e + other.mu.e)
 
     def __repr__(self):
@@ -130,9 +117,6 @@ class Collineation:
             raise SemilinearError("point map does not carry lines to lines")
         self.tau = tau
 
-    def point_map(self, i):
-        return int(self.sigma[i])
-
     def line_map(self, l):
         return int(self.tau[l])
 
@@ -160,7 +144,7 @@ def random_semilinear(space, rng):
     f, d = space.field, space.d
     while True:
         mat = rng.integers(0, f.q, size=(d, d))
-        if mat_det(f, mat.tolist()) != 0:
+        if len(rref(f, mat.tolist())[1]) == d:
             break
     e = int(rng.integers(0, f.n))
     return SemilinearIso(space, mat, e)
@@ -188,46 +172,26 @@ def equal_up_to_scalar(a, b):
 def decode_ftpg(coll):
     """Recover the (matrix, twist) pair behind a collineation, d >= 3.
 
-    The matrix comes back normalized (first nonzero entry 1); the result
-    is verified to induce exactly the given point map.
+    The matrix is fixed by the images of the standard frame and the unit
+    point; the twist is the first of the n Frobenius powers whose induced
+    map reproduces the given point map exactly.  The matrix comes back
+    normalized (first nonzero entry 1).
     """
     S = coll.space
-    f, d, q = S.field, S.d, S.q
+    f, d = S.field, S.d
     if d < 3:
         raise SemilinearError("decoding needs dim >= 3")
     # images of the standard frame and the unit point, as row vectors
-    frame_idx = [S.canon_index([1 if j == i else 0 for j in range(d)])
-                 for i in range(d)]
-    unit_idx = S.canon_index([1] * d)
-    F = [list(map(int, S.pts[coll.point_map(i)])) for i in frame_idx]
-    W = list(map(int, S.pts[coll.point_map(unit_idx)]))
-    # scale column i by c_i so the frame plus unit go to the right places
-    A = [[F[j][i] for j in range(d)] for i in range(d)]  # columns F_j
-    c = solve_linear(f, A, W)
-    if c is None or any(x == 0 for x in c):
+    frame = np.vstack([np.eye(d, dtype=np.int64), np.ones((1, d), np.int64)])
+    img = S.pts[coll.sigma[S.canon_index_many(frame)]]
+    # scale column j, the image of e_j, by c_j so that M maps (1, ..., 1)
+    # onto the unit's image
+    c = solve_linear(f, img[:d].T.tolist(), img[d].tolist())
+    if c is None or 0 in c:
         raise SemilinearError("frame images are degenerate")
-    M = np.array([[f.mul(c[j], F[j][i]) for j in range(d)] for i in range(d)],
-                 dtype=np.int64)
-    # read the twist off the line through e1, e2: (1 : a : 0 : ...) maps to
-    # col1 + mu(a) col2
-    col1 = [int(M[i, 0]) for i in range(d)]
-    col2 = [int(M[i, 1]) for i in range(d)]
-    mu_map = np.zeros(q, dtype=np.int64)
-    for a in range(1, q):
-        vec = [1, a] + [0] * (d - 2)
-        w = list(map(int, S.pts[coll.point_map(S.canon_index(vec))]))
-        sol = solve_linear(f, [[col1[i], col2[i]] for i in range(d)], w)
-        if sol is None or sol[0] == 0:
-            raise SemilinearError("image frame is not in general position")
-        mu_map[a] = f.div(sol[1], sol[0])
-    e_found = None
+    M = f.mul_t[np.array(c), img[:d].T]
     for e in range(f.n):
-        if (mu_map == f.frob_t[e]).all():
-            e_found = e
-            break
-    if e_found is None:
-        raise SemilinearError("point map is not induced by a semilinear map")
-    iso = SemilinearIso(S, M, e_found).normalized()
-    if (iso.sigma_array() != coll.sigma).any():
-        raise SemilinearError("decoded map does not reproduce the point map")
-    return iso
+        iso = SemilinearIso(S, M, e)
+        if np.array_equal(iso.sigma_array(), coll.sigma):
+            return iso.normalized()
+    raise SemilinearError("point map is not induced by a semilinear map")

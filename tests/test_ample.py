@@ -151,8 +151,8 @@ def test_parametrization_covers_line():
         for l in range(S.n_lines):
             par = line_parametrization(S, l)
             assert sorted(map(int, par)) == [int(x) for x in S.line_pts[l]]
-            assert par[0] == S.canon_index(S.line_b0[l])
-            assert par[S.q] == S.canon_index(S.line_b1[l])
+            assert par[0] == S.canon_index_many(S.line_b0[l])
+            assert par[S.q] == S.canon_index_many(S.line_b1[l])
 
 
 def test_transport_subset():

@@ -1,5 +1,6 @@
 """Command-line runner: exit codes, determinism, report shapes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -214,3 +215,39 @@ def test_config_trials_echo_the_battery_that_ran(capsys):
         assert code == 0, args
         assert rep["config"]["trials"] == rep["aggregate"]["n"] \
             == len(rep["trials"]), args
+
+
+# ---------------------------------------------------------------------------
+# golden reports
+# ---------------------------------------------------------------------------
+
+# SHA-256 of the JSON report of each run, fixed when the scalar twins of
+# the array paths were deleted; a refactor must leave every byte in place.
+GOLDEN = [
+    (["--cmd", "extend", "--q", "9", "--d", "3", "--t", "2",
+      "--trials", "3", "--seed", "1"],
+     "9a152797459097f12845410595ac992a28e8122558a5a54df79c3f5f5f679180"),
+    (["--cmd", "extend", "--q", "8", "--d", "4", "--t", "1",
+      "--trials", "1", "--seed", "7"],
+     "1a1c6c708060ea67b653ac2d33b3399f2032e1aa2039bc6f0a44dbad79d92992"),
+    (["--cmd", "oracle", "--q", "5", "--d", "3", "--t", "1",
+      "--trials", "2", "--seed", "7"],
+     "0478c1f025622baa3fb88606924a323d32d949b1f2da926b4cee7a9187b6f3d5"),
+    (["--cmd", "checkgeom", "--q", "3", "--d", "3", "--seed", "7"],
+     "45880ad0573bf5c03cba7dce225f78c7728665f6d2a94edca88ae9d56732f49e"),
+    (["--cmd", "checkgeom", "--q", "3", "--d", "4", "--seed", "7"],
+     "b4a6cfa465ae650b4abdcf3346d2d14e31887ff9947229dfbf84ad7a0d4e3a60"),
+    (["--cmd", "ffdemo", "--q", "13", "--seed", "7"],
+     "9a274c802df155eea40ba276f06c438cfbaedf31ce1c3f597a56e5cbd9c374c1"),
+    (["--cmd", "ffdemo", "--q", "9", "--seed", "7"],
+     "32ddd67cdec24d29465a3e64fee719222838158866e6bacf3f45af2273717cec"),
+    (["--cmd", "primesets"],
+     "3a13388b3eca2a71e8000a8b4b1a629abd20d0eb4019912b9491f165ddb2105a"),
+]
+
+
+def test_golden_reports(capsys):
+    for args, digest in GOLDEN:
+        code, out = run_main(args, capsys)
+        assert code == 0, args
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, args

@@ -106,7 +106,7 @@ def test_extend_point_matches_known_matrix():
     mat = [[1, 2, 0], [0, 1, 3], [4, 0, 2]]
     iso = SemilinearIso(S, mat, 0)
     pc = restrict(iso, minus(S, {20}))
-    assert extend_point(pc, 20) == iso.apply_point(20)
+    assert extend_point(pc, 20) == iso.sigma_array()[20]
 
 
 def test_extend_point_needs_two_lines():
@@ -313,6 +313,25 @@ def test_restrict_refuses_points_outside_the_space():
     for p in (-1, -S.n_points, S.n_points):
         with pytest.raises(ExtendError, match="outside"):
             extend_point(pc, p)
+
+
+def test_in_place_edits_out_of_range_are_refused():
+    # sigma and tau are public arrays; an edit past the construction's
+    # range checks once ended in an IndexError inside numpy
+    S = space(5, 1)
+    fam = AmpleFamily.size_at_most(1)
+    iso = SemilinearIso(S, np.eye(3, dtype=int), 0)
+    l = int(S.pt_lines[1][0])
+    for name, i, v in (("tau", l, 10 ** 6), ("sigma", 1, 10 ** 6),
+                       ("sigma", 1, S.n_points), ("tau", l, -2)):
+        pc = restrict(iso, minus(S, {0}))
+        getattr(pc, name)[i] = v
+        with pytest.raises(ExtendError, match=name + " has an entry outside"):
+            validate_partial(pc)
+        with pytest.raises(ExtendError, match=name + " has an entry outside"):
+            extend(pc, fam)
+        with pytest.raises(ExtendError, match=name + " has an entry outside"):
+            extend_point(pc, 0)
 
 
 # ---------------------------------------------------------------------------

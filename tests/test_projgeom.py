@@ -63,29 +63,57 @@ def test_enumeration_order_plane_f3():
     assert got == expect
 
 
+def ref_canon_index(S, vec):
+    """Point index of one nonzero vector: scale its leading entry to 1,
+    then read the free entries after it as base-q digits."""
+    f, q, d = S.field, S.q, S.d
+    vec = [int(x) for x in vec]
+    j = next((i for i, x in enumerate(vec) if x != 0), None)
+    if j is None:
+        raise GeomError("zero vector has no projective class")
+    s = f.inv(vec[j])
+    idx = int(S._offs[j])
+    nfree = d - 1 - j
+    for i in range(nfree):
+        idx += f.mul(s, vec[j + 1 + i]) * q ** (nfree - 1 - i)
+    return idx
+
+
 def test_canon_index_roundtrip_and_scaling():
     for p, n, d in SMALL:
         S = space(p, n, d)
         f = S.field
-        for i in range(S.n_points):
-            assert S.canon_index(S.pts[i]) == i
+        assert (S.canon_index_many(S.pts) == np.arange(S.n_points)).all()
+        assert [ref_canon_index(S, v) for v in S.pts] == list(
+            range(S.n_points))
         # arbitrary nonzero scalings land on the same class
         rng = np.random.default_rng(7)
-        for _ in range(200):
-            i = int(rng.integers(0, S.n_points))
-            s = int(rng.integers(1, f.q))
-            scaled = [f.mul(s, int(x)) for x in S.pts[i]]
-            assert S.canon_index(scaled) == i
-        many = S.canon_index_many(S.pts)
-        assert (many == np.arange(S.n_points)).all()
+        i = rng.integers(0, S.n_points, size=200)
+        s = rng.integers(1, f.q, size=200)
+        scaled = f.mul_t[s[:, None], S.pts[i]]
+        assert (S.canon_index_many(scaled) == i).all()
+        assert [ref_canon_index(S, v) for v in scaled] == i.tolist()
 
 
 def test_canon_index_rejects_zero():
     S = space(2, 1, 3)
     with pytest.raises(GeomError):
-        S.canon_index([0, 0, 0])
+        S.canon_index_many(np.zeros(3, dtype=np.int32))
     with pytest.raises(GeomError):
         S.canon_index_many(np.zeros((2, 3), dtype=np.int32))
+    with pytest.raises(GeomError):
+        S.point([0, 0, 0])
+
+
+def test_point_refuses_malformed_vectors():
+    S = space(5, 1, 3)
+    assert S.point([2, 4, 0]) == S.point([1, 2, 0]) == S.point(
+        np.array([3, 1, 0]))
+    assert S.point((0, 0, 3)).coords == (0, 0, 1)
+    for bad in ([-1, 0, 0], [1, 2, 3, 4], [7, 0, 0], [1, 2], [5, 0, 0],
+                [[1, 0, 0]], "abc", [1, None, 0], [0, 0, 0]):
+        with pytest.raises(GeomError):
+            S.point(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +247,7 @@ def brute_lines(S):
             pts = set()
             for s in range(f.q):
                 w = [f.add(int(x), f.mul(s, int(y))) for x, y in zip(va, vb)]
-                pts.add(S.canon_index(w))
+                pts.add(ref_canon_index(S, w))
             pts.add(b)
             out.add(frozenset(pts))
     return out
@@ -620,7 +648,7 @@ def test_meet_many_matches_meet_idx():
 
 def frame_of(S):
     """Point indices of e1, e2, e3."""
-    return tuple(S.canon_index([int(i == j) for i in range(S.d)])
+    return tuple(ref_canon_index(S, [int(i == j) for i in range(S.d)])
                  for j in range(3))
 
 

@@ -1,11 +1,12 @@
 """Semilinear maps, induced collineations, and decoding."""
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from collinext.gf import make_field, mat_det
+from collinext.gf import make_field, solve_linear
 from collinext.projgeom import ProjSpace
 from collinext.semilinear import (
     Collineation,
@@ -16,6 +17,8 @@ from collinext.semilinear import (
     equal_up_to_scalar,
     random_semilinear,
 )
+from test_gf import mat_det, mat_vec
+from test_projgeom import ref_canon_index
 
 
 def space(p, n, d):
@@ -34,8 +37,6 @@ def test_field_iso_group():
     assert a.inverse().e == 3
     assert FieldIso(f, 4).is_identity
     assert a.compose(a.inverse()).is_identity
-    for x in range(f.q):
-        assert a(x) == f.frob(x, 1)
     assert (a.table() == np.array([f.frob(x, 1) for x in range(f.q)])).all()
 
 
@@ -65,11 +66,14 @@ def test_identity_induces_identity():
 def test_sigma_array_matches_pointwise_apply():
     for p, n, d in [(3, 1, 3), (2, 2, 3), (5, 1, 4)]:
         S = space(p, n, d)
+        f = S.field
         rng = np.random.default_rng(2)
         iso = random_semilinear(S, rng)
         sig = iso.sigma_array()
         for i in range(0, S.n_points, max(1, S.n_points // 25)):
-            assert iso.apply_point(i) == sig[i]
+            moved = [f.frob(int(x), iso.frob_exp) for x in S.pts[i]]
+            w = mat_vec(f, iso.mat.tolist(), moved)
+            assert ref_canon_index(S, w) == sig[i]
 
 
 def test_compose_matches_induced_composition():
@@ -204,3 +208,69 @@ def test_random_semilinear_seeded():
     b = random_semilinear(S, np.random.default_rng(42))
     assert (a.mat == b.mat).all() and a.frob_exp == b.frob_exp
     assert mat_det(S.field, a.mat.tolist()) != 0
+
+
+def ref_decode_ftpg(coll):
+    """The decode that read the twist pointwise: the frame fixes M, then
+    each point (1 : a : 0 ...) of the line e1 e2 gives mu(a) by one
+    linear solve against the first two columns of M."""
+    S = coll.space
+    f, d, q = S.field, S.d, S.q
+    frame_idx = [ref_canon_index(S, [int(j == i) for j in range(d)])
+                 for i in range(d)]
+    unit_idx = ref_canon_index(S, [1] * d)
+    F = [list(map(int, S.pts[coll.sigma[i]])) for i in frame_idx]
+    W = list(map(int, S.pts[coll.sigma[unit_idx]]))
+    c = solve_linear(f, [[F[j][i] for j in range(d)] for i in range(d)], W)
+    assert c is not None and 0 not in c
+    M = np.array([[f.mul(c[j], F[j][i]) for j in range(d)]
+                  for i in range(d)], dtype=np.int64)
+    cols = [[int(M[i, 0]), int(M[i, 1])] for i in range(d)]
+    mu_map = np.zeros(q, dtype=np.int64)
+    for a in range(1, q):
+        x = ref_canon_index(S, [1, a] + [0] * (d - 2))
+        w = list(map(int, S.pts[coll.sigma[x]]))
+        sol = solve_linear(f, cols, w)
+        assert sol is not None and sol[0] != 0
+        mu_map[a] = f.div(sol[1], sol[0])
+    e = next(e for e in range(f.n) if (mu_map == f.frob_t[e]).all())
+    iso = SemilinearIso(S, M, e).normalized()
+    assert (iso.sigma_array() == coll.sigma).all()
+    return iso
+
+
+@pytest.mark.parametrize("p,n,d", [(2, 1, 3), (2, 2, 3), (2, 3, 3),
+                                   (3, 2, 3), (2, 4, 3), (2, 3, 4),
+                                   (5, 1, 5)])
+def test_decode_matches_pointwise_reference(p, n, d):
+    S = space(p, n, d)
+    rng = np.random.default_rng(1000 * p + 10 * n + d)
+    for _ in range(4):
+        coll = random_semilinear(S, rng).induce()
+        got, want = decode_ftpg(coll), ref_decode_ftpg(coll)
+        assert got.frob_exp == want.frob_exp
+        assert (got.mat == want.mat).all() and got.mat.dtype == want.mat.dtype
+
+
+def test_decode_rejects_non_semilinear_bijection():
+    # fixes the frame and the unit point, so M is the identity, but swaps
+    # two other points: no Frobenius power reproduces it
+    S = space(3, 1, 3)
+    sigma = np.arange(S.n_points)
+    a, b = ref_canon_index(S, [1, 2, 0]), ref_canon_index(S, [1, 0, 2])
+    sigma[[a, b]] = sigma[[b, a]]
+    with pytest.raises(SemilinearError, match="not induced by a semilinear"):
+        decode_ftpg(SimpleNamespace(space=S, sigma=sigma))
+
+
+def test_compose_matches_scalar_product():
+    S = space(2, 2, 3)
+    f = S.field
+    rng = np.random.default_rng(3)
+    for _ in range(10):
+        a, b = random_semilinear(S, rng), random_semilinear(S, rng)
+        twisted = f.frob_t[a.frob_exp][b.mat]
+        want = [mat_vec(f, a.mat.tolist(), col) for col in twisted.T.tolist()]
+        ab = a.compose(b)
+        assert ab.mat.T.tolist() == want
+        assert ab.frob_exp == (a.frob_exp + b.frob_exp) % f.n
