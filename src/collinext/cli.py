@@ -14,7 +14,8 @@ from fractions import Fraction
 import numpy as np
 
 from .gf import GFError, field_of_order
-from .projgeom import GeomError, ProjSpace, check_axioms, desargues_sweep
+from .projgeom import (GeomError, ProjSpace, check_axioms, check_sweep_tables,
+                       desargues_sweep)
 from .semilinear import SemilinearError, equal_up_to_scalar, random_semilinear
 from .ample import AmpleError, AmpleFamily
 from .extend import (ExtendError, brute_force_extensions, extend,
@@ -123,7 +124,9 @@ def cmd_ffdemo(cfg):
 
 def cmd_checkgeom(cfg):
     """Exhaustive incidence axioms and the Desargues property."""
-    space = ProjSpace(field_of_order(cfg.q), cfg.d)
+    f = field_of_order(cfg.q)
+    check_sweep_tables(f.q, cfg.d)
+    space = ProjSpace(f, cfg.d)
     ax = check_axioms(space)
     sample = None if space.d == 3 else 2000
     checked, witness = desargues_sweep(space, sample=sample, seed=cfg.seed)

@@ -358,7 +358,8 @@ def random_ample_instance(space, t, rng):
     elif kind == "triangle":
         while True:
             a, b, c = map(int, rng.choice(P, size=3, replace=False))
-            l = space.join_idx(a, b)
+            # the line a v b is the one line of both pencils
+            l = np.intersect1d(space.pt_lines[a], space.pt_lines[b])[0]
             if c not in space.line_pts[l]:
                 removed = {a, b, c}
                 break

@@ -4,11 +4,14 @@ Points are canonicalized so the leftmost nonzero coordinate is 1 and are
 addressed by an index in a fixed enumeration (leading position ascending,
 then remaining coordinates lexicographic).  Lines are 2-dimensional
 subspaces enumerated by their reduced row-echelon basis and looked up by
-their two lowest points.  Small spaces carry full join/meet lookup
-tables; larger ones fall back to arithmetic on demand.
+their two lowest points.  A space is built with its points, lines and
+pencils; the dense point-on-line mask and the join/meet lookup tables
+that the sweeps read are built on first read.  Above their caps the
+join/meet tables are None and lookups fall back to arithmetic.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,22 +36,36 @@ def gaussian_binomial(d, k, q):
     return num // den
 
 
+def space_size(q, d):
+    """(points, lines) of P(F_q^d), from q and d alone."""
+    if d < 2:
+        raise GeomError("dim_v must be >= 2")
+    return (q ** d - 1) // (q - 1), gaussian_binomial(d, 2, q)
+
+
+def check_sweep_tables(q, d):
+    """Refuse P(F_q^d), before anything is allocated, when the join or
+    meet table that the sweeps read would be over its cap."""
+    P, L = space_size(q, d)
+    if P > _JOIN_TABLE_CAP or L > _MEET_TABLE_CAP:
+        raise GeomError("sweeps need full incidence tables: %d points "
+                        "(cap %d), %d lines (cap %d)"
+                        % (P, _JOIN_TABLE_CAP, L, _MEET_TABLE_CAP))
+
+
 class ProjSpace:
     """P(k^d) with its full point/line incidence structure."""
 
     def __init__(self, field, dim_v):
         if not isinstance(field, GF):
             raise GeomError("field must be a GF instance")
-        if dim_v < 2:
-            raise GeomError("dim_v must be >= 2")
         self.field = field
         self.d = int(dim_v)
         q = field.q
         self.q = q
-        self.n_points = (q ** self.d - 1) // (q - 1)
+        self.n_points, self.n_lines = space_size(q, self.d)
         if self.n_points > P_CAP:
             raise GeomError("space has %d points, cap is %d" % (self.n_points, P_CAP))
-        self.n_lines = gaussian_binomial(self.d, 2, q)
         self.pts_per_line = q + 1
         self.lines_per_pt = (q ** (self.d - 1) - 1) // (q - 1)
         # weights of a vector code, see code_vectors
@@ -118,23 +135,38 @@ class ProjSpace:
         self._keys = keys[self._key_order]
 
     def _build_incidence(self):
-        P, L, k = self.n_points, self.n_lines, self.pts_per_line
+        P, k = self.n_points, self.pts_per_line
         flat_pts = self.line_pts.ravel()
-        flat_lns = np.repeat(np.arange(L, dtype=np.int32), k)
-        order = np.argsort(flat_pts, kind="stable")
+        # P < 2^16: a stable sort of uint16 keys is numpy's radix sort
+        order = np.argsort(flat_pts.astype(np.uint16), kind="stable")
         counts = np.bincount(flat_pts, minlength=P)
         assert (counts == self.lines_per_pt).all()
-        self.pt_lines = flat_lns[order].reshape(P, self.lines_per_pt)
-        self.on_line = np.zeros((P, L), dtype=bool)
-        self.on_line[flat_pts, flat_lns] = True
-        if P <= _JOIN_TABLE_CAP:
-            self.join_t = self._pair_table(self.line_pts, P)
-        else:
-            self.join_t = None
-        if L <= _MEET_TABLE_CAP:
-            self.meet_t = self._pair_table(self.pt_lines, L)
-        else:
-            self.meet_t = None
+        # entry i of flat_pts lies on line i // k
+        self.pt_lines = (order // k).astype(np.int32).reshape(
+            P, self.lines_per_pt)
+
+    @cached_property
+    def on_line(self):
+        """[P, L] point-on-line mask, built on first read."""
+        on = np.zeros((self.n_points, self.n_lines), dtype=bool)
+        on[self.line_pts, np.arange(self.n_lines)[:, None]] = True
+        return on
+
+    @cached_property
+    def join_t(self):
+        """[P, P] line through each pair of distinct points, built on
+        first read; None above _JOIN_TABLE_CAP points."""
+        if self.n_points > _JOIN_TABLE_CAP:
+            return None
+        return self._pair_table(self.line_pts, self.n_points)
+
+    @cached_property
+    def meet_t(self):
+        """[L, L] common point of each pair of distinct lines, -1 where
+        skew, built on first read; None above _MEET_TABLE_CAP lines."""
+        if self.n_lines > _MEET_TABLE_CAP:
+            return None
+        return self._pair_table(self.pt_lines, self.n_lines)
 
     @staticmethod
     def _pair_table(rows, n):
@@ -426,7 +458,10 @@ def noncollinear_triples(space):
     if space.join_t is None:
         raise GeomError("enumerating triples needs the join table")
     a, b = np.nonzero(~np.eye(P, dtype=bool))
-    flat = np.flatnonzero(~space.on_line.T[space.join_t[a, b]])
+    # row (a, b) marks the points of the line a v b as collinear
+    off = np.ones((len(a), P), dtype=bool)
+    off[np.arange(len(a))[:, None], space.line_pts[space.join_t[a, b]]] = False
+    flat = np.flatnonzero(off)
     out = np.empty((len(flat), 3), dtype=np.int32)
     out[:, 2] = flat % P
     flat //= P   # now the index of the (a, b) pair

@@ -6,6 +6,7 @@ point bijection of P(k^d) arises this way, uniquely up to a scalar on M;
 decode_ftpg performs that reconstruction.
 """
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,9 +80,10 @@ class SemilinearIso:
         f = self.field
         flat = self.mat.ravel()
         lead = int(flat[np.argmax(flat != 0)])
-        s = f.inv(lead)
-        scaled = f.mul_t[s, self.mat]
-        return SemilinearIso(self.space, scaled, self.mu.e)
+        # a rescaled invertible matrix stays invertible: no rank check
+        out = copy.copy(self)
+        out.mat = f.mul_t[f.inv(lead), self.mat].astype(np.int64)
+        return out
 
     def compose(self, other):
         """self after other, as a semilinear map."""

@@ -203,6 +203,19 @@ def test_checkgeom_refuses_untabled_inputs(capsys):
     assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize("q,d", [(2, 12), (3, 8), (2, 7)])
+def test_checkgeom_refuses_before_building_the_space(q, d, capsys,
+                                                     monkeypatch):
+    # the join/meet caps are read off (q, d): --q 2 --d 12 used to end in
+    # a MemoryError traceback, and --q 3 --d 8 refused at a 3 GB peak
+    def no_space(*args):
+        raise AssertionError("the space was built")
+    monkeypatch.setattr(cli, "ProjSpace", no_space)
+    code, out = run_main(["--cmd", "checkgeom", "--q", str(q),
+                          "--d", str(d)], capsys)
+    assert code == 2 and out == ""
+
+
 def test_config_trials_echo_the_battery_that_ran(capsys):
     # single-record commands ignore --trials; the report must not claim it
     for args in (["--cmd", "checkgeom", "--q", "2", "--d", "3",

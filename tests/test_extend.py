@@ -7,6 +7,7 @@ from collinext.gf import make_field
 from collinext.projgeom import ProjSpace
 from collinext.semilinear import (
     SemilinearIso,
+    decode_ftpg,
     equal_up_to_scalar,
     random_semilinear,
 )
@@ -351,6 +352,57 @@ def test_random_instances_are_ample():
             rep = is_ample(S, U, fam)
             assert rep.ample, (p, n, d, t, kind)
         assert len(seen) >= 2
+
+
+def ref_triangle_instance(S, rng):
+    """The triangle draw of random_ample_instance at t = 2, collinearity
+    by join_idx; returns U and the number of collinear draws rejected."""
+    rng.integers(0, 6)   # the kind: one of the six kinds at t = 2
+    rejected = 0
+    while True:
+        a, b, c = map(int, rng.choice(S.n_points, size=3, replace=False))
+        if c not in S.line_pts[S.join_idx(a, b)]:
+            return minus(S, {a, b, c}), rejected
+        rejected += 1
+
+
+def test_triangle_draws_match_join_reference():
+    rejected = 0
+    for p, n, d in [(2, 1, 3), (3, 1, 3), (2, 3, 4)]:
+        S = space(p, n, d)
+        triangles = 0
+        for seed in range(40):
+            U, kind = random_ample_instance(S, 2, np.random.default_rng(seed))
+            if kind != "triangle":
+                continue
+            triangles += 1
+            want, r = ref_triangle_instance(S, np.random.default_rng(seed))
+            assert U == want, (p, n, d, seed)
+            rejected += r
+        assert triangles >= 3, (p, n, d)
+    assert rejected > 0   # the collinear branch was taken
+
+
+@pytest.mark.parametrize("p,n,d,t", [(5, 1, 5, 1), (2, 3, 4, 2)])
+def test_extension_pipeline_builds_no_dense_table(p, n, d, t):
+    # restrict -> validate -> extend -> decode reads points, lines, pencils
+    # and the line key; on_line, join_t and meet_t are never built
+    S = space(p, n, d)
+    fam = AmpleFamily.size_at_most(t)
+    kinds = set()
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        iso = random_semilinear(S, rng)
+        truth = iso.induce()
+        U, kind = random_ample_instance(S, t, rng)
+        kinds.add(kind)
+        pc = restrict(truth, U)
+        assert validate_partial(pc).ok
+        res = extend(pc, fam, order="shuffled", seed=seed)
+        assert np.array_equal(res.sigma_tilde, truth.sigma)
+        assert equal_up_to_scalar(decode_ftpg(res.collineation), iso)
+    assert t < 2 or "triangle" in kinds
+    assert not {"on_line", "join_t", "meet_t"} & set(vars(S))
 
 
 def test_random_instance_refuses_the_projective_line():

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from collinext.gf import make_field, mat_apply
+from collinext import funcfield
+from collinext.gf import field_of_order, make_field, mat_apply
+from collinext.projgeom import ProjSpace
 from collinext._kernels import pair_mult_scan
 from collinext.ample import AmpleFamily
 from collinext.extend import extend
@@ -436,6 +438,28 @@ def test_recover_rejects_bad_maps():
     assert np.array_equal(mat_apply(space.field, bad2.mat, v1[None])[0], v1)
     with pytest.raises(FuncFieldError, match="multiplicativity"):
         recover_ring_iso(SimpleNamespace(decoded=bad2), scr.unit)
+
+
+def test_normalize_fixing_one_applies_the_twist():
+    # e = 1 over F_9 with an mpoly entry outside F_3, so mu moves the
+    # class of 1: psi must take mu(v1), not v1, back onto v1
+    f = field_of_order(9)
+    frob = f.frob_t[1]
+    alpha = int(np.flatnonzero(frob != np.arange(f.q))[0])
+    pt = ClosedPointP1.finite(f, (f.neg(alpha), 1))
+    rr = rr_basis(DivisorP1(f, {pt: 2}))
+    v1 = np.array(rr.mpoly, dtype=np.int64)
+    w = frob[v1].astype(np.int64)
+    assert rr.dim == 3 and not np.array_equal(w, v1) and v1[2] == w[2] == 1
+    # the identity with column 2 moved so that M w = v1; det M = 1
+    M = np.eye(3, dtype=np.int64)
+    M[:, 2] = f.add_t[f.add_t[v1, f.neg_t[w]], M[:, 2]]
+    assert np.array_equal(mat_apply(f, M, w[None])[0], v1)
+    c = 5
+    iso = SemilinearIso(ProjSpace(f, 3), f.mul_t[c, M], 1)
+    psi = funcfield._normalize_fixing_one(iso, rr)
+    assert np.array_equal(psi, M)
+    assert np.array_equal(mat_apply(f, psi, w[None])[0], v1)
 
 
 def test_demo_order_independent():

@@ -17,6 +17,7 @@ from collinext.projgeom import (
     ProjSpace,
     check_axioms,
     check_desargues,
+    check_sweep_tables,
     collinear,
     concurrent,
     desargues_admissible,
@@ -25,6 +26,7 @@ from collinext.projgeom import (
     join,
     meet,
     noncollinear_triples,
+    space_size,
     span_rank,
 )
 
@@ -201,7 +203,9 @@ def ref_tables(S):
 def test_tables_match_reference_build(q, d):
     S = ProjSpace(field_of_order(q), d)
     want = ref_tables(S)
-    got = dict(vars(S), code_points=S.code_points())
+    # getattr, not vars(S): the dense tables are built on first read
+    got = {name: getattr(S, name) for name in want if name != "code_points"}
+    got["code_points"] = S.code_points()
     for name, ref in want.items():
         if ref is None:
             assert got[name] is None, name
@@ -220,11 +224,33 @@ def test_space_build_transient_memory():
     tracemalloc.start()
     try:
         S = ProjSpace(f, 5)
+        assert S.join_t is not None and S.meet_t is None  # built on read
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert S.join_t is not None
     assert peak - held < 4 << 20
+
+
+def test_dense_tables_are_built_on_first_read():
+    S = space(3, 1, 3)
+    assert not {"on_line", "join_t", "meet_t"} & set(vars(S))
+    assert S.join_t is S.join_t and "join_t" in vars(S)
+    assert S.join_idx(0, 1) == S.join_t[0, 1]
+    big = space(2, 1, 7)   # 2667 lines: no meet table
+    assert big.meet_t is None and big.join_t is not None
+
+
+def test_sweep_tables_refused_from_q_and_d():
+    for q, d in [(2, 3), (2, 6), (43, 3)]:
+        P, L = space_size(q, d)
+        assert P <= projgeom._JOIN_TABLE_CAP and L <= projgeom._MEET_TABLE_CAP
+        check_sweep_tables(q, d)
+    assert space_size(2, 7) == (127, 2667)
+    for q, d in [(2, 7), (47, 3), (2, 12), (3, 8)]:
+        with pytest.raises(GeomError, match="incidence tables"):
+            check_sweep_tables(q, d)
+    with pytest.raises(GeomError, match="dim_v"):
+        check_sweep_tables(5, 1)
 
 
 def test_code_points_is_read_only():
@@ -664,6 +690,15 @@ def ref_noncollinear_triples(S):
     return np.array(out, dtype=np.int32)
 
 
+def ref_noncollinear_triples_mask(S):
+    """The on_line gather the line_pts scatter replaced."""
+    P = S.n_points
+    a, b = np.nonzero(~np.eye(P, dtype=bool))
+    flat = np.flatnonzero(~S.on_line.T[S.join_t[a, b]])
+    return np.stack([a[flat // P], b[flat // P], flat % P],
+                    axis=1).astype(np.int32)
+
+
 def ref_desargues(tri, join_t, meet_t, on_line, rows=None):
     """Full T x T scan the frame reduction replaced; rows picks the first
     triples to scan (all by default).  Returns (checked, witness)."""
@@ -717,6 +752,14 @@ def test_noncollinear_triples_matches_loop(p, n, d):
     got = noncollinear_triples(S)
     assert got.dtype == np.int32
     assert np.array_equal(got, ref_noncollinear_triples(S))
+
+
+@pytest.mark.parametrize("q,d", [(2, 3), (3, 3), (4, 3), (3, 4), (2, 5)])
+def test_noncollinear_triples_matches_mask_gather(q, d):
+    S = ProjSpace(field_of_order(q), d)
+    got = noncollinear_triples(S)
+    assert got.dtype == np.int32
+    assert np.array_equal(got, ref_noncollinear_triples_mask(S))
 
 
 def test_noncollinear_triples_budget():

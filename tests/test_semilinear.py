@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from collinext import semilinear
 from collinext.gf import make_field, solve_linear
 from collinext.projgeom import ProjSpace
 from collinext.semilinear import (
@@ -208,6 +209,34 @@ def test_random_semilinear_seeded():
     b = random_semilinear(S, np.random.default_rng(42))
     assert (a.mat == b.mat).all() and a.frob_exp == b.frob_exp
     assert mat_det(S.field, a.mat.tolist()) != 0
+
+
+def ref_normalized(iso):
+    """normalized() as a fresh, rank-checked construction."""
+    f = iso.field
+    flat = iso.mat.ravel()
+    s = f.inv(int(flat[np.argmax(flat != 0)]))
+    return SemilinearIso(iso.space, f.mul_t[s, iso.mat], iso.frob_exp)
+
+
+def test_normalized_matches_checked_construction(monkeypatch):
+    def no_rref(*args):
+        raise AssertionError("normalized() re-ran the rank check")
+    for p, n, d in DECODE_SPACES + [(5, 1, 5)]:
+        S = space(p, n, d)
+        rng = np.random.default_rng(7 * p + 3 * n + d)
+        for _ in range(6):
+            iso = random_semilinear(S, rng)
+            before = iso.mat.copy()
+            want = ref_normalized(iso)
+            with monkeypatch.context() as m:
+                m.setattr(semilinear, "rref", no_rref)
+                got = iso.normalized()
+            assert got is not iso and np.array_equal(iso.mat, before)
+            assert got.space is S and got.frob_exp == want.frob_exp
+            assert got.mat.dtype == want.mat.dtype
+            assert np.array_equal(got.mat, want.mat)
+            assert np.array_equal(got.sigma_array(), iso.sigma_array())
 
 
 def ref_decode_ftpg(coll):
