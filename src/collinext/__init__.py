@@ -1,15 +1,19 @@
 """Finite projective spaces over small fields, with partial collineation
 extension, admissible-family machinery, prime-set growth recovery, and a
-genus-zero function field demonstration pipeline."""
+genus-zero function field demonstration pipeline.
+
+Everything is index-level.  A field element is an index into the tables of
+a GF, and a polynomial is a tuple of them (collinext.gf).  Points and lines
+are indices into a ProjSpace's tables, and a collineation is a point map
+and a line map as index arrays, decoded to a semilinear map by the
+fundamental theorem of projective geometry."""
 
 __version__ = "0.1.0"
 
 from .gf import GF, GFError, make_field
-from .projgeom import (GeomError, ProjSpace, ProjPoint, ProjLine, join, meet,
-                       collinear, concurrent, span_rank, perspectivity,
-                       AxiomReport, noncollinear_triples, check_axioms,
-                       DesarguesCheck, desargues_admissible, check_desargues,
-                       desargues_sweep, gaussian_binomial)
+from .projgeom import (GeomError, ProjSpace, AxiomReport, noncollinear_triples,
+                       check_axioms, desargues_admissible, desargues_sweep,
+                       gaussian_binomial)
 from .semilinear import (SemilinearError, FieldIso, SemilinearIso,
                          Collineation, random_semilinear, equal_up_to_scalar,
                          decode_ftpg)

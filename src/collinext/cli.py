@@ -15,7 +15,7 @@ import numpy as np
 
 from .gf import GFError, field_of_order
 from .projgeom import (GeomError, ProjSpace, check_axioms, check_sweep_tables,
-                       desargues_sweep)
+                       desargues_sweep, space_size)
 from .semilinear import SemilinearError, equal_up_to_scalar, random_semilinear
 from .ample import AmpleError, AmpleFamily
 from .extend import (ExtendError, brute_force_extensions, extend,
@@ -44,6 +44,14 @@ def _check_extend_pre(q, d, t, trials):
             "precondition: q = %d fails q > 3t+1 at t = %d" % (q, t))
 
 
+def _field(q, d, check=space_size):
+    """GF(q) once check(q, d) has passed, so an oversized space is refused
+    before the field tables (GF(2^10) alone takes seconds to build)."""
+    if q >= 2:   # space_size divides by q - 1; field_of_order refuses q
+        check(q, d)
+    return field_of_order(q)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -52,7 +60,7 @@ def cmd_extend(cfg):
     """Random scramble -> restrict -> extend -> decode round trips."""
     q, d, t = cfg.q, cfg.d, cfg.t
     _check_extend_pre(q, d, t, cfg.trials)
-    space = ProjSpace(field_of_order(q), d)
+    space = ProjSpace(_field(q, d), d)
     fam = AmpleFamily.size_at_most(t)
     trials = []
     for k in range(cfg.trials):
@@ -73,7 +81,7 @@ def cmd_oracle(cfg):
     """Exhaustive uniqueness counts against the extension output."""
     q, d, t = cfg.q, cfg.d, cfg.t
     _check_extend_pre(q, d, t, cfg.trials)
-    space = ProjSpace(field_of_order(q), d)
+    space = ProjSpace(_field(q, d), d)
     fam = AmpleFamily.size_at_most(t)
     trials = []
     for k in range(cfg.trials):
@@ -124,9 +132,7 @@ def cmd_ffdemo(cfg):
 
 def cmd_checkgeom(cfg):
     """Exhaustive incidence axioms and the Desargues property."""
-    f = field_of_order(cfg.q)
-    check_sweep_tables(f.q, cfg.d)
-    space = ProjSpace(f, cfg.d)
+    space = ProjSpace(_field(cfg.q, cfg.d, check_sweep_tables), cfg.d)
     ax = check_axioms(space)
     sample = None if space.d == 3 else 2000
     checked, witness = desargues_sweep(space, sample=sample, seed=cfg.seed)

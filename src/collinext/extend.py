@@ -358,9 +358,7 @@ def random_ample_instance(space, t, rng):
     elif kind == "triangle":
         while True:
             a, b, c = map(int, rng.choice(P, size=3, replace=False))
-            # the line a v b is the one line of both pencils
-            l = np.intersect1d(space.pt_lines[a], space.pt_lines[b])[0]
-            if c not in space.line_pts[l]:
+            if c not in space.line_pts[space.join_idx(a, b)]:
                 removed = {a, b, c}
                 break
     return [p for p in range(P) if p not in removed], kind

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import GF, field_of_order, mat_apply
+from .gf import (GF, field_of_order, mat_apply, padd, pdivmod, peval,
+                 pfactor, pgcd, pirreducible, pmonic, pmul, pneg, ppow,
+                 pscale, ptrim)
 from ._kernels import pair_mult_scan
 from .projgeom import ProjSpace
 from .semilinear import Collineation, SemilinearIso
@@ -24,137 +26,6 @@ from .extend import extend, restrict
 
 class FuncFieldError(Exception):
     pass
-
-
-# ---------------------------------------------------------------------------
-# dense polynomial arithmetic over a GF (tuples, constant term first)
-# ---------------------------------------------------------------------------
-
-def ptrim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(int(x) for x in c)
-
-
-def padd(f, a, b):
-    n = max(len(a), len(b))
-    a = tuple(a) + (0,) * (n - len(a))
-    b = tuple(b) + (0,) * (n - len(b))
-    return ptrim(int(f.add_t[x, y]) for x, y in zip(a, b))
-
-
-def pneg(f, a):
-    return tuple(int(f.neg_t[x]) for x in a)
-
-
-def pscale(f, a, s):
-    if s == 0:
-        return ()
-    return tuple(int(f.mul_t[s, x]) for x in a)
-
-
-def pmul(f, a, b):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = int(f.add_t[out[i + j], f.mul_t[x, y]])
-    return ptrim(out)
-
-
-def pdivmod(f, a, b):
-    if not b:
-        raise FuncFieldError("polynomial division by zero")
-    a = list(a)
-    il = int(f.inv_t[b[-1]])
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    for k in range(len(a) - len(b), -1, -1):
-        c = int(f.mul_t[a[k + len(b) - 1], il])
-        q[k] = c
-        if c:
-            for i, y in enumerate(b):
-                a[k + i] = int(f.add_t[a[k + i], f.neg_t[f.mul_t[c, y]]])
-    return ptrim(q), ptrim(a)
-
-
-def pmonic(f, a):
-    if not a:
-        return ()
-    return pscale(f, a, int(f.inv_t[a[-1]]))
-
-
-def pgcd(f, a, b):
-    a, b = ptrim(a), ptrim(b)
-    while b:
-        a, b = b, pdivmod(f, a, b)[1]
-    return pmonic(f, a)
-
-
-def peval(f, a, x):
-    acc = 0
-    for c in reversed(a):
-        acc = int(f.add_t[f.mul_t[acc, x], c])
-    return acc
-
-
-def ppow(f, a, k):
-    out = (1,)
-    for _ in range(k):
-        out = pmul(f, out, a)
-    return out
-
-
-_irr_cache = {}
-
-
-def irreducible_monics(f, deg):
-    """All monic irreducible polynomials of the given degree, sorted."""
-    key = (f, deg)
-    if key in _irr_cache:
-        return _irr_cache[key]
-    if deg < 1:
-        raise FuncFieldError("degree must be >= 1")
-    lower = []
-    for d in range(1, deg // 2 + 1):
-        lower.extend(irreducible_monics(f, d))
-    out = []
-    for code in range(f.q ** deg):
-        c, digs = code, []
-        for _ in range(deg):
-            digs.append(c % f.q)
-            c //= f.q
-        poly = tuple(digs) + (1,)
-        if deg > 1 and all(pdivmod(f, poly, g)[1] for g in lower):
-            out.append(poly)
-        elif deg == 1:
-            out.append(poly)
-    _irr_cache[key] = out
-    return out
-
-
-def pfactor(f, a):
-    """Monic irreducible factorization {poly: multiplicity}; unit dropped."""
-    a = pmonic(f, ptrim(a))
-    if not a:
-        raise FuncFieldError("cannot factor the zero polynomial")
-    out = {}
-    d = 1
-    while len(a) - 1 >= 2 * d:
-        for g in irreducible_monics(f, d):
-            while True:
-                q, r = pdivmod(f, a, g)
-                if r:
-                    break
-                out[g] = out.get(g, 0) + 1
-                a = q
-        d += 1
-    if len(a) > 1:
-        out[a] = out.get(a, 0) + 1
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -176,12 +47,8 @@ class ClosedPointP1:
         if len(poly) < 2 or poly[-1] != 1:
             raise FuncFieldError("closed point needs a monic polynomial "
                                  "of degree >= 1")
-        d = len(poly) - 1
-        if d > 1:
-            lower = [g for k in range(1, d // 2 + 1)
-                     for g in irreducible_monics(field, k)]
-            if any(not pdivmod(field, poly, g)[1] for g in lower):
-                raise FuncFieldError("polynomial is reducible")
+        if not pirreducible(field, poly):
+            raise FuncFieldError("polynomial is reducible")
         return ClosedPointP1(field, poly)
 
     @property

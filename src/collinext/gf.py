@@ -5,131 +5,22 @@ of the residue polynomial, constant term first: idx = sum(c_i * p**i).
 Index 0 is zero and index 1 is one in every field.  Fields up to
 q = Q_CAP = 2**10 are supported, and all arithmetic is lookups in full
 q x q tables built at construction.
+
+Polynomials over a field are tuples of element indices, constant term
+first, with no trailing zeros; make_field finds its modulus with them.
 """
 
+import itertools
+
 import numpy as np
+
+from .primesets import is_prime_u64
 
 Q_CAP = 1 << 10  # full q x q tables are built up to this
 
 
 class GFError(Exception):
     pass
-
-
-# ---------------------------------------------------------------------------
-# polynomials over Z/p (plain int-list coefficient vectors, constant first)
-# ---------------------------------------------------------------------------
-
-def _ptrim(a):
-    i = len(a)
-    while i > 0 and a[i - 1] == 0:
-        i -= 1
-    return a[:i]
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
-
-
-def _pmod(a, f, p):
-    # f monic
-    a = list(a)
-    df = len(f) - 1
-    while len(a) - 1 >= df and a:
-        a = _ptrim(a)
-        if len(a) - 1 < df:
-            break
-        lead = a[-1]
-        shift = len(a) - 1 - df
-        for i, fi in enumerate(f):
-            a[shift + i] = (a[shift + i] - lead * fi) % p
-        a = _ptrim(a)
-    return a
-
-
-def _ppowmod(base, e, f, p):
-    r = [1]
-    b = _pmod(base, f, p)
-    while e:
-        if e & 1:
-            r = _pmod(_pmul(r, b, p), f, p)
-        b = _pmod(_pmul(b, b, p), f, p)
-        e >>= 1
-    return r
-
-
-def _pgcd(a, b, p):
-    a, b = _ptrim(list(a)), _ptrim(list(b))
-    while b:
-        # make b monic before reducing
-        inv = pow(b[-1], p - 2, p)
-        b = [(c * inv) % p for c in b]
-        a, b = b, _pmod(a, b, p)
-    return a
-
-
-def _is_prime(m):
-    if m < 2:
-        return False
-    if m < 4:
-        return True
-    if m % 2 == 0:
-        return False
-    d = 3
-    while d * d <= m:
-        if m % d == 0:
-            return False
-        d += 2
-    return True
-
-
-def _irreducible(coeffs, p):
-    """Monic coeffs (constant first, leading 1), degree n >= 1, over Z/p."""
-    f = list(coeffs)
-    n = len(f) - 1
-    if n == 1:
-        return True
-    x = [0, 1]
-    # x^(p^n) == x mod f
-    t = x
-    for _ in range(n):
-        t = _ppowmod(t, p, f, p)
-    if _ptrim([(ti - xi) % p for ti, xi in _zippad(t, x, p)]):
-        return False
-    for r in _prime_divisors(n):
-        t = x
-        for _ in range(n // r):
-            t = _ppowmod(t, p, f, p)
-        g = _pgcd([(ti - xi) % p for ti, xi in _zippad(t, x, p)], f, p)
-        if len(g) - 1 != 0:
-            return False
-    return True
-
-
-def _zippad(a, b, p):
-    m = max(len(a), len(b))
-    return [(a[i] if i < len(a) else 0, b[i] if i < len(b) else 0) for i in range(m)]
-
-
-def _prime_divisors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +195,143 @@ class GF:
         return "GF(%d^%d)" % (self.p, self.n)
 
 
+# ---------------------------------------------------------------------------
+# dense polynomial arithmetic over a GF (tuples, constant term first)
+# ---------------------------------------------------------------------------
+
+def ptrim(c):
+    c = list(c)
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(int(x) for x in c)
+
+
+def padd(f, a, b):
+    n = max(len(a), len(b))
+    a = tuple(a) + (0,) * (n - len(a))
+    b = tuple(b) + (0,) * (n - len(b))
+    return ptrim(int(f.add_t[x, y]) for x, y in zip(a, b))
+
+
+def pneg(f, a):
+    return tuple(int(f.neg_t[x]) for x in a)
+
+
+def pscale(f, a, s):
+    if s == 0:
+        return ()
+    return tuple(int(f.mul_t[s, x]) for x in a)
+
+
+def pmul(f, a, b):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j, y in enumerate(b):
+            out[i + j] = int(f.add_t[out[i + j], f.mul_t[x, y]])
+    return ptrim(out)
+
+
+def pdivmod(f, a, b):
+    if not b:
+        raise GFError("polynomial division by zero")
+    a = list(a)
+    il = int(f.inv_t[b[-1]])
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(a) - len(b), -1, -1):
+        c = int(f.mul_t[a[k + len(b) - 1], il])
+        q[k] = c
+        if c:
+            for i, y in enumerate(b):
+                a[k + i] = int(f.add_t[a[k + i], f.neg_t[f.mul_t[c, y]]])
+    return ptrim(q), ptrim(a)
+
+
+def pmonic(f, a):
+    if not a:
+        return ()
+    return pscale(f, a, int(f.inv_t[a[-1]]))
+
+
+def pgcd(f, a, b):
+    a, b = ptrim(a), ptrim(b)
+    while b:
+        a, b = b, pdivmod(f, a, b)[1]
+    return pmonic(f, a)
+
+
+def peval(f, a, x):
+    acc = 0
+    for c in reversed(a):
+        acc = int(f.add_t[f.mul_t[acc, x], c])
+    return acc
+
+
+def ppow(f, a, k):
+    out = (1,)
+    for _ in range(k):
+        out = pmul(f, out, a)
+    return out
+
+
+_irr_cache = {}
+
+
+def irreducible_monics(f, deg):
+    """All monic irreducible polynomials of the given degree, sorted."""
+    key = (f, deg)
+    if key in _irr_cache:
+        return _irr_cache[key]
+    if deg < 1:
+        raise GFError("degree must be >= 1")
+    out = []
+    for code in range(f.q ** deg):
+        c, digs = code, []
+        for _ in range(deg):
+            digs.append(c % f.q)
+            c //= f.q
+        poly = tuple(digs) + (1,)
+        if pirreducible(f, poly):
+            out.append(poly)
+    _irr_cache[key] = out
+    return out
+
+
+def pirreducible(f, a):
+    """Whether a monic polynomial of degree >= 1 has no monic irreducible
+    factor of degree at most half its own."""
+    return all(pdivmod(f, a, g)[1] for k in range(1, (len(a) - 1) // 2 + 1)
+               for g in irreducible_monics(f, k))
+
+
+def pfactor(f, a):
+    """Monic irreducible factorization {poly: multiplicity}; unit dropped."""
+    a = pmonic(f, ptrim(a))
+    if not a:
+        raise GFError("cannot factor the zero polynomial")
+    out = {}
+    d = 1
+    while len(a) - 1 >= 2 * d:
+        for g in irreducible_monics(f, d):
+            while True:
+                q, r = pdivmod(f, a, g)
+                if r:
+                    break
+                out[g] = out.get(g, 0) + 1
+                a = q
+        d += 1
+    if len(a) > 1:
+        out[a] = out.get(a, 0) + 1
+    return out
+
+
+# ---------------------------------------------------------------------------
+# field construction
+# ---------------------------------------------------------------------------
+
 _FIELD_CACHE = {}
 
 
@@ -317,25 +345,24 @@ def make_field(p, n=1):
     key = (p, n)
     if key in _FIELD_CACHE:
         return _FIELD_CACHE[key]
-    if not _is_prime(p):
+    if not is_prime_u64(p):
         raise GFError("p = %d is not prime" % p)
     if n < 1:
         raise GFError("n must be >= 1")
     if p ** n > Q_CAP:
         raise GFError("p^n = %d exceeds cap %d" % (p ** n, Q_CAP))
-    if n == 1:
-        f = GF(p, 1, (0, 1))
-        _FIELD_CACHE[key] = f
-        return f
-    import itertools
+    modulus = (0, 1) if n == 1 else _least_modulus(p, n)
+    f = _FIELD_CACHE[key] = GF(p, n, modulus)
+    return f
+
+
+def _least_modulus(p, n):
+    """The least monic irreducible of degree n over GF(p), in make_field's
+    order."""
+    f = make_field(p)
     for tail in itertools.product(range(p), repeat=n):
-        coeffs = tuple(tail) + (1,)
-        if coeffs[0] == 0:
-            continue  # divisible by x
-        if _irreducible(coeffs, p):
-            f = GF(p, n, coeffs)
-            _FIELD_CACHE[key] = f
-            return f
+        if pirreducible(f, tail + (1,)):
+            return tail + (1,)
     raise GFError("no irreducible modulus found (unreachable)")
 
 

@@ -7,7 +7,7 @@ subspaces enumerated by their reduced row-echelon basis and looked up by
 their two lowest points.  A space is built with its points, lines and
 pencils; the dense point-on-line mask and the join/meet lookup tables
 that the sweeps read are built on first read.  Above their caps the
-join/meet tables are None and lookups fall back to arithmetic.
+join/meet tables are None.
 """
 
 from dataclasses import dataclass
@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .gf import GF, mat_apply, rref
+from .gf import GF, mat_apply
 
 P_CAP = 10_000          # hard point-count cap, desk scale
 _JOIN_TABLE_CAP = 2048  # P x P join table below this many points
@@ -37,10 +37,14 @@ def gaussian_binomial(d, k, q):
 
 
 def space_size(q, d):
-    """(points, lines) of P(F_q^d), from q and d alone."""
+    """(points, lines) of P(F_q^d), from q and d alone; refused above
+    P_CAP points, before anything is allocated."""
     if d < 2:
         raise GeomError("dim_v must be >= 2")
-    return (q ** d - 1) // (q - 1), gaussian_binomial(d, 2, q)
+    P = (q ** d - 1) // (q - 1)
+    if P > P_CAP:
+        raise GeomError("space has %d points, cap is %d" % (P, P_CAP))
+    return P, gaussian_binomial(d, 2, q)
 
 
 def check_sweep_tables(q, d):
@@ -64,8 +68,6 @@ class ProjSpace:
         q = field.q
         self.q = q
         self.n_points, self.n_lines = space_size(q, self.d)
-        if self.n_points > P_CAP:
-            raise GeomError("space has %d points, cap is %d" % (self.n_points, P_CAP))
         self.pts_per_line = q + 1
         self.lines_per_pt = (q ** (self.d - 1) - 1) // (q - 1)
         # weights of a vector code, see code_vectors
@@ -227,208 +229,24 @@ class ProjSpace:
         pos = np.minimum(np.searchsorted(self._keys, key), self.n_lines - 1)
         return np.where(self._keys[pos] == key, self._key_order[pos], -1)
 
-    def line_through_vecs(self, v0, v1):
-        """Line index of the span of two independent vectors."""
-        v = np.array([v0, v1], dtype=np.int32)
-        if not v.any(axis=1).all() or np.ptp(self.canon_index_many(v)) == 0:
-            raise GeomError("vectors are dependent, no unique line")
-        a, b = np.sort(self.span_points(v[:1], v[1:])[0])[:2]
-        return int(self.line_of(a, b))
-
     # -- index-level operations -------------------------------------------
 
     def join_idx(self, p, q):
+        """Line through two distinct points: the one line of both pencils."""
         if p == q:
             raise GeomError("join needs two distinct points")
-        if self.join_t is not None:
-            return int(self.join_t[p, q])
-        return self.line_through_vecs(self.pts[p], self.pts[q])
-
-    def meet_idx(self, l, m):
-        """Common point of two distinct lines, or -1."""
-        if l == m:
-            raise GeomError("meet needs two distinct lines")
-        if self.meet_t is not None:
-            return int(self.meet_t[l, m])
-        common = np.intersect1d(self.line_pts[l], self.line_pts[m])
-        return int(common[0]) if len(common) else -1
+        return int(np.intersect1d(self.pt_lines[p], self.pt_lines[q])[0])
 
     def meet_many(self, ls, ms):
-        """meet_idx over arrays of distinct line pairs, -1 where skew."""
+        """Common point of each pair of distinct lines of two arrays, -1
+        where skew."""
         a, b = self.line_pts[ls], self.line_pts[ms]
         hit = (a[:, :, None] == b[:, None, :]).any(axis=2)
         return np.where(hit.any(axis=1),
                         a[np.arange(len(a)), hit.argmax(axis=1)], -1)
 
-    def point(self, spec):
-        if isinstance(spec, ProjPoint):
-            if spec.space is not self:
-                raise GeomError("point belongs to a different space")
-            return spec
-        if isinstance(spec, (int, np.integer)):
-            i = int(spec)
-            if not 0 <= i < self.n_points:
-                raise GeomError("point index out of range")
-            return ProjPoint(self, i)
-        try:
-            vec = np.array(spec, dtype=np.int64)
-        except (TypeError, ValueError, OverflowError) as err:
-            raise GeomError("point spec is not an index vector: %s" % err)
-        if vec.shape != (self.d,):
-            raise GeomError("point vector must have %d entries" % self.d)
-        if ((vec < 0) | (vec >= self.q)).any():
-            raise GeomError("point vector has an entry outside [0, %d)"
-                            % self.q)
-        return ProjPoint(self, int(self.canon_index_many(vec)))
-
-    def line(self, i):
-        i = int(i)
-        if not 0 <= i < self.n_lines:
-            raise GeomError("line index out of range")
-        return ProjLine(self, i)
-
-    def points(self):
-        return [ProjPoint(self, i) for i in range(self.n_points)]
-
-    def lines(self):
-        return [ProjLine(self, i) for i in range(self.n_lines)]
-
     def __repr__(self):
         return "ProjSpace(%r, d=%d)" % (self.field, self.d)
-
-
-@dataclass(frozen=True)
-class ProjPoint:
-    space: ProjSpace
-    idx: int
-
-    @property
-    def coords(self):
-        return tuple(int(x) for x in self.space.pts[self.idx])
-
-    def __eq__(self, other):
-        return (isinstance(other, ProjPoint) and other.space is self.space
-                and other.idx == self.idx)
-
-    def __hash__(self):
-        return hash((id(self.space), self.idx))
-
-    def __repr__(self):
-        return "Pt%r" % (self.coords,)
-
-
-@dataclass(frozen=True)
-class ProjLine:
-    space: ProjSpace
-    idx: int
-
-    @property
-    def basis(self):
-        s = self.space
-        return (tuple(int(x) for x in s.line_b0[self.idx]),
-                tuple(int(x) for x in s.line_b1[self.idx]))
-
-    @property
-    def point_indices(self):
-        return [int(x) for x in self.space.line_pts[self.idx]]
-
-    def points(self):
-        return [ProjPoint(self.space, i) for i in self.point_indices]
-
-    def __contains__(self, p):
-        return p.idx in self.space.line_pts[self.idx]
-
-    def __eq__(self, other):
-        return (isinstance(other, ProjLine) and other.space is self.space
-                and other.idx == self.idx)
-
-    def __hash__(self):
-        return hash(("line", id(self.space), self.idx))
-
-    def __repr__(self):
-        return "Line(%d)" % self.idx
-
-
-# ---------------------------------------------------------------------------
-# basic operations
-# ---------------------------------------------------------------------------
-
-def join(p, q):
-    if p.space is not q.space:
-        raise GeomError("points from different spaces")
-    return ProjLine(p.space, p.space.join_idx(p.idx, q.idx))
-
-
-def meet(l, m):
-    """Intersection point of two distinct lines, None if skew."""
-    if l.space is not m.space:
-        raise GeomError("lines from different spaces")
-    i = l.space.meet_idx(l.idx, m.idx)
-    return None if i < 0 else ProjPoint(l.space, i)
-
-
-def collinear(points):
-    pts = list(points)
-    distinct = []
-    for p in pts:
-        if all(p != r for r in distinct):
-            distinct.append(p)
-    if len(distinct) <= 2:
-        return True
-    ln = join(distinct[0], distinct[1])
-    return all(p in ln for p in distinct[2:])
-
-
-def concurrent(lines):
-    lns = list(lines)
-    distinct = []
-    for l in lns:
-        if all(l != r for r in distinct):
-            distinct.append(l)
-    if len(distinct) <= 1:
-        return True
-    x = meet(distinct[0], distinct[1])
-    if x is None:
-        return False
-    return all(x in l for l in distinct[2:])
-
-
-def span_rank(space, vec_rows):
-    _, piv = rref(space.field, [list(map(int, r)) for r in vec_rows])
-    return len(piv)
-
-
-class Perspectivity:
-    """Central projection of one line onto another from a point off both."""
-
-    def __init__(self, l1, l2, center):
-        space = l1.space
-        if l2.space is not space or center.space is not space:
-            raise GeomError("objects from different spaces")
-        if l1 == l2:
-            raise GeomError("perspectivity needs two distinct lines")
-        if center in l1 or center in l2:
-            raise GeomError("center must avoid both lines")
-        b1, b2 = l1.basis, l2.basis
-        if span_rank(space, list(b1) + list(b2) + [space.pts[center.idx]]) != 3:
-            raise GeomError("lines and center are not coplanar")
-        self.l1, self.l2, self.center = l1, l2, center
-        mapping = {}
-        for p in l1.points():
-            img = meet(join(p, center), l2)
-            assert img is not None  # coplanar by construction
-            mapping[p] = img
-        self.mapping = mapping
-
-    def __call__(self, p):
-        try:
-            return self.mapping[p]
-        except KeyError:
-            raise GeomError("point not on the source line")
-
-
-def perspectivity(l1, l2, center):
-    return Perspectivity(l1, l2, center)
 
 
 # ---------------------------------------------------------------------------
@@ -509,52 +327,17 @@ def check_axioms(space):
 # Desargues
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DesarguesCheck:
-    left: bool       # the three connector lines p_i v q_i are concurrent
-    right: bool      # the three side intersections exist and are collinear
-    agree: bool
-    meets: tuple
-
-
 def desargues_admissible(space, ps, qs):
-    """Hypotheses: both triples non-collinear, p_i != q_i, and the three
-    corresponding side pairs are distinct lines (so their intersections
-    are points)."""
-    p1, p2, p3 = ps
-    q1, q2, q3 = qs
-    if collinear([space.point(p1), space.point(p2), space.point(p3)]):
-        return False
-    if collinear([space.point(q1), space.point(q2), space.point(q3)]):
-        return False
-    for a, b in zip(ps, qs):
-        if space.point(a) == space.point(b):
+    """Hypotheses on point indices: both triples non-collinear, p_i != q_i,
+    and the three corresponding sides distinct lines (so their
+    intersections are points)."""
+    for a, b, c in (ps, qs):
+        if a == b or c in space.line_pts[space.join_idx(a, b)]:
             return False
-    for (a, b), (c, d) in (((p1, p2), (q1, q2)), ((p2, p3), (q2, q3)), ((p3, p1), (q3, q1))):
-        if space.join_idx(space.point(a).idx, space.point(b).idx) == \
-           space.join_idx(space.point(c).idx, space.point(d).idx):
-            return False
-    return True
-
-
-def check_desargues(space, ps, qs):
-    """Evaluate both sides of the perspectivity equivalence on one
-    admissible configuration."""
-    ps = [space.point(p) for p in ps]
-    qs = [space.point(q) for q in qs]
-    if not desargues_admissible(space, ps, qs):
-        raise GeomError("inadmissible configuration")
-    left = concurrent([join(a, b) for a, b in zip(ps, qs)])
-    pairs = ((0, 1), (1, 2), (2, 0))
-    rs = []
-    for i, j in pairs:
-        r = meet(join(ps[i], ps[j]), join(qs[i], qs[j]))
-        rs.append(r)
-    if any(r is None for r in rs):
-        right = False
-    else:
-        right = collinear(rs)
-    return DesarguesCheck(left, right, left == right, tuple(rs))
+    if any(p == q for p, q in zip(ps, qs)):
+        return False
+    return all(space.join_idx(ps[i], ps[j]) != space.join_idx(qs[i], qs[j])
+               for i, j in ((0, 1), (1, 2), (2, 0)))
 
 
 def _transvection_maps(space):

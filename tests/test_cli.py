@@ -216,6 +216,35 @@ def test_checkgeom_refuses_before_building_the_space(q, d, capsys,
     assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize("args", [
+    ["--cmd", "extend", "--q", "1024", "--d", "3"],
+    ["--cmd", "checkgeom", "--q", "1024", "--d", "3"],
+    ["--cmd", "oracle", "--q", "729", "--d", "3"],
+], ids=["extend", "checkgeom", "oracle"])
+def test_oversized_spaces_refused_before_the_field(args, capsys,
+                                                   monkeypatch):
+    # the point and sweep caps are read off (q, d); these used to refuse
+    # only after building GF(q), 2.2 s of tables at q = 1024
+    def no_field(q):
+        raise AssertionError("the field was built")
+    monkeypatch.setattr(cli, "field_of_order", no_field)
+    t0 = time.perf_counter()
+    code, out = run_main(args, capsys)
+    assert code == 2 and out == ""
+    assert time.perf_counter() - t0 < 0.5
+
+
+def test_q_below_two_refused_as_not_a_prime_power(capsys):
+    # the size check divides by q - 1, so these reach field_of_order
+    for cmd in ("extend", "oracle", "checkgeom"):
+        for q in ("0", "1", "-3"):
+            code = cli.main(["--cmd", cmd, "--q", q, "--d", "3",
+                             "--t", "-2"])
+            out, err = capsys.readouterr()
+            assert code == 2 and out == "", (cmd, q)
+            assert "q = %s is not a supported prime power" % q in err
+
+
 def test_config_trials_echo_the_battery_that_ran(capsys):
     # single-record commands ignore --trials; the report must not claim it
     for args in (["--cmd", "checkgeom", "--q", "2", "--d", "3",

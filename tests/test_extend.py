@@ -179,7 +179,7 @@ def test_extend_roundtrip_frobenius_f9():
     removed = set()
     while True:
         a, b, c = map(int, rng.choice(S.n_points, size=3, replace=False))
-        if not S.on_line[c, S.join_idx(a, b)]:
+        if not S.on_line[c, S.join_t[a, b]]:
             removed = {a, b, c}
             break
     base = random_semilinear(S, rng)
@@ -356,12 +356,12 @@ def test_random_instances_are_ample():
 
 def ref_triangle_instance(S, rng):
     """The triangle draw of random_ample_instance at t = 2, collinearity
-    by join_idx; returns U and the number of collinear draws rejected."""
+    by join_t; returns U and the number of collinear draws rejected."""
     rng.integers(0, 6)   # the kind: one of the six kinds at t = 2
     rejected = 0
     while True:
         a, b, c = map(int, rng.choice(S.n_points, size=3, replace=False))
-        if c not in S.line_pts[S.join_idx(a, b)]:
+        if c not in S.line_pts[S.join_t[a, b]]:
             return minus(S, {a, b, c}), rejected
         rejected += 1
 

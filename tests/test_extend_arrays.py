@@ -85,8 +85,8 @@ def ref_validate(pc, concurrency="sampled", samples=300, seed=0):
                                     "image point", (p,))
     if concurrency:
         for l, m in ref_line_pairs(meeting, concurrency, samples, seed):
-            x = S1.meet_idx(l, m)
-            y = S2.meet_idx(tau[l], tau[m])
+            x = S1.meet_t[l, m]
+            y = S2.meet_t[tau[l], tau[m]]
             if x >= 0 and y < 0:
                 return ValidationReport(
                     False, "Step2-1: images not concurrent", (l, m))
@@ -119,14 +119,14 @@ def ref_extend_point(pc, p, seq):
         if u == p:
             continue
         searched += 1
-        l = S1.join_idx(p, u)
+        l = int(S1.join_t[p, u])
         if l not in tau:
             raise ExtendError("tau undefined on a line meeting the domain")
         if first < 0:
             first = l
         elif l != first:
             t1, t2 = tau[first], tau[l]
-            x = -1 if t1 == t2 else S2.meet_idx(t1, t2)
+            x = -1 if t1 == t2 else S2.meet_t[t1, t2]
             if x < 0:
                 raise ExtendError("Step2-1: images not concurrent")
             return int(x), searched

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from collinext import funcfield
-from collinext.gf import field_of_order, make_field, mat_apply
+from collinext.gf import (field_of_order, irreducible_monics, make_field,
+                          mat_apply, padd, pdivmod, pfactor, pgcd, pmonic, pmul,
+                          ptrim)
 from collinext.projgeom import ProjSpace
 from collinext._kernels import pair_mult_scan
 from collinext.ample import AmpleFamily
@@ -22,14 +24,8 @@ from collinext.funcfield import (
     apply_psi,
     demo_instance,
     divisor_of,
-    irreducible_monics,
     moebius_point_image,
     moebius_substitute,
-    pdivmod,
-    pfactor,
-    pgcd,
-    pmul,
-    ptrim,
     recover_ring_iso,
     rr_basis,
     run_demo,
@@ -66,13 +62,8 @@ def test_poly_arithmetic_roundtrip():
         if not b:
             continue
         q, r = pdivmod(f, a, b)
-        assert padd_check(f, pmul(f, q, b), r) == a
+        assert padd(f, pmul(f, q, b), r) == a
         assert len(r) < len(b)
-
-
-def padd_check(f, a, b):
-    from collinext.funcfield import padd
-    return padd(f, a, b)
 
 
 def test_irreducible_counts():
@@ -97,7 +88,6 @@ def test_pfactor_roundtrip():
             for _ in range(m):
                 prod = pmul(f, prod, g)
         # factorization is of the monic part
-        from collinext.funcfield import pmonic
         assert prod == pmonic(f, a)
 
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from collinext.gf import (
-    GFError, make_field, field_of_order, mat_apply, rref, solve_linear,
+    Q_CAP, GFError, _least_modulus, make_field, field_of_order, mat_apply,
+    rref, solve_linear,
 )
 
 SMALL = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)]
@@ -23,22 +24,42 @@ def test_moduli_frozen():
     assert make_field(5, 1).modulus == (0, 1)
 
 
+# tail (c_0, .., c_{n-1}) of the least monic irreducible modulus of every
+# non-prime field p^n <= Q_CAP, frozen from the Z/p list-polynomial finder
+# that make_field used before it moved onto the table-based layer
+MODULI = {
+    (2, 2): (1, 1), (2, 3): (1, 0, 1), (2, 4): (1, 0, 0, 1),
+    (2, 5): (1, 0, 0, 1, 0), (2, 6): (1, 0, 0, 0, 0, 1),
+    (2, 7): (1, 0, 0, 0, 0, 0, 1), (2, 8): (1, 0, 0, 0, 1, 1, 0, 1),
+    (2, 9): (1, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 10): (1, 0, 0, 0, 0, 0, 0, 1, 0, 0),
+    (3, 2): (1, 0), (3, 3): (1, 0, 2), (3, 4): (1, 0, 1, 1),
+    (3, 5): (1, 0, 0, 0, 2), (3, 6): (1, 0, 0, 0, 1, 1),
+    (5, 2): (1, 1), (5, 3): (1, 0, 1), (5, 4): (1, 0, 1, 1),
+    (7, 2): (1, 0), (7, 3): (1, 0, 1), (11, 2): (1, 0), (13, 2): (1, 3),
+    (17, 2): (1, 1), (19, 2): (1, 0), (23, 2): (1, 0), (29, 2): (1, 1),
+    (31, 2): (1, 0),
+}
+
+
 def test_moduli_least_irreducible_against_sympy():
-    from sympy import Poly, symbols
+    from sympy import Poly, isprime, symbols
     x = symbols("x")
 
     def irreducible(coeffs, p):
         return Poly(list(reversed(coeffs)), x, modulus=p).is_irreducible
 
-    for p, n in [(2, 2), (2, 3), (2, 4), (2, 8), (3, 2), (3, 3), (3, 4),
-                 (5, 2), (5, 3), (7, 2), (13, 2)]:
-        f = make_field(p, n)
-        assert irreducible(f.modulus, p), (p, n)
+    assert sorted(MODULI) == [(p, n) for p in range(2, 32) if isprime(p)
+                              for n in range(2, 11) if p ** n <= Q_CAP]
+    for (p, n), tail in MODULI.items():
+        # the finder alone: make_field(2, 10) would build 2^20-entry tables
+        assert _least_modulus(p, n) == tail + (1,), (p, n)
+        assert irreducible(tail + (1,), p), (p, n)
         # every candidate before it, constant term first, is reducible
-        for tail in itertools.product(range(p), repeat=n):
-            if tail == f.modulus[:n]:
+        for t in itertools.product(range(p), repeat=n):
+            if t == tail:
                 break
-            assert not irreducible(tail + (1,), p), (p, n, tail)
+            assert not irreducible(t + (1,), p), (p, n, t)
 
 
 def test_make_field_rejects():

@@ -1,5 +1,5 @@
 """Lines keyed by their two lowest points: line_of, the tau gather in
-Collineation, and the join fallback without a join table."""
+Collineation, and join_idx without a join table."""
 
 import copy
 
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from collinext.gf import make_field
-from collinext.projgeom import GeomError, ProjSpace
+from collinext.projgeom import ProjSpace
 from collinext.semilinear import Collineation, SemilinearError, random_semilinear
 
 SPACES = [(2, 2, 3), (3, 2, 3), (3, 1, 4), (2, 1, 5)]   # F_4, F_9, F_3, F_2
@@ -101,16 +101,3 @@ def test_join_fallback_agrees_with_table(p, n, d):
     pick = np.random.default_rng(d).choice(len(a), size=300, replace=False)
     for i, j in zip(a[pick], b[pick]):
         assert bare.join_idx(int(i), int(j)) == S.join_t[i, j]
-
-
-def test_dependent_vectors_have_no_line():
-    S = space(3, 2, 3)
-    f = S.field
-    v = S.pts[17]
-    for w in (v, f.mul_t[5, v], np.zeros(3, dtype=np.int32)):
-        with pytest.raises(GeomError, match="vectors are dependent, no "
-                                            "unique line"):
-            S.line_through_vecs(v, w)
-        with pytest.raises(GeomError, match="vectors are dependent"):
-            S.line_through_vecs(w, v)
-    assert S.line_through_vecs(v, S.pts[3]) == S.join_t[17, 3]

@@ -3,6 +3,7 @@
 import copy
 import itertools
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,21 +14,14 @@ from collinext import _kernels, cli, projgeom
 from collinext.semilinear import Collineation
 from collinext.projgeom import (
     GeomError,
-    Perspectivity,
     ProjSpace,
     check_axioms,
-    check_desargues,
     check_sweep_tables,
-    collinear,
-    concurrent,
     desargues_admissible,
     desargues_sweep,
     gaussian_binomial,
-    join,
-    meet,
     noncollinear_triples,
     space_size,
-    span_rank,
 )
 
 
@@ -103,19 +97,6 @@ def test_canon_index_rejects_zero():
         S.canon_index_many(np.zeros(3, dtype=np.int32))
     with pytest.raises(GeomError):
         S.canon_index_many(np.zeros((2, 3), dtype=np.int32))
-    with pytest.raises(GeomError):
-        S.point([0, 0, 0])
-
-
-def test_point_refuses_malformed_vectors():
-    S = space(5, 1, 3)
-    assert S.point([2, 4, 0]) == S.point([1, 2, 0]) == S.point(
-        np.array([3, 1, 0]))
-    assert S.point((0, 0, 3)).coords == (0, 0, 1)
-    for bad in ([-1, 0, 0], [1, 2, 3, 4], [7, 0, 0], [1, 2], [5, 0, 0],
-                [[1, 0, 0]], "abc", [1, None, 0], [0, 0, 0]):
-        with pytest.raises(GeomError):
-            S.point(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +296,7 @@ def test_join_meet_properties():
             l, m = int(l), int(m)
             if l == m:
                 continue
-            x = S.meet_idx(l, m)
+            x = S.meet_t[l, m]
             common = set(map(int, S.line_pts[l])) & set(map(int, S.line_pts[m]))
             if x < 0:
                 assert not common
@@ -327,8 +308,6 @@ def test_join_meet_reject_equal_args():
     S = space(3, 1, 3)
     with pytest.raises(GeomError):
         S.join_idx(4, 4)
-    with pytest.raises(GeomError):
-        S.meet_idx(2, 2)
 
 
 def test_planes_have_no_skew_lines():
@@ -336,7 +315,7 @@ def test_planes_have_no_skew_lines():
         S = space(p, n, 3)
         for l in range(S.n_lines):
             for m in range(l + 1, S.n_lines):
-                assert S.meet_idx(l, m) >= 0
+                assert S.meet_t[l, m] >= 0
 
 
 def test_dim4_has_skew_lines():
@@ -345,36 +324,9 @@ def test_dim4_has_skew_lines():
         1
         for l in range(S.n_lines)
         for m in range(l + 1, S.n_lines)
-        if S.meet_idx(l, m) < 0
+        if S.meet_t[l, m] < 0
     )
     assert skew > 0
-
-
-def test_fallback_join_meet_match_tables():
-    # force the arithmetic path and compare against the tables
-    S = space(3, 1, 3)
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        a, b = rng.integers(0, S.n_points, size=2)
-        a, b = int(a), int(b)
-        if a == b:
-            continue
-        assert S.line_through_vecs(S.pts[a], S.pts[b]) == S.join_t[a, b]
-
-
-def test_object_layer():
-    S = space(3, 1, 3)
-    P = S.points()
-    l = join(P[0], P[1])
-    assert P[0] in l and P[1] in l
-    assert len(l.points()) == S.q + 1
-    m = join(P[0], P[3])
-    x = meet(l, m)
-    assert x == P[0]
-    assert collinear(l.points())
-    assert not collinear([P[0], P[1], P[3]])
-    assert concurrent([l, m, join(P[0], P[5])])
-    assert span_rank(S, [S.pts[0], S.pts[1], S.pts[3]]) == 3
 
 
 def test_incidence_tables_consistent():
@@ -386,56 +338,6 @@ def test_incidence_tables_consistent():
             via_mask = set(np.nonzero(S.on_line[i])[0].tolist())
             assert via_rows == via_mask
             assert len(via_rows) == S.lines_per_pt
-
-
-# ---------------------------------------------------------------------------
-# perspectivities
-# ---------------------------------------------------------------------------
-
-def test_perspectivity_basic():
-    S = space(3, 1, 3)
-    l1, l2 = S.line(0), S.line(1)
-    x = meet(l1, l2)
-    center = next(
-        p for p in S.points() if p not in l1 and p not in l2
-    )
-    f = Perspectivity(l1, l2, center)
-    imgs = [f(p) for p in l1.points()]
-    assert all(p in l2 for p in imgs)
-    assert len(set(imgs)) == S.q + 1
-    assert f(x) == x
-    g = Perspectivity(l2, l1, center)
-    for p in l1.points():
-        assert g(f(p)) == p
-
-
-def test_perspectivity_rejects_bad_center():
-    S = space(3, 1, 3)
-    l1, l2 = S.line(0), S.line(1)
-    on_l1 = l1.points()[0]
-    with pytest.raises(GeomError):
-        Perspectivity(l1, l2, on_l1)
-    with pytest.raises(GeomError):
-        Perspectivity(l1, l1, S.point(12))
-
-
-def test_perspectivity_rejects_noncoplanar():
-    S = space(2, 1, 4)
-    # find two skew lines; any center makes this non-flat
-    skew = None
-    for l in range(S.n_lines):
-        for m in range(l + 1, S.n_lines):
-            if S.meet_idx(l, m) < 0:
-                skew = (l, m)
-                break
-        if skew:
-            break
-    l1, l2 = S.line(skew[0]), S.line(skew[1])
-    center = next(
-        p for p in S.points() if p not in l1 and p not in l2
-    )
-    with pytest.raises(GeomError):
-        Perspectivity(l1, l2, center)
 
 
 # ---------------------------------------------------------------------------
@@ -501,23 +403,72 @@ def test_desargues_admissibility_filters():
     ps, qs = [0, 3, 12], [1, 4, 11]
     assert not desargues_admissible(S, [0, 1, 2], qs)  # first triple collinear
     assert not desargues_admissible(S, ps, [0, 3, 11])  # shares two vertices
-    with pytest.raises(GeomError):
-        check_desargues(S, [0, 1, 2], qs)
+
+
+def ref_desargues_config(S, ps, qs):
+    """(left, right) of one configuration of point indices from the
+    definitions, None when it is not admissible.  Reads the join_t, meet_t
+    and line_pts the sweeps read.  Left: the connectors p_i v q_i, with
+    repeated lines dropped, are concurrent.  Right: the side meets
+    (p_i v p_j) ^ (q_i v q_j) exist and are collinear."""
+    jt, mt, lp = S.join_t, S.meet_t, S.line_pts
+
+    def collinear(pts):
+        pts = list(dict.fromkeys(pts))
+        return len(pts) <= 2 or all(x in lp[jt[pts[0], pts[1]]]
+                                    for x in pts[2:])
+
+    sides = [(0, 1), (1, 2), (2, 0)]
+    if (collinear(ps) or collinear(qs) or any(p == q for p, q in zip(ps, qs))
+            or any(jt[ps[i], ps[j]] == jt[qs[i], qs[j]] for i, j in sides)):
+        return None
+    lines = list(dict.fromkeys(int(jt[p, q]) for p, q in zip(ps, qs)))
+    x = mt[lines[0], lines[1]] if len(lines) > 1 else None
+    left = x is None or (x >= 0 and all(x in lp[l] for l in lines[2:]))
+    rs = [int(mt[jt[ps[i], ps[j]], jt[qs[i], qs[j]]]) for i, j in sides]
+    right = min(rs) >= 0 and collinear(rs)
+    return left, right
 
 
 def test_desargues_single_config_true_case():
     # a visibly perspective pair: project one triangle from a center
     S = space(5, 1, 3)
-    ps = [S.point([1, 0, 0]), S.point([0, 1, 0]), S.point([0, 0, 1])]
-    o = S.point([1, 1, 1])
-    qs = []
-    for pt in ps:
-        l = join(o, pt)
-        qs.append(next(
-            r for r in l.points() if r != o and r != pt
-        ))
-    res = check_desargues(S, ps, qs)
-    assert res.left and res.right and res.agree
+    ps = list(frame_of(S))
+    o = ref_canon_index(S, [1, 1, 1])
+    qs = [int(next(r for r in S.line_pts[S.join_t[o, p]] if r not in (o, p)))
+          for p in ps]
+    assert desargues_admissible(S, ps, qs)
+    assert ref_desargues_config(S, ps, qs) == (True, True)
+
+
+@pytest.mark.parametrize("q,d", [(3, 3), (4, 3), (2, 4)])
+def test_admissibility_matches_reference(q, d):
+    S = ProjSpace(field_of_order(q), d)
+    rng = np.random.default_rng(1000 * q + d)
+    seen = Counter()
+    for _ in range(600):
+        six = rng.integers(0, S.n_points, size=6)
+        kind = int(rng.integers(0, 4))
+        if kind == 1:     # a point repeated, in one triple or across both
+            i, j = rng.choice(6, size=2, replace=False)
+            six[j] = six[i]
+        elif kind == 2:   # a collinear triple
+            t = 3 * int(rng.integers(0, 2))
+            if six[t] != six[t + 1]:
+                six[t + 2] = rng.choice(S.line_pts[S.join_t[six[t],
+                                                            six[t + 1]]])
+        elif kind == 3:   # a shared side: q_i, q_j on the line p_i v p_j
+            i, j = rng.choice(3, size=2, replace=False)
+            if six[i] != six[j]:
+                six[[3 + i, 3 + j]] = rng.choice(
+                    S.line_pts[S.join_t[six[i], six[j]]], size=2,
+                    replace=False)
+        ps, qs = [int(x) for x in six[:3]], [int(x) for x in six[3:]]
+        want = ref_desargues_config(S, ps, qs) is not None
+        assert desargues_admissible(S, ps, qs) == want, (ps, qs)
+        seen[kind, want] += 1
+    assert seen[0, True] and seen[1, True]
+    assert seen[1, False] and seen[2, False] and seen[3, False]
 
 
 def test_desargues_exhaustive_f2_against_slow_oracle():
@@ -525,15 +476,16 @@ def test_desargues_exhaustive_f2_against_slow_oracle():
     n, wit = desargues_sweep(S)
     assert wit is None
     assert n == 13440
-    # independent recount through the object layer
+    # independent recount, one configuration at a time
     tri = [tuple(map(int, t)) for t in noncollinear_triples(S)]
     slow = 0
     for ps in tri:
         for qs in tri:
-            if not desargues_admissible(S, list(ps), list(qs)):
+            sides = ref_desargues_config(S, ps, qs)
+            if sides is None:
                 continue
             slow += 1
-            assert check_desargues(S, list(ps), list(qs)).agree
+            assert sides[0] == sides[1]
     assert slow == n
 
 
@@ -563,18 +515,16 @@ def test_desargues_sampled_dim4():
 
 
 def ref_sampled_desargues(space, sample, seed=0):
-    """Per-draw object-level loop the batched sampled sweep replaced."""
+    """Per-draw loop the batched sampled sweep replaced."""
     rng = np.random.default_rng(seed)
     checked = 0
     while checked < sample:
         idx = rng.integers(0, space.n_points, size=6)
         ps, qs = [int(i) for i in idx[:3]], [int(i) for i in idx[3:]]
-        if len(set(ps)) < 3 or len(set(qs)) < 3:
+        sides = ref_desargues_config(space, ps, qs)
+        if sides is None:
             continue
-        if not desargues_admissible(space, ps, qs):
-            continue
-        res = check_desargues(space, ps, qs)
-        if not res.agree:
+        if sides[0] != sides[1]:
             return checked, tuple(ps) + tuple(qs)
         checked += 1
     return checked, None
@@ -657,14 +607,14 @@ def test_desargues_sweep_rejects_projective_line():
 
 
 def test_meet_many_matches_meet_idx():
+    # meet_many against the meet table
     for S in (space(3, 1, 3), space(2, 1, 4), space(3, 1, 4)):
         rng = np.random.default_rng(S.n_lines)
         ls = rng.integers(0, S.n_lines, size=300)
         ms = rng.integers(0, S.n_lines, size=300)
         keep = ls != ms
         got = S.meet_many(ls[keep], ms[keep])
-        want = [S.meet_idx(int(l), int(m)) for l, m in zip(ls[keep], ms[keep])]
-        assert got.tolist() == want
+        assert np.array_equal(got, S.meet_t[ls[keep], ms[keep]])
         assert (got < 0).any() == (S.d > 3)
 
 
