@@ -12,8 +12,8 @@ __version__ = "0.1.0"
 
 from .gf import GF, GFError, make_field
 from .projgeom import (GeomError, ProjSpace, AxiomReport, noncollinear_triples,
-                       check_axioms, desargues_admissible, desargues_sweep,
-                       gaussian_binomial)
+                       certify_triples, check_axioms, desargues_admissible,
+                       desargues_sweep, gaussian_binomial)
 from .semilinear import (SemilinearError, FieldIso, SemilinearIso,
                          Collineation, random_semilinear, equal_up_to_scalar,
                          decode_ftpg)

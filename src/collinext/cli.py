@@ -6,6 +6,7 @@ from a Philox stream keyed (seed, k) and is reproducible in isolation.
 """
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -14,8 +15,9 @@ from fractions import Fraction
 import numpy as np
 
 from .gf import GFError, field_of_order
-from .projgeom import (GeomError, ProjSpace, check_axioms, check_sweep_tables,
-                       desargues_sweep, space_size)
+from .projgeom import (GeomError, ProjSpace, certify_triples, check_axioms,
+                       check_plane, check_sweep_tables, desargues_sweep,
+                       space_size)
 from .semilinear import SemilinearError, equal_up_to_scalar, random_semilinear
 from .ample import AmpleError, AmpleFamily
 from .extend import (ExtendError, brute_force_extensions, extend,
@@ -132,10 +134,13 @@ def cmd_ffdemo(cfg):
 
 def cmd_checkgeom(cfg):
     """Exhaustive incidence axioms and the Desargues property."""
+    check_plane(cfg.d)
     space = ProjSpace(_field(cfg.q, cfg.d, check_sweep_tables), cfg.d)
-    ax = check_axioms(space)
+    T = certify_triples(space)   # once, for both sweeps
+    ax = check_axioms(space, triples=T)
     sample = None if space.d == 3 else 2000
-    checked, witness = desargues_sweep(space, sample=sample, seed=cfg.seed)
+    checked, witness = desargues_sweep(space, sample=sample, seed=cfg.seed,
+                                       triples=T)
     rec = {
         "trial": 0,
         "axioms_ok": bool(ax.ok),
@@ -213,8 +218,12 @@ def build_parser():
     return ap
 
 
+# one parser per process: parse_args leaves it as it was
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    cfg = build_parser().parse_args(argv)
+    cfg = _parser().parse_args(argv)
     t0 = time.time()
     try:
         report = _COMMANDS[cfg.cmd](cfg)

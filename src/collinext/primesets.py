@@ -333,6 +333,14 @@ def gl_order(n, l):
     return out
 
 
+def _gl_order_mod(n, l, r):
+    """gl_order(n, l) mod r, one factor at a time."""
+    out = pow(l, n * (n - 1) // 2, r)
+    for i in range(1, n + 1):
+        out = out * (pow(l, i, r) - 1) % r
+    return out
+
+
 def construct_remark28(g, p, eps, cert_bound=10 ** 4):
     """Least r != p with g(2g+1)/eps < r-1, plus the divisibility
     certificate over the complement primes up to cert_bound.
@@ -354,26 +362,30 @@ def construct_remark28(g, p, eps, cert_bound=10 ** 4):
     if r is None:
         raise PrimeSetError("no qualifying prime below the search bound")
     ps = PrimeSet.remark28(r, g, p)
-    checked = []
-    all_pass = True
-    first_fail = None
-    for l in map(int, prime_sieve(cert_bound)):
-        if ps.contains(l):
-            continue
-        checked.append(l)
-        if gl_order(2 * g, l) % r == 0:
-            all_pass = False
-            if first_fail is None:
-                first_fail = l
+    primes = prime_sieve(cert_bound)
+    checked = [int(l) for l in primes[~_residue_order_members(ps, primes)]]
+    fails = [l for l in checked if _gl_order_mod(2 * g, l, r) == 0]
     cert = {
         "r": r,
         "density_bound": Fraction(2 * g * (2 * g + 1), 2 * (r - 1)),
         "checked_to": int(cert_bound),
         "n_checked": len(checked),
-        "all_pass": all_pass,
-        "first_fail": first_fail,
+        "all_pass": not fails,
+        "first_fail": fails[0] if fails else None,
     }
     return ps, cert
+
+
+def _residue_order_members(sigma, primes):
+    """Mask of the primes of an array that lie in the residue-order set
+    sigma: r, p, and those whose order mod r is at most 2g."""
+    x = primes.astype(np.int64) % sigma.r
+    acc = np.ones_like(x)
+    member = (primes == sigma.r) | (primes == sigma.p)
+    for _ in range(2 * sigma.g):
+        acc = acc * x % sigma.r
+        member |= acc == 1
+    return member
 
 
 def natural_density_estimate(sigma, bound):
@@ -388,12 +400,5 @@ def natural_density_estimate(sigma, bound):
         hits = len(primes) - int(
             np.isin(primes, np.array(sigma.primes, dtype=np.int64)).sum())
     else:
-        x = primes.astype(np.int64) % sigma.r
-        acc = np.ones_like(x)
-        member = np.zeros(len(primes), dtype=bool)
-        for _ in range(2 * sigma.g):
-            acc = acc * x % sigma.r
-            member |= acc == 1
-        member |= (primes == sigma.r) | (primes == sigma.p)
-        hits = int(member.sum())
+        hits = int(_residue_order_members(sigma, primes).sum())
     return Fraction(hits, len(primes))

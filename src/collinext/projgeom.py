@@ -263,16 +263,24 @@ class AxiomReport:
     witness: tuple | None
 
 
-def noncollinear_triples(space):
-    """All ordered non-collinear point triples, as an [T, 3] int array.
-
-    Rows are ordered by the first point, then the second, then the third.
-    Refused up front when T exceeds TRIPLE_CAP."""
+def _triple_count(space):
+    """T = P (P - 1)(P - k), the number of ordered non-collinear triples;
+    refused up front when it exceeds TRIPLE_CAP."""
     P, k = space.n_points, space.pts_per_line
     T = P * (P - 1) * (P - k)
     if T > TRIPLE_CAP:
         raise GeomError("budget: %d ordered non-collinear triples, cap is %d"
                         % (T, TRIPLE_CAP))
+    return T
+
+
+def noncollinear_triples(space):
+    """All ordered non-collinear point triples, as an [T, 3] int array.
+
+    Rows are ordered by the first point, then the second, then the third.
+    Refused up front when T exceeds TRIPLE_CAP."""
+    P = space.n_points
+    _triple_count(space)
     if space.join_t is None:
         raise GeomError("enumerating triples needs the join table")
     a, b = np.nonzero(~np.eye(P, dtype=bool))
@@ -306,20 +314,34 @@ def _axiom_i_iii(space):
     return ax1, ax3, None
 
 
-def check_axioms(space):
-    """Verify the three incidence axioms; axiom II on every configuration."""
+def check_axioms(space, triples=None):
+    """Verify the three incidence axioms; axiom II on every configuration.
+
+    Axioms I and III are counted off line_pts.  Axiom II asks, for each
+    ordered non-collinear triple (a, b, c), that every line joining a
+    point of a v b to a different point of a v c meets b v c.  That is an
+    incidence property, so once certify_triples has shown every triple
+    to be the image of the frame (e1, e2, e3) under a collineation of the
+    tables, every triple has the frame triple's count: the kernel scans
+    the frame row only and the count is T times it.  A witness is a
+    failure in the frame row (the frame triple), reported with the point
+    pairs checked up to it.  triples is the T that certify_triples(space)
+    returned, when the caller has run it already; None runs it here.
+    """
     from . import _kernels
     if space.join_t is None or space.meet_t is None:
         raise GeomError("axiom II sweep needs full incidence tables")
+    T = certify_triples(space) if triples is None else triples
     ax1, ax3, wit = _axiom_i_iii(space)
-    tri = noncollinear_triples(space)
-    n2, bad = _kernels.axiom2_scan(tri, space.join_t, space.meet_t,
-                                   space.line_pts)
+    n2, bad = 0, None
+    if T:   # a projective line has no triple, and no frame
+        n2, bad = _kernels.axiom2_scan(space._offs[None, :3], space.join_t,
+                                       space.meet_t, space.line_pts)
     ax2 = bad is None
     if not ax2:
-        wit = wit or tuple(int(x) for x in bad)
+        wit = wit or bad
     checked = {"points": space.n_points, "lines": space.n_lines,
-               "axiom_ii_configs": int(n2)}
+               "axiom_ii_configs": n2 if bad else T * n2}
     return AxiomReport(ax1 and ax2 and ax3, ax1, ax2, ax3, checked, wit)
 
 
@@ -342,7 +364,8 @@ def desargues_admissible(space, ps, qs):
 
 def _transvection_maps(space):
     """Point maps of the transvections I + x^k E_ij, i != j, 0 <= k < n,
-    as a [d (d - 1) n, P] array.
+    as (cols, maps): the column j of each ([d (d - 1) n]) and the maps
+    ([d (d - 1) n, P]).
 
     Element index p^k is the monomial x^k, so the x^k are an F_p-basis of
     F_q and these transvections generate SL_d(q).  Representatives of a
@@ -353,52 +376,63 @@ def _transvection_maps(space):
     mats = np.tile(np.eye(d, dtype=np.int64), (len(i) * f.n, 1, 1))
     mats[np.arange(len(mats)), np.repeat(i, f.n), np.repeat(j, f.n)] = \
         np.tile(f.p ** np.arange(f.n), len(i))
-    return space.canon_index_many(mat_apply(f, mats, space.pts))
+    return (np.repeat(j, f.n),
+            space.canon_index_many(mat_apply(f, mats, space.pts)))
 
 
-def _frame_orbit(space, gens):
-    """Orbit of the frame triple (e1, e2, e3) under the point maps gens,
-    as a seen-mask over the triple codes (a P + b) P + c.
-
-    Breadth-first: each level gathers the images of its frontier under
-    every generator at once, and the next frontier is what they add."""
-    from . import _kernels
-    P = space.n_points
-    g = np.asarray(gens, dtype=np.int64)
-    a, b, c = space._offs[:3]
-    frontier = np.array([(a * P + b) * P + c])
-    seen = np.zeros(P ** 3, dtype=bool)
-    seen[frontier] = True
-    step = max(1, _kernels._CHUNK // len(g))
+def _orbit(gens, x):
+    """Mask of the orbit of point x under the point maps gens ([n, P]),
+    breadth-first: each frontier's images under every generator at once."""
+    seen = np.zeros(gens.shape[1], dtype=bool)
+    seen[x] = True
+    frontier = np.array([x])
     while len(frontier):
-        grown = seen.copy()
-        for s in range(0, len(frontier), step):
-            ab, c = np.divmod(frontier[s:s + step], P)
-            a, b = np.divmod(ab, P)
-            grown[(g[:, a] * P + g[:, b]) * P + g[:, c]] = True
-        frontier = np.flatnonzero(grown ^ seen)
-        seen = grown
+        img = gens[:, frontier].ravel()
+        frontier = np.unique(img[~seen[img]])
+        seen[frontier] = True
     return seen
 
 
-def _certify_orbit(space, tri):
-    """Raise GeomError unless every row of tri is the image of the frame
-    triple under a word in transvections, each certified a collineation
-    of line_pts.  This is the orbit half of Schreier-Sims (Sims, 1970)."""
+def _stabilizer_chain(space, cols, gens):
+    """Raise GeomError unless the point maps gens are collineations of
+    line_pts whose group is transitive on ordered non-collinear triples.
+
+    cols[g] is the column j of the transvection I + x^k E_ij behind gens[g]
+    (0-based), which fixes every e_m with m != j.  This is the
+    base-and-strong-generating-set form of Schreier-Sims (Sims, 1970) on
+    the base e1, e2, e3: level i takes the generators with j >= i, checks
+    on their point maps that they fix e1 .. ei, and asks that the orbit
+    of e(i+1) be every point off the span of e1 .. ei.  So the group
+    moves any point to e1, the stabilizer of e1 moves any other point to
+    e2, and the stabilizer of both moves any point off e1 v e2 to e3:
+    with the generators collineations, any ordered non-collinear triple
+    goes to (e1, e2, e3)."""
     from .semilinear import Collineation, SemilinearError
-    gens = _transvection_maps(space)
     for g in gens:
         try:
             Collineation(space, g)
         except SemilinearError as err:
             raise GeomError("generator is not a collineation of the "
                             "incidence tables: %s" % err)
-    P = space.n_points
-    codes = (tri[:, 0].astype(np.int64) * P + tri[:, 1]) * P + tri[:, 2]
-    reached = int(np.count_nonzero(_frame_orbit(space, gens)[codes]))
-    if reached < len(tri):
-        raise GeomError("frame orbit reaches %d of %d non-collinear triples"
-                        % (reached, len(tri)))
+    base = space._offs[:3]   # indices of e1, e2, e3
+    want = np.ones((3, space.n_points), dtype=bool)
+    want[1:, base[0]] = False
+    want[2, space.line_pts[space.join_idx(base[0], base[1])]] = False
+    span = ("", " other than e1", " off e1 v e2")
+    for level in range(3):
+        at = np.flatnonzero(cols >= level)
+        g = gens[at]
+        moved = np.argwhere(g[:, base[:level]] != base[:level])
+        if len(moved):
+            raise GeomError("stabilizer chain level %d: generator %d moves "
+                            "e%d" % (level, at[moved[0, 0]], moved[0, 1] + 1))
+        seen = _orbit(g, base[level])
+        if not np.array_equal(seen, want[level]):
+            raise GeomError("stabilizer chain level %d: the orbit of e%d "
+                            "reaches %d of the %d points%s"
+                            % (level, level + 1,
+                               np.count_nonzero(seen & want[level]),
+                               np.count_nonzero(want[level]), span[level]))
 
 
 def _check_tables(space):
@@ -415,35 +449,60 @@ def _check_tables(space):
         raise GeomError("join/meet tables disagree with line_pts")
 
 
-def desargues_sweep(space, sample=None, seed=0):
+def certify_triples(space):
+    """T, the number of ordered non-collinear triples, once every one of
+    them is shown to be the image of the frame (e1, e2, e3) under a
+    collineation of the tables; refused up front over TRIPLE_CAP.
+
+    The join and meet tables must agree with line_pts, so a collineation
+    of line_pts preserves every table, and the transvection generators
+    must pass the stabilizer chain.  Then every triple has the frame
+    triple's count of any incidence-defined configuration, which is what
+    lets the exhaustive sweeps scan the frame row and multiply by T.  A
+    projective line has T = 0 and no frame, so it has no chain."""
+    T = _triple_count(space)
+    if space.join_t is None or space.meet_t is None:
+        raise GeomError("the certificate needs full incidence tables")
+    _check_tables(space)
+    if T:
+        _stabilizer_chain(space, *_transvection_maps(space))
+    return T
+
+
+def check_plane(d):
+    """Refuse a dimension below a plane, where Desargues has no
+    configuration; from d alone, before anything is built."""
+    if d < 3:
+        raise GeomError("Desargues needs a plane: dimension must be at "
+                        "least 3")
+
+
+def desargues_sweep(space, sample=None, seed=0, triples=None):
     """Check left/right agreement over admissible configurations.
 
-    Exhaustive when sample is None: SL_d acts transitively on ordered
-    non-collinear triples, so every pair (a, b) is the image under some
-    g with g(frame) = a of (frame, g^-1 b).  Admissibility and both sides
-    are incidence-defined, so once the tables are consistent, each
-    transvection generator is certified a collineation and the frame's
-    orbit under them is every triple, each row has the frame row's count
-    and the total is T times it.  A witness is a disagreement in the
-    frame row, reported with the configurations checked up to it.
+    Exhaustive when sample is None: every triple a is g(frame) for a
+    collineation g (certify_triples), so every pair (a, b) is the image
+    of (frame, g^-1 b).  Admissibility and both sides are
+    incidence-defined, so each row has the frame row's count and the
+    total is T times it.  A witness is a disagreement in the frame row,
+    reported with the configurations checked up to it.  triples is the T
+    that certify_triples(space) returned, when the caller has run it
+    already; None runs it here.
     Otherwise checks the first `sample` admissible configs among seeded
     uniform 6-tuples of points, drawn in batches through the same kernel,
     and counts those that agree before the witness.  Returns (checked,
     witness).
     """
     from . import _kernels
-    if space.d < 3:
-        raise GeomError("Desargues needs a plane: dimension must be at "
-                        "least 3")
+    check_plane(space.d)
     jt, mt, lp = space.join_t, space.meet_t, space.line_pts
     if jt is None or mt is None:
         raise GeomError("Desargues sweep needs full incidence tables")
     if sample is None:
+        T = certify_triples(space) if triples is None else triples
         tri = noncollinear_triples(space)
-        _check_tables(space)   # a collineation of line_pts keeps every table
-        _certify_orbit(space, tri)
         n, witness = _kernels.desargues_scan(space._offs[:3], tri, jt, mt, lp)
-        return (n if witness else len(tri) * n), witness
+        return (n if witness else T * n), witness
     rng = np.random.default_rng(seed)
     checked = 0
     while checked < sample:

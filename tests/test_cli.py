@@ -6,11 +6,12 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from collinext import cli
+from collinext import cli, projgeom
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
@@ -214,6 +215,52 @@ def test_checkgeom_refuses_before_building_the_space(q, d, capsys,
     code, out = run_main(["--cmd", "checkgeom", "--q", str(q),
                           "--d", str(d)], capsys)
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("q,d", [(5, 2), (1024, 2), (6, 2), (3, 1), (1, 2)])
+def test_checkgeom_refuses_below_a_plane_before_the_field(q, d, capsys,
+                                                         monkeypatch):
+    # --q 1024 --d 2 used to build GF(1024), the space and a 1.07 GB
+    # triple mask before desargues_sweep refused it
+    def no_field(q):
+        raise AssertionError("the field was built")
+    monkeypatch.setattr(cli, "field_of_order", no_field)
+    code = cli.main(["--cmd", "checkgeom", "--q", str(q), "--d", str(d)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "Desargues needs a plane: dimension must be at least 3" in err
+
+
+def test_checkgeom_triple_budget_message(capsys):
+    code = cli.main(["--cmd", "checkgeom", "--q", "13", "--d", "3"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == ("rejected: budget: 5628714 ordered non-collinear "
+                   "triples, cap is 4000000\n")
+
+
+def test_checkgeom_certifies_once(capsys, monkeypatch):
+    # one command runs the table check and the chain once, for both sweeps
+    calls = Counter()
+    for name in ("_check_tables", "_stabilizer_chain"):
+        fn = getattr(projgeom, name)
+        monkeypatch.setattr(projgeom, name, lambda *a, fn=fn, name=name:
+                            calls.update([name]) or fn(*a))
+    code, out = run_main(["--cmd", "checkgeom", "--q", "3", "--d", "3"],
+                         capsys)
+    assert code == 0
+    assert calls == {"_check_tables": 1, "_stabilizer_chain": 1}
+
+
+def test_parser_is_built_once(capsys):
+    cli.main(["--cmd", "checkgeom", "--q", "2", "--d", "3", "--format",
+              "csv"])
+    cli.main(["--cmd", "checkgeom", "--q", "2", "--d", "3"])
+    out = capsys.readouterr().out
+    # the second call does not inherit the first call's --format
+    assert out.splitlines()[2] == "{"
+    assert cli._parser() is cli._parser()
+    assert cli._parser.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("args", [

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from collinext import primesets
 from collinext.primesets import (
     FrobGrowth,
     PrimeSet,
@@ -284,6 +285,42 @@ def test_construct_skips_p_and_rejects():
         construct_remark28(1, 2, Fraction(1, 10 ** 9))
     with pytest.raises(PrimeSetError):
         construct_remark28(1, 2, Fraction(0))
+
+
+def ref_remark28_certificate(ps, cert_bound):
+    """Per-prime certificate loop the residue-order mask replaced: each
+    sieve prime tested by PrimeSet.contains, and each complement prime by
+    the full gl_order, both re-proving primality."""
+    checked, all_pass, first_fail = [], True, None
+    for l in map(int, prime_sieve(cert_bound)):
+        if ps.contains(l):
+            continue
+        checked.append(l)
+        if gl_order(2 * ps.g, l) % ps.r == 0:
+            all_pass = False
+            if first_fail is None:
+                first_fail = l
+    return {"r": ps.r,
+            "density_bound": Fraction(2 * ps.g * (2 * ps.g + 1),
+                                      2 * (ps.r - 1)),
+            "checked_to": int(cert_bound), "n_checked": len(checked),
+            "all_pass": all_pass, "first_fail": first_fail}
+
+
+def test_certificate_matches_per_prime_loop():
+    for g, p, eps, cert_bound in itertools.product(
+            (1, 2, 3), (2, 3, 13), (Fraction(3, 10), Fraction(1, 20), 2),
+            (1, 2, 97, 3000)):
+        ps, cert = construct_remark28(g, p, eps, cert_bound=cert_bound)
+        assert cert == ref_remark28_certificate(ps, cert_bound), (g, p, eps)
+
+
+def test_gl_order_mod_matches_gl_order():
+    # including the residues the certificate never meets: l of order at
+    # most n mod r, where r divides gl_order(n, l)
+    for n, l, r in itertools.product((1, 2, 4, 6), (2, 3, 5, 7, 13),
+                                     (2, 3, 5, 7, 13, 211)):
+        assert primesets._gl_order_mod(n, l, r) == gl_order(n, l) % r
 
 
 def test_density_basics():

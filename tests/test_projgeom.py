@@ -826,41 +826,205 @@ def test_corrupted_tables_raise():
 
 
 # ---------------------------------------------------------------------------
-# generator orbit certificate
+# stabilizer chain certificate
 # ---------------------------------------------------------------------------
+
+def ref_frame_orbit(S, gens):
+    """Orbit of the frame triple (e1, e2, e3) under the point maps gens,
+    as a seen-mask over the triple codes (a P + b) P + c: the [P^3]
+    breadth-first search the stabilizer chain replaced."""
+    P = S.n_points
+    g = np.asarray(gens, dtype=np.int64)
+    a, b, c = S._offs[:3]
+    frontier = np.array([(a * P + b) * P + c])
+    seen = np.zeros(P ** 3, dtype=bool)
+    seen[frontier] = True
+    step = max(1, _kernels._CHUNK // len(g))
+    while len(frontier):
+        grown = seen.copy()
+        for s in range(0, len(frontier), step):
+            ab, c = np.divmod(frontier[s:s + step], P)
+            a, b = np.divmod(ab, P)
+            grown[(g[:, a] * P + g[:, b]) * P + g[:, c]] = True
+        frontier = np.flatnonzero(grown ^ seen)
+        seen = grown
+    return seen
+
+
+def ref_orbit_is_every_triple(S, gens):
+    P = S.n_points
+    tri = noncollinear_triples(S).astype(np.int64)
+    codes = (tri[:, 0] * P + tri[:, 1]) * P + tri[:, 2]
+    return np.array_equal(np.flatnonzero(ref_frame_orbit(S, gens)), codes)
+
+
+def chain_accepts(S, cols, gens):
+    try:
+        projgeom._stabilizer_chain(S, cols, gens)
+    except GeomError:
+        return False
+    return True
+
+
+def elementary_maps(S, entries):
+    """(cols, point maps) of the transvections I + E_ij, (i, j) in
+    entries (0-based)."""
+    mats = np.tile(np.eye(S.d, dtype=np.int64), (len(entries), 1, 1))
+    i, j = np.array(entries).T
+    mats[np.arange(len(entries)), i, j] = 1
+    return j, S.code_points()[mat_apply(S.field, mats, S.pts) @ S._qpow]
+
+
+UPPER = [(0, 1), (0, 2), (1, 2)]   # fix e1: the frame's orbit is q^3 triples
+LOWER = [(1, 0), (2, 0), (2, 1)]   # fix e3: e1 reaches q^2 points
+
 
 @pytest.mark.parametrize("p,n,d", [(2, 1, 3), (3, 1, 3), (2, 2, 3), (2, 1, 4)])
 def test_frame_orbit_is_every_noncollinear_triple(p, n, d):
     S = space(p, n, d)
-    gens = projgeom._transvection_maps(S)
-    assert len(gens) == d * (d - 1) * n
-    orbit = np.flatnonzero(projgeom._frame_orbit(S, gens))
-    tri = noncollinear_triples(S).astype(np.int64)
-    P = S.n_points
-    assert np.array_equal(orbit, (tri[:, 0] * P + tri[:, 1]) * P + tri[:, 2])
+    cols, gens = projgeom._transvection_maps(S)
+    assert len(gens) == len(cols) == d * (d - 1) * n
+    assert ref_orbit_is_every_triple(S, gens)
+    assert chain_accepts(S, cols, gens)
+    for entries in (UPPER, LOWER):
+        sub = elementary_maps(S, entries)
+        assert not ref_orbit_is_every_triple(S, sub[1])
+        assert not chain_accepts(S, *sub)
+
+
+@pytest.mark.parametrize("p,n,d", [(3, 1, 3), (2, 2, 3), (2, 1, 4)])
+def test_chain_accepts_only_transitive_sets(p, n, d):
+    # every subset of the transvections missing one or two of them: the
+    # chain is sufficient, so it never accepts a set whose frame orbit
+    # misses a triple.  It is not necessary: it refuses sets that still
+    # generate SL_d(q) through commutators, such as one without I + E_23
+    S = space(p, n, d)
+    cols, gens = projgeom._transvection_maps(S)
+    seen = Counter()
+    for k in (1, 2):
+        for drop in itertools.combinations(range(len(gens)), k):
+            keep = np.setdiff1d(np.arange(len(gens)), drop)
+            accepts = chain_accepts(S, cols[keep], gens[keep])
+            if accepts:
+                assert ref_orbit_is_every_triple(S, gens[keep]), drop
+            seen[accepts] += 1
+    assert seen[True] and seen[False]
 
 
 def test_orbit_of_a_unitriangular_set_is_refused(monkeypatch):
     # the upper-unitriangular transvections fix e1, so the frame's orbit
-    # is the q^3 triples (e1, e2 + a e1, e3 + b e1 + c e2)
+    # is the q^3 triples (e1, e2 + a e1, e3 + b e1 + c e2), and the chain
+    # stops at its first level
     S = space(3, 1, 3)
-    mats = np.tile(np.eye(3, dtype=np.int64), (3, 1, 1))
-    mats[[0, 1, 2], [0, 0, 1], [1, 2, 2]] = 1
-    gens = S.code_points()[mat_apply(S.field, mats, S.pts) @ S._qpow]
-    monkeypatch.setattr(projgeom, "_transvection_maps", lambda S: gens)
-    T = len(noncollinear_triples(S))
-    with pytest.raises(GeomError, match="reaches 27 of %d" % T):
-        desargues_sweep(S)
+    maps = elementary_maps(S, UPPER)
+    monkeypatch.setattr(projgeom, "_transvection_maps", lambda S: maps)
+    for sweep in (check_axioms, desargues_sweep):
+        with pytest.raises(GeomError, match="level 0: the orbit of e1 "
+                                            "reaches 1 of the 13 points"):
+            sweep(S)
 
 
 def test_non_collineation_generator_is_refused(monkeypatch):
     # a transposition of two points breaks incidence; added to a
     # transitive set, only the Collineation check can catch it
     S = space(3, 1, 3)
-    gens = projgeom._transvection_maps(S)
+    cols, gens = projgeom._transvection_maps(S)
     swap = np.arange(S.n_points)
     swap[[0, 1]] = [1, 0]
+    stacked = np.append(cols, 2), np.vstack([gens, swap])
+    monkeypatch.setattr(projgeom, "_transvection_maps", lambda S: stacked)
+    for sweep in (check_axioms, desargues_sweep):
+        with pytest.raises(GeomError, match="not a collineation"):
+            sweep(S)
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_generator_that_moves_a_base_point_is_refused(level, monkeypatch):
+    # a collineation planted at a level whose base point it moves; at
+    # level 2 the orbit of e3 is still the 9 points off e1 v e2, so only
+    # the fixing check catches it there
+    S = space(3, 1, 3)
+    cols, gens = projgeom._transvection_maps(S)
+    planted = cols.copy()
+    g = int(np.flatnonzero(cols == level - 1)[0])
+    planted[g] = level
+    assert chain_accepts(S, cols, gens)
     monkeypatch.setattr(projgeom, "_transvection_maps",
-                        lambda S: np.vstack([gens, swap]))
-    with pytest.raises(GeomError, match="not a collineation"):
-        desargues_sweep(S)
+                        lambda S: (planted, gens))
+    for sweep in (check_axioms, desargues_sweep):
+        with pytest.raises(GeomError, match="level %d: generator %d moves "
+                                            "e%d" % (level, g, level)):
+            sweep(S)
+
+
+# ---------------------------------------------------------------------------
+# axiom II on the frame row
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("q,d", [(2, 3), (3, 3), (4, 3), (2, 4), (3, 4),
+                                 (2, 5)])
+def test_frame_row_axiom2_matches_full_scan(q, d):
+    S = ProjSpace(field_of_order(q), d)
+    tri = noncollinear_triples(S)
+    want = _kernels.axiom2_scan(tri, S.join_t, S.meet_t, S.line_pts)
+    assert want[1] is None
+    rep = check_axioms(S)
+    assert rep.ok and rep.witness is None
+    assert rep.checked["axiom_ii_configs"] == want[0]
+    assert type(rep.checked["axiom_ii_configs"]) is int
+
+
+@pytest.mark.parametrize("q,d,want", [
+    (2, 4, 20160), (3, 4, 842400), (4, 4, 13708800), (2, 5, 208320)])
+def test_axiom2_counts_off_the_plane_frozen(q, d, want):
+    # T ((q + 1)^2 - 1); the first three equal the full per-triple scan
+    # (test_frame_row_axiom2_matches_full_scan), (4, 4) was checked
+    # against it once when frozen
+    rep = check_axioms(ProjSpace(field_of_order(q), d))
+    assert rep.ok and rep.checked["axiom_ii_configs"] == want
+
+
+def test_frame_row_witness_counts_up_to_it():
+    # with the certificate taken on the true tables, a planted skew pair
+    # on the frame's lines fails axiom II on the frame triple itself
+    S = space(3, 1, 3)
+    T = projgeom.certify_triples(S)
+    frame = tuple(int(x) for x in S._offs[:3])
+    bad_space = copy.copy(S)
+    bad_space.meet_t = S.meet_t.copy()
+    l, m = S.join_idx(frame[1], frame[2]), S.join_idx(*frame[:2])
+    x = S.line_pts[m][S.line_pts[m] != frame[0]][0]
+    y = S.line_pts[S.join_idx(frame[0], frame[2])][1]
+    lxy = S.join_t[x, y]
+    bad_space.meet_t[l, lxy] = bad_space.meet_t[lxy, l] = -1
+    want = _kernels.axiom2_scan(np.array([frame]), S.join_t,
+                                bad_space.meet_t, S.line_pts)
+    assert want[1] == frame
+    rep = check_axioms(bad_space, triples=T)
+    assert not rep.ok and not rep.axiom_ii and rep.axiom_i
+    assert rep.witness == frame
+    assert rep.checked["axiom_ii_configs"] == want[0] < T
+    with pytest.raises(GeomError, match="disagree"):
+        check_axioms(bad_space)
+
+
+def test_projective_line_has_no_chain(monkeypatch):
+    def no_chain(*args):
+        raise AssertionError("the chain ran")
+    monkeypatch.setattr(projgeom, "_stabilizer_chain", no_chain)
+    S = space(5, 1, 2)
+    assert projgeom.certify_triples(S) == 0
+    rep = check_axioms(S)
+    assert rep.ok and rep.checked["axiom_ii_configs"] == 0
+
+
+def test_triple_budget_refused_before_the_certificate(monkeypatch):
+    # P^2(F_13) has 5628714 ordered non-collinear triples
+    def no_tables(space):
+        raise AssertionError("the tables were checked")
+    monkeypatch.setattr(projgeom, "_check_tables", no_tables)
+    S = space(13, 1, 3)
+    for sweep in (projgeom.certify_triples, check_axioms, desargues_sweep):
+        with pytest.raises(GeomError, match="budget: 5628714 ordered "
+                                            "non-collinear triples"):
+            sweep(S)
