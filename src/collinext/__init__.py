@@ -14,7 +14,7 @@ from .gf import GF, GFError, make_field
 from .projgeom import (GeomError, ProjSpace, AxiomReport, noncollinear_triples,
                        certify_triples, check_axioms, desargues_admissible,
                        desargues_sweep, gaussian_binomial)
-from .semilinear import (SemilinearError, FieldIso, SemilinearIso,
+from .semilinear import (SemilinearError, SemilinearIso,
                          Collineation, random_semilinear, equal_up_to_scalar,
                          decode_ftpg)
 from .ample import (AmpleError, AmpleFamily, AmpleReport, lines_meeting,

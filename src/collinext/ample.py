@@ -22,14 +22,15 @@ class AmpleError(Exception):
 
 @dataclass(frozen=True)
 class AmpleFamily:
-    kind: str                 # "empty_only" | "size_at_most" | "explicit"
+    kind: str                 # "size_at_most" | "explicit"
     t: int | None = None
     sets: frozenset | None = None
     q: int | None = None
 
     @staticmethod
     def empty_only():
-        return AmpleFamily("empty_only")
+        """Only the empty complement: the size cap 0."""
+        return AmpleFamily.size_at_most(0)
 
     @staticmethod
     def size_at_most(t):
@@ -53,8 +54,6 @@ class AmpleFamily:
     def contains(self, positions, q):
         """Membership of a position subset, on a line over GF(q)."""
         s = frozenset(int(x) for x in positions)
-        if self.kind == "empty_only":
-            return len(s) == 0
         if self.kind == "size_at_most":
             return len(s) <= self.t
         if self.q != q:
@@ -62,8 +61,6 @@ class AmpleFamily:
         return s in self.sets
 
     def max_size(self, q):
-        if self.kind == "empty_only":
-            return 0
         if self.kind == "size_at_most":
             return min(self.t, q + 1)
         return max((len(s) for s in self.sets), default=0)
@@ -106,7 +103,7 @@ def _pgl2_generator_tables(f):
 
 def is_pgl2_stable(family, field):
     """Closure of the family under the Moebius action on positions."""
-    if family.kind in ("empty_only", "size_at_most"):
+    if family.kind == "size_at_most":
         return True
     if not isinstance(field, GF):
         raise AmpleError("stability check needs a GF instance")
@@ -133,8 +130,6 @@ def is_mn_admissible(family, q, m, n):
     """No m family members plus n extra points can cover the q+1 positions."""
     if m < 0 or n < 0:
         raise AmpleError("m and n must be >= 0")
-    if family.kind == "empty_only":
-        return n <= q
     if family.kind == "size_at_most":
         return m * min(family.t, q + 1) + n <= q
     if family.q != q:
@@ -211,12 +206,6 @@ def is_ample(space, U, family):
     k = space.pts_per_line
     comp = k - in_cnt[meeting]
     t_star = int(comp.max()) if len(meeting) else 0
-    if family.kind == "empty_only":
-        bad = meeting[comp > 0]
-        if len(bad):
-            return AmpleReport(False, t_star, len(meeting), int(bad[0]),
-                               "line keeps points outside the set")
-        return AmpleReport(True, t_star, len(meeting), None, "")
     if family.kind == "size_at_most":
         bad = meeting[comp > family.t]
         if len(bad):

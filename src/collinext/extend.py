@@ -32,22 +32,12 @@ class PartialCollineation:
     Both are -1-padded int64 arrays, of length P and L; each may be given
     as such an array or as a dict from indices to indices."""
 
-    def __init__(self, space1, sigma, tau, space2=None):
-        if not isinstance(space1, ProjSpace):
-            raise ExtendError("space1 must be a ProjSpace")
-        if space2 is None:
-            space2 = space1
-        if space2.field is not space1.field or space2.d != space1.d:
-            raise ExtendError("spaces must share field and dimension")
-        if space2 is not space1:
-            # separately built spaces enumerate identically; pin that down
-            if not (np.array_equal(space1.pts, space2.pts)
-                    and np.array_equal(space1.line_pts, space2.line_pts)):
-                raise ExtendError("spaces disagree on enumeration")
-        self.space1 = space1
-        self.space2 = space2
-        self.sigma = _index_map(sigma, space1.n_points, "sigma")
-        self.tau = _index_map(tau, space1.n_lines, "tau")
+    def __init__(self, space, sigma, tau):
+        if not isinstance(space, ProjSpace):
+            raise ExtendError("space must be a ProjSpace")
+        self.space = space
+        self.sigma = _index_map(sigma, space.n_points, "sigma")
+        self.tau = _index_map(tau, space.n_lines, "tau")
 
     # derived on access: callers may edit sigma in place
     @property
@@ -56,10 +46,10 @@ class PartialCollineation:
 
     @property
     def U2(self):
-        return np.flatnonzero(_image_mask(self.space2, self.sigma)).tolist()
+        return np.flatnonzero(_image_mask(self.space, self.sigma)).tolist()
 
     def meeting_lines(self):
-        return np.flatnonzero(_meets(self.space1, self.sigma)).tolist()
+        return np.flatnonzero(_meets(self.space, self.sigma)).tolist()
 
 
 def _index_map(m, n, name):
@@ -87,8 +77,8 @@ def _index_map(m, n, name):
 def _check_ranges(pc):
     """Re-run the construction's range checks: sigma and tau are public
     arrays that callers may edit in place."""
-    _index_map(pc.sigma, pc.space1.n_points, "sigma")
-    _index_map(pc.tau, pc.space1.n_lines, "tau")
+    _index_map(pc.sigma, pc.space.n_points, "sigma")
+    _index_map(pc.tau, pc.space.n_lines, "tau")
 
 
 def _image_mask(space, sigma):
@@ -124,26 +114,26 @@ def validate_partial(pc, concurrency="sampled", samples=300, seed=0):
 
     Raises ExtendError when sigma or tau was edited out of range."""
     _check_ranges(pc)
-    S1, S2 = pc.space1, pc.space2
+    S = pc.space
     sig, tau = pc.sigma, pc.tau
     n_dom = np.count_nonzero(sig >= 0)
     if not n_dom:
         return ValidationReport(False, "empty domain", None)
-    in_u2 = _image_mask(S2, sig)
+    in_u2 = _image_mask(S, sig)
     if np.count_nonzero(in_u2) != n_dom:
         return ValidationReport(False, "sigma is not injective", None)
-    meets = _meets(S1, sig)
+    meets = _meets(S, sig)
     if (meets != (tau >= 0)).any():
         return ValidationReport(
             False, "tau domain differs from the lines meeting U1", None)
     meeting = np.flatnonzero(meets)
-    tau_img = np.zeros(S2.n_lines, dtype=bool)
+    tau_img = np.zeros(S.n_lines, dtype=bool)
     tau_img[tau[meeting]] = True
     if np.count_nonzero(tau_img) != len(meeting):
         return ValidationReport(False, "tau is not injective", None)
     # sigma(l cap U1) against tau(l) cap U2, as sorted rows padded with -1
-    src = np.sort(sig[S1.line_pts[meeting]], axis=1)
-    dst = S2.line_pts[tau[meeting]]
+    src = np.sort(sig[S.line_pts[meeting]], axis=1)
+    dst = S.line_pts[tau[meeting]]
     dst = np.sort(np.where(in_u2[dst], dst, -1), axis=1)
     bad = np.flatnonzero((src != dst).any(axis=1))
     if len(bad):
@@ -153,11 +143,11 @@ def validate_partial(pc, concurrency="sampled", samples=300, seed=0):
             (l, int(tau[l])))
     if concurrency:
         pairs = _line_pairs(meeting, concurrency, samples, seed)
-        step = max(1, _kernels._CHUNK // S1.pts_per_line ** 2)
+        step = max(1, _kernels._CHUNK // S.pts_per_line ** 2)
         for s in range(0, len(pairs), step):
             l, m = pairs[s:s + step].T
-            bad = np.flatnonzero((S1.meet_many(l, m) >= 0)
-                                 & (S2.meet_many(tau[l], tau[m]) < 0))
+            bad = np.flatnonzero((S.meet_many(l, m) >= 0)
+                                 & (S.meet_many(tau[l], tau[m]) < 0))
             if len(bad):
                 i = bad[0]
                 return ValidationReport(False, "Step2-1: images not concurrent",
@@ -189,7 +179,7 @@ def extend_point(pc, p, order=None, diagnostics=None):
     """Image of one point: sigma(p) on U1, else the meet of two
     transported lines through p."""
     p = int(p)
-    if not 0 <= p < pc.space1.n_points:
+    if not 0 <= p < pc.space.n_points:
         raise ExtendError("point %d is outside the space" % p)
     _check_ranges(pc)
     if pc.sigma[p] >= 0:
@@ -204,19 +194,19 @@ def _extend_points(pc, pts, seqs, tau, diagnostics=None):
     A line through the point ranks by the first place of its points in the
     row; the two lowest-ranked lines are the first two distinct lines the
     search meets, and their tau images meet in the image."""
-    S1, P = pc.space1, pc.space1.n_points
+    S, P = pc.space, pc.space.n_points
     seqs = np.asarray(seqs, dtype=np.int64)
     rows = np.arange(len(pts))[:, None]
     pos = np.full((len(pts), P), P, dtype=np.int64)
     np.minimum.at(pos, (rows, seqs), np.arange(seqs.shape[1]))
-    thru = S1.pt_lines[pts]
-    ranks = pos[rows[:, :, None], S1.line_pts[thru]].min(axis=2)
+    thru = S.pt_lines[pts]
+    ranks = pos[rows[:, :, None], S.line_pts[thru]].min(axis=2)
     if ranks.shape[1] < 2:
         raise ExtendError(_POINT_ERRORS[0])
     pick = np.argsort(ranks, axis=1)[:, :2]
     rk = np.take_along_axis(ranks, pick, axis=1)
     t = tau[np.take_along_axis(thru, pick, axis=1)]
-    x = pc.space2.meet_many(*np.maximum(t, 0).T)
+    x = S.meet_many(*np.maximum(t, 0).T)
     fail = np.select([rk[:, 0] == P, t[:, 0] < 0, rk[:, 1] == P, t[:, 1] < 0,
                       (t[:, 0] == t[:, 1]) | (x < 0)], [0, 1, 0, 1, 2], -1)
     if (fail >= 0).any():
@@ -248,17 +238,17 @@ def extend(pc, fam, order="canonical", seed=0):
     line-search sequence per point: "canonical" ascending, "reversed", or
     "shuffled" (seeded); the result must not depend on it.
     """
-    S1, S2 = pc.space1, pc.space2
-    if S1.d < 3:
+    S = pc.space
+    if S.d < 3:
         raise ExtendError("precondition: dimension must be at least 3")
     _check_ranges(pc)
-    if not is_mn_admissible(fam, S1.q, 3, 2):
+    if not is_mn_admissible(fam, S.q, 3, 2):
         raise ExtendError("precondition: family is not (3,2)-admissible "
-                          "at q=%d" % S1.q)
-    rep1 = is_ample(S1, pc.U1, fam)
+                          "at q=%d" % S.q)
+    rep1 = is_ample(S, pc.U1, fam)
     if not rep1.ample:
         raise ExtendError("precondition: domain is not ample (%s)" % rep1.reason)
-    rep2 = is_ample(S2, pc.U2, fam)
+    rep2 = is_ample(S, pc.U2, fam)
     if not rep2.ample:
         raise ExtendError("precondition: image is not ample (%s)" % rep2.reason)
     val = validate_partial(pc, concurrency=None)
@@ -268,7 +258,7 @@ def extend(pc, fam, order="canonical", seed=0):
     sigma_tilde, tau = pc.sigma.copy(), pc.tau
     outside = np.flatnonzero(sigma_tilde < 0)
     diagnostics = {"line_searches": 0, "points_extended": len(outside),
-                   "lines_verified": S1.n_lines,
+                   "lines_verified": S.n_lines,
                    "t_star": max(rep1.t_star, rep2.t_star)}
     if order not in ("canonical", "reversed", "shuffled"):
         raise ExtendError("unknown order %r" % order)
@@ -277,10 +267,10 @@ def extend(pc, fam, order="canonical", seed=0):
     if order == "shuffled":
         seqs = np.random.default_rng(seed).permuted(seqs, axis=1)
     sigma_tilde[outside] = _extend_points(pc, outside, seqs, tau, diagnostics)
-    if len(np.unique(sigma_tilde)) != S1.n_points:
+    if len(np.unique(sigma_tilde)) != S.n_points:
         raise ExtendError("Step3-1: extended point map is not a bijection")
     try:
-        coll = Collineation(S1, sigma_tilde)
+        coll = Collineation(S, sigma_tilde)
     except SemilinearError:
         raise ExtendError("Step3-4: extended map does not carry lines to lines")
     bad = np.nonzero((tau >= 0) & (coll.tau != tau))[0]
@@ -413,7 +403,7 @@ def brute_force_extensions(pc):
 
     Walks the semilinear group modulo scalars; refuses above 1e7 elements.
     """
-    S = pc.space1
+    S = pc.space
     f, d = S.field, S.d
     group = _gl_size(f.q, d) // (f.q - 1) * f.n
     if group > BRUTE_BUDGET:

@@ -17,7 +17,7 @@ import numpy as np
 from .gf import (GF, field_of_order, mat_apply, padd, pdivmod, peval,
                  pfactor, pgcd, pirreducible, pmonic, pmul, pneg, ppow,
                  pscale, ptrim)
-from ._kernels import pair_mult_scan
+from ._kernels import _polydiv, pair_mult_scan
 from .projgeom import ProjSpace
 from .semilinear import Collineation, SemilinearIso
 from .ample import AmpleFamily, is_ample, lines_meeting
@@ -179,15 +179,6 @@ class RatFunc:
             return None
         return int(f.mul_t[peval(f, self.num, x), f.inv_t[d]])
 
-    def value_at_infinity(self):
-        dn, dd = len(self.num) - 1, len(self.den) - 1
-        if self.is_zero() or dn < dd:
-            return 0
-        if dn > dd:
-            return None
-        return int(self.field.mul_t[self.num[-1],
-                                    self.field.inv_t[self.den[-1]]])
-
     def frobenius(self, e):
         f = self.field
         row = f.frob_t[e % f.n]
@@ -304,21 +295,20 @@ def unit_subset(D, E):
         raise FuncFieldError("divisor and evaluation set overlap")
     rr = rr_basis(D)
     space = ProjSpace(f, rr.dim)
-    deg_m = len(rr.mpoly) - 1
-    finite = [pt.poly for pt in E if not pt.is_infinity]
-    want_inf = any(pt.is_infinity for pt in E)
-    keep = []
-    for i in range(space.n_points):
-        pn = ptrim(int(c) for c in space.pts[i])
-        if want_inf and len(pn) - 1 != deg_m:
-            continue
-        if any(not pdivmod(f, pn, g)[1] for g in finite):
-            continue
-        keep.append(i)
+    # point i is the function pts[i] / M, with M prime to every point of E
+    keep = np.ones(space.n_points, dtype=bool)
+    for pt in E:
+        if pt.is_infinity:   # no zero or pole there: deg pts[i] = deg M
+            deg = rr.dim - 1 - np.argmax(space.pts[:, ::-1] != 0, axis=1)
+            keep &= deg == len(rr.mpoly) - 1
+        else:                # no zero there: pt.poly does not divide pts[i]
+            sub_t = f.neg_t[f.mul_t[:, pt.poly]]
+            keep &= _polydiv(space.pts, sub_t, f.add_t)[1].any(axis=1)
+    keep = np.flatnonzero(keep)
     one = space.canon_index_many(
         np.array(list(rr.mpoly) + [0] * (rr.dim - len(rr.mpoly))))
-    U = UnitSubset(rr, E, space, np.array(keep, dtype=np.int64), int(one))
-    if int(one) not in set(keep):
+    U = UnitSubset(rr, E, space, keep, int(one))
+    if int(one) not in keep:
         raise FuncFieldError("internal: the constant 1 is not a unit")
     return U
 
@@ -503,7 +493,8 @@ def _normalize_fixing_one(iso, rr):
     f = iso.field
     v1 = np.zeros(rr.dim, dtype=np.int64)
     v1[:len(rr.mpoly)] = rr.mpoly
-    u = mat_apply(f, iso.mat, iso.mu.table()[v1][None])[0].astype(np.int64)
+    twisted = f.frob_t[iso.frob_exp][v1]
+    u = mat_apply(f, iso.mat, twisted[None])[0].astype(np.int64)
     j0 = int(np.argmax(v1 != 0))
     s = f.mul(int(u[j0]), f.inv(int(v1[j0])))
     if s == 0 or not np.array_equal(u, f.mul_t[s, v1].astype(np.int64)):

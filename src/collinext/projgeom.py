@@ -256,9 +256,6 @@ class ProjSpace:
 @dataclass
 class AxiomReport:
     ok: bool
-    axiom_i: bool
-    axiom_ii: bool
-    axiom_iii: bool
     checked: dict
     witness: tuple | None
 
@@ -296,30 +293,13 @@ def noncollinear_triples(space):
     return out
 
 
-def _axiom_i_iii(space):
-    """Unique joins (I) and >= 3 points per line (III), by counting."""
-    P, k = space.n_points, space.pts_per_line
-    lp = space.line_pts
-    if not (np.diff(np.sort(lp, axis=1), axis=1) > 0).all():
-        return False, False, ("repeated point on a line",)
-    # every unordered pair covered exactly once
-    a = np.repeat(lp, k, axis=1).ravel()
-    b = np.tile(lp, (1, k)).ravel()
-    mask = a < b
-    codes = a[mask].astype(np.int64) * P + b[mask]
-    uniq = np.unique(codes)
-    total_pairs = P * (P - 1) // 2
-    ax1 = len(uniq) == total_pairs and len(codes) == total_pairs
-    ax3 = k >= 3
-    return ax1, ax3, None
-
-
 def check_axioms(space, triples=None):
     """Verify the three incidence axioms; axiom II on every configuration.
 
-    Axioms I and III are counted off line_pts.  Axiom II asks, for each
-    ordered non-collinear triple (a, b, c), that every line joining a
-    point of a v b to a different point of a v c meets b v c.  That is an
+    The certificate's table check proves axiom I, and every line has
+    q + 1 >= 3 points (axiom III), so ok is axiom II.  Axiom II asks, for
+    each ordered non-collinear triple (a, b, c), that every line joining
+    a point of a v b to a different point of a v c meets b v c.  That is an
     incidence property, so once certify_triples has shown every triple
     to be the image of the frame (e1, e2, e3) under a collineation of the
     tables, every triple has the frame triple's count: the kernel scans
@@ -332,17 +312,13 @@ def check_axioms(space, triples=None):
     if space.join_t is None or space.meet_t is None:
         raise GeomError("axiom II sweep needs full incidence tables")
     T = certify_triples(space) if triples is None else triples
-    ax1, ax3, wit = _axiom_i_iii(space)
     n2, bad = 0, None
     if T:   # a projective line has no triple, and no frame
         n2, bad = _kernels.axiom2_scan(space._offs[None, :3], space.join_t,
                                        space.meet_t, space.line_pts)
-    ax2 = bad is None
-    if not ax2:
-        wit = wit or bad
     checked = {"points": space.n_points, "lines": space.n_lines,
                "axiom_ii_configs": n2 if bad else T * n2}
-    return AxiomReport(ax1 and ax2 and ax3, ax1, ax2, ax3, checked, wit)
+    return AxiomReport(bad is None, checked, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -435,17 +411,38 @@ def _stabilizer_chain(space, cols, gens):
                                np.count_nonzero(want[level]), span[level]))
 
 
+def _increasing(rows, n):
+    """Every row strictly increasing, with entries in range(n)."""
+    return bool((np.diff(rows, axis=1) > 0).all() and rows[:, 0].min() >= 0
+                and rows[:, -1].max() < n)
+
+
 def _check_tables(space):
-    """Raise GeomError unless join_t and meet_t are the join and meet of
-    line_pts, so a collineation of line_pts preserves every table."""
-    P, L = space.n_points, space.n_lines
-    x, y = np.nonzero(~np.eye(P, dtype=bool))
-    j = space.join_t[x, y]
-    on = space.line_pts[j]
-    ok = ((j >= 0).all() and (on == x[:, None]).any(axis=1).all()
-          and (on == y[:, None]).any(axis=1).all())
-    l, m = np.nonzero(~np.eye(L, dtype=bool))
-    if not (ok and np.array_equal(space.meet_t[l, m], space.meet_many(l, m))):
+    """Raise GeomError unless join_t, meet_t and pt_lines are the join,
+    the meet and the pencils of line_pts, so a collineation of line_pts
+    preserves every table; this also proves axiom I.
+
+    By counting: the L k (k - 1) = P (P - 1) ordered pairs of distinct
+    points on a line all have that line in join_t, so no pair lies on
+    two lines and every pair lies on one (axiom I), and join_t has no
+    other entry >= 0.  The P r = L k pencil entries lie on their point,
+    so the pencils hold every incidence once.  The P r (r - 1) ordered
+    pairs of distinct lines through a point all have that point in
+    meet_t, and meet_t has no other entry >= 0."""
+    lp, pl = space.line_pts, space.pt_lines
+    (L, k), (P, r) = lp.shape, pl.shape
+    a, b = np.nonzero(~np.eye(k, dtype=bool))
+    c, d = np.nonzero(~np.eye(r, dtype=bool))
+    ok = (_increasing(lp, P) and _increasing(pl, L)
+          and L * k * (k - 1) == P * (P - 1) and P * r == L * k
+          and (space.join_t[lp[:, a], lp[:, b]]
+               == np.arange(L)[:, None]).all()
+          and np.count_nonzero(space.join_t >= 0) == P * (P - 1)
+          and (lp[pl] == np.arange(P)[:, None, None]).any(axis=2).all()
+          and (space.meet_t[pl[:, c], pl[:, d]]
+               == np.arange(P)[:, None]).all()
+          and np.count_nonzero(space.meet_t >= 0) == P * r * (r - 1))
+    if not ok:
         raise GeomError("join/meet tables disagree with line_pts")
 
 
@@ -454,12 +451,12 @@ def certify_triples(space):
     them is shown to be the image of the frame (e1, e2, e3) under a
     collineation of the tables; refused up front over TRIPLE_CAP.
 
-    The join and meet tables must agree with line_pts, so a collineation
-    of line_pts preserves every table, and the transvection generators
-    must pass the stabilizer chain.  Then every triple has the frame
-    triple's count of any incidence-defined configuration, which is what
-    lets the exhaustive sweeps scan the frame row and multiply by T.  A
-    projective line has T = 0 and no frame, so it has no chain."""
+    The join, meet and pencil tables must agree with line_pts, so a
+    collineation of line_pts preserves every table, and the transvection
+    generators must pass the stabilizer chain.  Then every triple has the
+    frame triple's count of any incidence-defined configuration, which is
+    what lets the exhaustive sweeps scan the frame row and multiply by T.
+    A projective line has T = 0 and no frame, so it has no chain."""
     T = _triple_count(space)
     if space.join_t is None or space.meet_t is None:
         raise GeomError("the certificate needs full incidence tables")

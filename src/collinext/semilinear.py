@@ -7,11 +7,10 @@ decode_ftpg performs that reconstruction.
 """
 
 import copy
-from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import GF, mat_apply, rref, solve_linear
+from .gf import mat_apply, rref, solve_linear
 from .projgeom import ProjSpace
 
 
@@ -19,34 +18,9 @@ class SemilinearError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class FieldIso:
-    """Automorphism x -> x^(p^e) of a finite field, e taken mod n."""
-
-    field: GF
-    e: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "e", int(self.e) % self.field.n)
-
-    def table(self):
-        return self.field.frob_t[self.e].astype(np.int64)
-
-    def compose(self, other):
-        if other.field is not self.field:
-            raise SemilinearError("automorphisms of different fields")
-        return FieldIso(self.field, self.e + other.e)
-
-    def inverse(self):
-        return FieldIso(self.field, -self.e)
-
-    @property
-    def is_identity(self):
-        return self.e == 0
-
-
 class SemilinearIso:
-    """v -> M mu(v) on k^d, with M given as a d x d array of field indices."""
+    """v -> M mu(v) on k^d, with M given as a d x d array of field indices
+    and mu the Frobenius power x -> x^(p^frob_exp), frob_exp taken mod n."""
 
     def __init__(self, space, mat, frob_exp):
         if not isinstance(space, ProjSpace):
@@ -59,16 +33,12 @@ class SemilinearIso:
         if len(rref(self.field, mat.tolist())[1]) != space.d:
             raise SemilinearError("matrix is singular")
         self.mat = mat
-        self.mu = FieldIso(self.field, frob_exp)
-
-    @property
-    def frob_exp(self):
-        return self.mu.e
+        self.frob_exp = int(frob_exp) % self.field.n
 
     def sigma_array(self):
         """Induced map on point indices, vectorized over the whole space."""
         S = self.space
-        moved = self.mu.table()[S.pts]
+        moved = self.field.frob_t[self.frob_exp][S.pts]
         return S.canon_index_many(
             mat_apply(self.field, self.mat, moved)).astype(np.int64)
 
@@ -90,11 +60,12 @@ class SemilinearIso:
         if other.space is not self.space:
             raise SemilinearError("maps on different spaces")
         # the columns of mu(B), each taken through A
-        prod = mat_apply(self.field, self.mat, self.mu.table()[other.mat].T).T
-        return SemilinearIso(self.space, prod, self.mu.e + other.mu.e)
+        twisted = self.field.frob_t[self.frob_exp][other.mat]
+        prod = mat_apply(self.field, self.mat, twisted.T).T
+        return SemilinearIso(self.space, prod, self.frob_exp + other.frob_exp)
 
     def __repr__(self):
-        return "SemilinearIso(d=%d, frob=%d)" % (self.space.d, self.mu.e)
+        return "SemilinearIso(d=%d, frob=%d)" % (self.space.d, self.frob_exp)
 
 
 class Collineation:
@@ -156,7 +127,7 @@ def equal_up_to_scalar(a, b):
     """Same projective action: matching twist and proportional matrices."""
     if a.space is not b.space:
         return False
-    if a.mu.e != b.mu.e:
+    if a.frob_exp != b.frob_exp:
         return False
     f = a.space.field
     flat_a, flat_b = a.mat.ravel(), b.mat.ravel()

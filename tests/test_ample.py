@@ -38,6 +38,7 @@ def all_small_subsets(q, t):
 
 def test_family_contains_and_max_size():
     f0 = AmpleFamily.empty_only()
+    assert f0 == AmpleFamily.size_at_most(0)
     assert f0.contains([], 5) and not f0.contains([0], 5)
     assert f0.max_size(5) == 0
     f1 = AmpleFamily.size_at_most(2)
@@ -207,6 +208,7 @@ def test_ample_line_complement():
     assert rep.n_meeting == S.n_lines - 1  # the deleted line never meets U
     rep0 = is_ample(S, U, AmpleFamily.empty_only())
     assert not rep0.ample and rep0.witness_line is not None
+    assert rep0.reason == "complement larger than the threshold"
 
 
 def test_ample_point_complement_and_singleton():

@@ -242,16 +242,6 @@ def test_restrict_rejects_empty():
         restrict(SemilinearIso(S, np.eye(3, dtype=int), 0), [])
 
 
-def test_partial_between_twin_spaces():
-    Sa = space(5, 1)
-    Sb = ProjSpace(make_field(5, 1), 3)
-    assert Sa is not Sb
-    pc = PartialCollineation(Sa, {0: 0, 1: 1, 2: 2}, {}, space2=Sb)
-    assert pc.space2 is Sb
-    with pytest.raises(ExtendError):
-        PartialCollineation(Sa, {0: 0}, {}, space2=space(5, 1, 4))
-
-
 def _malformed_maps(S):
     """(sigma, tau) pairs the constructor must refuse on S."""
     P, L = S.n_points, S.n_lines

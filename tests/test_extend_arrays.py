@@ -51,7 +51,7 @@ def as_dict(m):
 
 
 def ref_validate(pc, concurrency="sampled", samples=300, seed=0):
-    S1, S2 = pc.space1, pc.space2
+    S = pc.space
     sigma, tau = as_dict(pc.sigma), as_dict(pc.tau)
     if not pc.U1:
         return ValidationReport(False, "empty domain", None)
@@ -67,26 +67,26 @@ def ref_validate(pc, concurrency="sampled", samples=300, seed=0):
         return ValidationReport(False, "tau is not injective", None)
     inU2 = set(pc.U2)
     for l in meeting:
-        src = {sigma[int(p)] for p in S1.line_pts[l] if int(p) in sigma}
-        dst = {int(p) for p in S2.line_pts[tau[l]]} & inU2
+        src = {sigma[int(p)] for p in S.line_pts[l] if int(p) in sigma}
+        dst = {int(p) for p in S.line_pts[tau[l]]} & inU2
         if src != dst:
             return ValidationReport(
                 False, "tau(l) cuts U2 differently than sigma maps l cap U1",
                 (l, tau[l]))
     for p in pc.U1:
-        thru = [l for l in meeting if S1.on_line[p, l]]
+        thru = [l for l in meeting if S.on_line[p, l]]
         imgs = {tau[l] for l in thru}
         if len(imgs) != len(thru):
             return ValidationReport(False, "Step1: line pencil at a domain "
                                     "point does not stay bijective", (p,))
         sp = sigma[p]
-        if any(not S2.on_line[sp, m] for m in imgs):
+        if any(not S.on_line[sp, m] for m in imgs):
             return ValidationReport(False, "Step1: image line misses the "
                                     "image point", (p,))
     if concurrency:
         for l, m in ref_line_pairs(meeting, concurrency, samples, seed):
-            x = S1.meet_t[l, m]
-            y = S2.meet_t[tau[l], tau[m]]
+            x = S.meet_t[l, m]
+            y = S.meet_t[tau[l], tau[m]]
             if x >= 0 and y < 0:
                 return ValidationReport(
                     False, "Step2-1: images not concurrent", (l, m))
@@ -112,21 +112,21 @@ def ref_line_pairs(meeting, mode, samples, seed):
 
 def ref_extend_point(pc, p, seq):
     """(image, points searched) by walking seq until a second line."""
-    S1, S2 = pc.space1, pc.space2
+    S = pc.space
     tau = as_dict(pc.tau)
     first, searched = -1, 0
     for u in seq:
         if u == p:
             continue
         searched += 1
-        l = int(S1.join_t[p, u])
+        l = int(S.join_t[p, u])
         if l not in tau:
             raise ExtendError("tau undefined on a line meeting the domain")
         if first < 0:
             first = l
         elif l != first:
             t1, t2 = tau[first], tau[l]
-            x = -1 if t1 == t2 else S2.meet_t[t1, t2]
+            x = -1 if t1 == t2 else S.meet_t[t1, t2]
             if x < 0:
                 raise ExtendError("Step2-1: images not concurrent")
             return int(x), searched

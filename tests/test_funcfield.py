@@ -218,18 +218,33 @@ def test_rr_coords_roundtrip_and_rejects():
 # unit subsets and shifts
 # ---------------------------------------------------------------------------
 
+def valuation_recount(U):
+    """The unit classes, straight from the valuations at E."""
+    return [i for i in range(U.space.n_points)
+            if all(valuation(U.rr.func_of(U.space.pts[i]), pt) == 0
+                   for pt in U.E)]
+
+
 def test_unit_subset_q13_demo():
     f, D, E, _, _ = demo_instance("q13")
     U = unit_subset(D, E)
     assert U.n_units == 156
     assert int(U.one_index) in set(int(p) for p in U.points)
-    # independent recount straight from divisor supports
-    keep = []
-    for i in range(U.space.n_points):
-        fn = U.rr.func_of(U.space.pts[i])
-        if all(valuation(fn, pt) == 0 for pt in E):
-            keep.append(i)
-    assert keep == sorted(int(p) for p in U.points)
+    assert valuation_recount(U) == U.points.tolist()
+
+
+def test_unit_subset_matches_valuations():
+    _, D, E, _, _ = demo_instance("q9frob")
+    U = unit_subset(D, E)
+    assert valuation_recount(U) == U.points.tolist()
+    # a degree-2 closed point of E removes the classes it divides
+    f = make_field(5)
+    D = DivisorP1(f, {ClosedPointP1.finite(f, (f.neg(1), 1)): 2})
+    quad = ClosedPointP1.finite(f, irreducible_monics(f, 2)[0])
+    E = {quad, ClosedPointP1.infinity(f)}
+    U = unit_subset(D, E)
+    assert valuation_recount(U) == U.points.tolist()
+    assert U.n_units < unit_subset(D, E - {quad}).n_units
 
 
 def test_unit_subset_empty_e_and_overlap():
@@ -272,6 +287,10 @@ def test_ample_certificate_demo_and_small_q():
     cert5 = ample_certificate(unit_subset(D5, E5))
     assert cert5.ample and cert5.t_star == 2
     assert not cert5.extendable    # 5 <= 3*2 + 1
+    # the empty-only family is the cap 0, and its margin is that of t = 0
+    only = ample_certificate(unit_subset(D5, E5), AmpleFamily.empty_only())
+    assert not only.ample and only.t_star == 2
+    assert only.extendable         # 5 > 3*0 + 1
 
     Ufull = unit_subset(D5, set())
     cfull = ample_certificate(Ufull)
