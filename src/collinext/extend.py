@@ -301,14 +301,22 @@ def restrict(mapping, U1):
     return PartialCollineation(S, sigma, tau)
 
 
+def _span_codes(S, rows):
+    """Vector codes of the q^k linear combinations of the k rows of each
+    [m, k, d] stack, as an [m, q^k] array."""
+    f, q, d = S.field, S.q, S.d
+    span = np.zeros((len(rows), 1, d), dtype=np.int32)
+    for i in range(rows.shape[1]):
+        span = f.add_t[span[:, :, None], f.mul_t[
+            np.arange(q)[:, None], rows[:, None, None, i]]]
+        span = span.reshape(len(rows), -1, d)
+    return span @ S._qpow
+
+
 def _flat_points(space, gens):
-    """Point indices of the span of independent generator vectors."""
-    f = space.field
-    v = np.zeros((1, space.d), dtype=np.int64)
-    for g in np.asarray(gens, dtype=np.int64):
-        v = f.add_t[v[:, None], f.mul_t[np.arange(f.q)[:, None], g]]
-        v = v.reshape(-1, space.d)
-    return set(space.canon_index_many(v[(v != 0).any(axis=1)]).tolist())
+    """Point indices of the span of generator vectors."""
+    codes = _span_codes(space, np.asarray(gens)[None])[0]
+    return set(space.code_points()[codes[codes > 0]].tolist())
 
 
 def random_ample_instance(space, t, rng):
@@ -358,72 +366,141 @@ def random_ample_instance(space, t, rng):
 # exhaustive oracle
 # ---------------------------------------------------------------------------
 
-def _gl_size(q, d):
-    out = 1
-    for i in range(d):
-        out *= q ** d - q ** i
+def _inverse(f, M):
+    """Inverse of an invertible square matrix of field indices."""
+    d = len(M)
+    R, _ = rref(f, np.hstack([M, np.eye(d, dtype=np.int64)]).tolist())
+    return np.array(R, dtype=np.int64)[:, d:]
+
+
+def _frame_in(S, U1):
+    """Points of U1 in general position, taken greedily in ascending order:
+    a basis of the span of U1, then, when that basis spans the space, the
+    first point of U1 whose coordinates in it are all nonzero (the unit),
+    else None."""
+    pts = S.pts[U1]
+    basis = []
+    for _ in range(S.d):
+        inspan = np.isin(pts @ S._qpow,
+                         _span_codes(S, S.pts[basis][None])[0])
+        if inspan.all():
+            break
+        basis.append(int(U1[np.argmin(inspan)]))
+    unit = None
+    if len(basis) == S.d:
+        # coordinates x of v in the basis rows B: v = x B
+        x = mat_apply(S.field, _inverse(S.field, S.pts[basis]).T, pts)
+        full = (x != 0).all(axis=1)
+        if full.any():
+            unit = int(U1[np.argmax(full)])
+    return basis, unit
+
+
+def _candidate_count(q, d, n, k, unit):
+    """Candidates of the frame search: for each of the n Frobenius powers,
+    every image of the d - k missing basis points in general position
+    and, without a unit in U1, every unit image, (q - 1)^(d - 1)."""
+    out = n * (q - 1) ** (d - 1 if unit is None else 0)
+    for j in range(k, d):
+        out *= (q ** d - q ** j) // (q - 1)
     return out
 
 
-def _candidate_matrices(S):
-    """Row codes [B, d] of the invertible d x d matrices with leading
-    nonzero entry 1, one per element of PGL_d(q), in lexicographic order
-    of their entries read row by row.
-
-    Row 0 runs over the canonical points; each further row runs over
-    the codes outside the span of the rows above it."""
-    f, q, d = S.field, S.q, S.d
+def _image_bases(S, fixed):
+    """Row codes [N, d] of the ordered bases of k^d that start with the
+    canonical vectors `fixed` ([k, d], independent), each further row
+    running over the points off the span of the rows above it."""
+    q, d = S.q, S.d
     vecs = S.code_vectors()
-    every = np.arange(q ** d, dtype=np.min_scalar_type(q ** d - 1))
-    codes = np.sort(S.pts @ S._qpow).astype(every.dtype)[:, None]
+    pt_codes = (S.pts @ S._qpow).astype(np.min_scalar_type(q ** d - 1))
+    codes = (fixed @ S._qpow).astype(pt_codes.dtype)[None]
     step = max(1, (1 << 18) // q ** d)   # prefixes per span mask
-    for k in range(1, d):
-        n, n_free = len(codes), q ** d - q ** k
-        out = np.empty((n, n_free, k + 1), dtype=every.dtype)
+    for k in range(len(fixed), d):
+        n, n_free = len(codes), (q ** d - q ** k) // (q - 1)
+        out = np.empty((n, n_free, k + 1), dtype=codes.dtype)
         out[:, :, :k] = codes[:, None]
         for s in range(0, n, step):
             prefix = vecs[codes[s:s + step]]
             m = len(prefix)
-            # the q^k linear combinations of the prefix rows
-            span = np.zeros((m, 1, d), dtype=np.int32)
-            for i in range(k):
-                span = f.add_t[span[:, :, None], f.mul_t[
-                    np.arange(q)[:, None], prefix[:, None, None, i]]]
-                span = span.reshape(m, -1, d)
-            free = np.ones((m, q ** d), dtype=bool)
-            free[np.arange(m)[:, None], span @ S._qpow] = False
-            out[s:s + m, :, k] = np.broadcast_to(every, free.shape)[
+            inspan = np.zeros((m, q ** d), dtype=bool)
+            inspan[np.arange(m)[:, None], _span_codes(S, prefix)] = True
+            free = ~inspan[:, pt_codes]
+            out[s:s + m, :, k] = np.broadcast_to(pt_codes, free.shape)[
                 free].reshape(m, n_free)
         codes = out.reshape(-1, k + 1)
     return codes
 
 
 def brute_force_extensions(pc):
-    """Every collineation agreeing with sigma on U1, by full enumeration.
+    """Every collineation agreeing with sigma on U1, by a frame search.
 
-    Walks the semilinear group modulo scalars; refuses above 1e7 elements.
+    A collineation is v -> M mu(v), with M fixed up to a scalar by mu and
+    the images of a projective frame (FTPG).  The frame is the points of
+    U1 in general position (_frame_in), completed by standard basis
+    vectors off their pivots and a unit point.  For each Frobenius power
+    mu, every choice of images in general position for the completion
+    gives one candidate M = W diag(s) A^-1: A has the frame's basis
+    vectors under mu as columns, W their images, and s scales the columns
+    of W so that the unit goes to the unit's image.  matrix_filter keeps
+    the candidates that agree with sigma on all of U1.
+
+    The survivors come power by power, each in lexicographic order of its
+    matrix scaled to first entry 1, read row by row: the order of a walk
+    over the semilinear group modulo scalars.  Refuses above 1e7
+    candidates, counted before any is built.
     """
     S = pc.space
-    f, d = S.field, S.d
-    group = _gl_size(f.q, d) // (f.q - 1) * f.n
-    if group > BRUTE_BUDGET:
-        raise ExtendError("collineation group too large for brute force "
-                          "(%d elements)" % group)
-    codes = _candidate_matrices(S)
-    vecs = S.code_vectors()
+    f, q, d = S.field, S.q, S.d
     U1 = np.flatnonzero(pc.sigma >= 0)
+    basis, unit = _frame_in(S, U1)
+    count = _candidate_count(q, d, f.n, len(basis), unit)
+    if count > BRUTE_BUDGET:
+        raise ExtendError("frame search too large for brute force "
+                          "(%d candidates)" % count)
+    # a collineation keeps the basis images independent
+    img = S.pts[pc.sigma[basis]]
+    if len(rref(f, img.tolist())[1]) < len(basis):
+        return []
+    if unit is None:
+        # every column scaling; scaling column 0 by 1 fixes the scalar
+        scales = np.indices((1,) + (q - 1,) * (d - 1)).reshape(d, -1).T + 1
+    else:
+        c = mat_apply(f, _inverse(f, img.T), S.pts[pc.sigma[[unit]]])[0]
+    bases = _image_bases(S, img)
+    # standard basis vectors off the pivots complete the domain basis
+    free = np.setdiff1d(np.arange(d), rref(f, S.pts[basis].tolist())[1])
+    vecs = S.code_vectors()
     expect = pc.sigma[U1]
     out = []
-    step = max(1, _kernels._CHUNK // S.n_points)
     for e in range(f.n):
         moved = f.frob_t[e][S.pts]
-        reps = moved[U1]
-        mask = _kernels.matrix_filter(codes, reps, expect, vecs,
+        A_inv = _inverse(f, np.vstack([moved[basis],
+                                       np.eye(d, dtype=np.int64)[free]]).T)
+        if unit is not None:
+            a = mat_apply(f, A_inv, moved[[unit]])[0]
+            scales = f.mul_t[c, f.inv_t[a]][None]
+        # the columns of every diag(s) A^-1, and W times each of them
+        cols = f.mul_t[scales[:, :, None], A_inv].swapaxes(1, 2).reshape(-1, d)
+        codes = np.empty((len(bases), len(scales), d), dtype=bases.dtype)
+        step = max(1, _kernels._CHUNK // len(cols))
+        for s in range(0, len(bases), step):
+            W = vecs[bases[s:s + step]].swapaxes(1, 2)
+            M = mat_apply(f, W, cols).reshape(len(W), -1, d, d).swapaxes(2, 3)
+            lead = np.take_along_axis(
+                M[:, :, 0], np.argmax(M[:, :, 0] != 0, axis=2)[..., None],
+                axis=2)
+            M = f.mul_t[f.inv_t[lead][..., None], M]
+            codes[s:s + len(W)] = M @ S._qpow
+        codes = codes.reshape(-1, d)
+        mask = _kernels.matrix_filter(codes, moved[U1], expect, vecs,
                                       S.code_points(), f.mul_t, f.add_t)
+        codes = codes[mask]
+        codes = codes[np.lexsort(codes.T[::-1])]
         # the point maps v -> M mu(v) of the survivors, a chunk at a time;
         # each M is invertible by construction
-        mats = vecs[codes[mask]]
+        mats = vecs[codes]
+        step = max(1, _kernels._CHUNK // S.n_points)
         for s in range(0, len(mats), step):
-            maps = S.canon_index_many(mat_apply(f, mats[s:s + step], moved))
-            out += [Collineation(S, sigma) for sigma in maps]
+            out += Collineation.many(S, S.canon_index_many(
+                mat_apply(f, mats[s:s + step], moved)))
     return out

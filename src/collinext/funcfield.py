@@ -20,7 +20,7 @@ from .gf import (GF, field_of_order, mat_apply, padd, pdivmod, peval,
 from ._kernels import _polydiv, pair_mult_scan
 from .projgeom import ProjSpace
 from .semilinear import Collineation, SemilinearIso
-from .ample import AmpleFamily, is_ample, lines_meeting
+from .ample import AmpleFamily, is_ample, is_mn_admissible, lines_meeting
 from .extend import extend, restrict
 
 
@@ -331,7 +331,7 @@ class FFCertificate:
     ample: bool
     t_star: int
     q: int
-    extendable: bool      # q > 3 t* + 1, the (3,2)-admissibility margin
+    extendable: bool      # the family is (3,2)-admissible at q
     n_meeting: int
     family: AmpleFamily
 
@@ -339,8 +339,9 @@ class FFCertificate:
 def ample_certificate(U, fam=None):
     """Exact worst-case line complement over U, with the q margin.
 
-    Without a family, certifies the tightest size_at_most(t*); an explicit
-    family is checked as passed and the margin uses its own cap.
+    Without a family, certifies the tightest size_at_most(t*); a given
+    family is checked as passed.  extendable is the (3,2)-admissibility of
+    the certified family, the precondition extend checks.
     """
     space = U.space
     q = space.field.q
@@ -351,9 +352,8 @@ def ample_certificate(U, fam=None):
     t_star = int(comp.max())
     if fam is None:
         fam = AmpleFamily.size_at_most(t_star)
-    t_cap = fam.t if fam.kind == "size_at_most" else t_star
     rep = is_ample(space, U.points, fam)
-    return FFCertificate(rep.ample, t_star, q, q > 3 * t_cap + 1,
+    return FFCertificate(rep.ample, t_star, q, is_mn_admissible(fam, q, 3, 2),
                          int(len(meeting)), fam)
 
 

@@ -77,18 +77,20 @@ class Collineation:
 
     def __init__(self, space, sigma):
         self.space = space
-        sigma = np.asarray(sigma, dtype=np.int64)
-        if sigma.shape != (space.n_points,):
-            raise SemilinearError("sigma must list an image for every point")
-        if len(np.unique(sigma)) != space.n_points:
-            raise SemilinearError("sigma is not a bijection")
-        self.sigma = sigma
-        # each image line is named by its two lowest points, then checked whole
-        img = np.sort(sigma[space.line_pts], axis=1)
-        tau = space.line_of(img[:, 0], img[:, 1])
-        if (tau < 0).any() or (space.line_pts[tau] != img).any():
-            raise SemilinearError("point map does not carry lines to lines")
-        self.tau = tau
+        self.sigma = np.asarray(sigma, dtype=np.int64)
+        self.tau = _line_maps(space, self.sigma[None])[0]
+
+    @classmethod
+    def many(cls, space, sigmas):
+        """One Collineation per row of an [N, P] stack of point maps,
+        checked together."""
+        sigmas = np.asarray(sigmas, dtype=np.int64)
+        out = []
+        for sigma, tau in zip(sigmas, _line_maps(space, sigmas)):
+            c = cls.__new__(cls)
+            c.space, c.sigma, c.tau = space, sigma, tau
+            out.append(c)
+        return out
 
     def line_map(self, l):
         return int(self.tau[l])
@@ -110,6 +112,21 @@ class Collineation:
 
     def __repr__(self):
         return "Collineation(P=%d)" % len(self.sigma)
+
+
+def _line_maps(space, sigmas):
+    """Line maps [N, L] of an [N, P] stack of point maps; raises unless
+    every row is a bijection that carries lines to lines."""
+    if sigmas.shape[1:] != (space.n_points,):
+        raise SemilinearError("sigma must list an image for every point")
+    if (np.sort(sigmas, axis=1) != np.arange(space.n_points)).any():
+        raise SemilinearError("sigma is not a bijection")
+    # each image line is named by its two lowest points, then checked whole
+    img = np.sort(sigmas[:, space.line_pts], axis=2)
+    tau = space.line_of(img[..., 0], img[..., 1])
+    if (tau < 0).any() or (space.line_pts[tau] != img).any():
+        raise SemilinearError("point map does not carry lines to lines")
+    return tau
 
 
 def random_semilinear(space, rng):

@@ -1,4 +1,4 @@
-"""Acceptance gate: the eight headline checks, one line of output each.
+"""Acceptance gate: the nine headline checks, one line of output each.
 
 Run with -s to see the per-criterion lines; every check is also a hard
 assertion at the stated tolerance (exact unless noted).
@@ -10,16 +10,20 @@ from fractions import Fraction
 
 import numpy as np
 
-from collinext.gf import make_field
+from collinext.gf import make_field, mat_apply, rref
 from collinext.projgeom import ProjSpace, check_axioms, desargues_sweep
-from collinext.semilinear import equal_up_to_scalar, random_semilinear
-from collinext.ample import AmpleFamily, closed_form_admissible, is_mn_admissible
-from collinext.extend import (brute_force_extensions, extend,
+from collinext.semilinear import (SemilinearIso, equal_up_to_scalar,
+                                  random_semilinear)
+from collinext.ample import (AmpleFamily, closed_form_admissible, is_ample,
+                             is_mn_admissible)
+from collinext.extend import (_flat_points, _frame_in, _inverse,
+                              brute_force_extensions, extend,
                               random_ample_instance, restrict)
 from collinext.primesets import (PrimeSet, construct_remark28, gl_order,
                                  natural_density_estimate, recover_M0_and_p,
                                  w_sequence)
 from collinext.funcfield import run_demo
+from test_brute import ref_brute_force_extensions
 
 _FIELDS = {}
 
@@ -43,6 +47,7 @@ def report(n, ok, detail):
 def test_criterion_1_unique_extension_brute_force():
     # 20 random ample instances on P2(F5), S = size_at_most(1): the full
     # 372000-element sweep finds exactly one extension, equal to extend's
+    # and to the frame search's
     t0 = time.time()
     space = ProjSpace(field(5), 3)
     fam = AmpleFamily.size_at_most(1)
@@ -53,9 +58,9 @@ def test_criterion_1_unique_extension_brute_force():
         truth = iso.induce()
         U, _ = random_ample_instance(space, 1, rng)
         pc = restrict(truth, U)
-        found = brute_force_extensions(pc)
+        found = ref_brute_force_extensions(pc)
         res = extend(pc, fam, order="shuffled", seed=k)
-        ok &= (len(found) == 1
+        ok &= (len(found) == 1 and brute_force_extensions(pc) == found
                and np.array_equal(found[0].sigma, res.sigma_tilde)
                and np.array_equal(found[0].sigma, truth.sigma))
     dt = time.time() - t0
@@ -169,3 +174,73 @@ def test_criterion_8_ring_iso_recovery():
     ok &= dt < 60
     report(8, ok, "q=13 (%d pairs) and q=9 frob=1 (%d pairs) recovered, "
            "%.1fs" % (r13["pairs_checked"], r9["pairs_checked"], dt))
+
+
+def holds_frame(space, U):
+    """Whether U holds d + 1 points in general position: d independent
+    points and one whose coordinates in their basis are all nonzero."""
+    f, pts = space.field, space.pts[U]
+    if _frame_in(space, np.array(U))[1] is not None:
+        return True
+    for B in itertools.combinations(range(len(U)), space.d):
+        if len(rref(f, pts[list(B)].tolist())[1]) == space.d:
+            x = mat_apply(f, _inverse(f, pts[list(B)]).T, pts)
+            if (x != 0).all(axis=1).any():
+                return True
+    return False
+
+
+def boundary_domain(space, kind, rng):
+    """A seeded U holding a frame: the complement of a line, of a flat
+    (a point up to a hyperplane), or a random frame with each other point
+    added at a random density."""
+    P, d = space.n_points, space.d
+    while True:
+        if kind == "random":
+            frame = np.vstack([np.eye(d, dtype=int), np.ones((1, d), int)])
+            g = random_semilinear(space, rng).sigma_array()
+            keep = rng.random(P) < rng.choice([0.0, 0.3, 0.7])
+            keep[g[space.canon_index_many(frame)]] = True
+            return np.flatnonzero(keep).tolist()
+        if kind == "line_complement":
+            removed = space.line_pts[int(rng.integers(space.n_lines))]
+        else:
+            gens = space.pts[rng.choice(P, size=int(rng.integers(1, d)),
+                                        replace=False)]
+            removed = list(_flat_points(space, gens))
+        U = np.setdiff1d(np.arange(P), removed).tolist()
+        # a hyperplane complement over GF(2) holds no frame: the sum of
+        # d points off the hyperplane lies on it when d is even
+        if holds_frame(space, U):
+            return U
+
+
+def test_criterion_9_ampleness_boundary_table():
+    # The extensions of restrict(g, U) are g composed with those of the
+    # identity on U, so one oracle call on the identity per U counts them.
+    # Every U holds a frame; an ample U (size_at_most(t), t = 1, 2) must
+    # have exactly one, any other at least one.
+    t0 = time.time()
+    ok = True
+    n_ample = 0
+    other = {}
+    for q, d in [(q, 3) for q in (2, 3, 4, 5, 7, 8, 9)] + [
+            (q, 4) for q in (2, 3, 4, 5)]:
+        space = ProjSpace(field(q), d)
+        ident = SemilinearIso(space, np.eye(d, dtype=int), 0)
+        rng = np.random.default_rng(9000 + 10 * q + d)
+        for kind in ("line_complement", "flat", "random"):
+            for _ in range(3):
+                U = boundary_domain(space, kind, rng)
+                count = len(brute_force_extensions(restrict(ident, U)))
+                for t in (1, 2):
+                    if is_ample(space, U, AmpleFamily.size_at_most(t)).ample:
+                        ok &= count == 1
+                        n_ample += 1
+                    else:
+                        ok &= count >= 1
+                        key = (q, d, kind, t)
+                        other[key] = other.get(key, ()) + (count,)
+    print({k: v for k, v in sorted(other.items())})
+    report(9, ok, "%d ample (U, t) with one extension, %d other, %.1fs"
+           % (n_ample, sum(map(len, other.values())), time.time() - t0))

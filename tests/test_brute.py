@@ -1,8 +1,12 @@
-"""The brute-force oracle's enumeration and filter against references.
+"""The brute-force oracle against the full enumeration it replaced.
 
-The reference enumeration is the q^(d^2) digit sweep with a determinant
-filter that the row-by-row enumeration replaced; the reference filter
-applies each candidate matrix to each rep, one at a time."""
+ref_brute_force_extensions walks every normalized matrix of PGL_d(q),
+row by row, under every Frobenius power, and keeps those that
+matrix_filter passes; the frame search must return the same
+collineations in the same order.  The row-by-row enumeration is checked
+in turn against the q^(d^2) digit sweep with a determinant filter, and
+matrix_filter against a loop that applies each candidate matrix to each
+rep, one at a time."""
 
 import importlib
 import tracemalloc
@@ -12,10 +16,10 @@ import pytest
 
 from collinext import _kernels
 from collinext.ample import AmpleFamily
-from collinext.gf import make_field
+from collinext.gf import make_field, mat_apply
 from collinext.primesets import gl_order
 from collinext.projgeom import ProjSpace
-from collinext.semilinear import random_semilinear
+from collinext.semilinear import Collineation, SemilinearIso, random_semilinear
 from test_gf import mat_det, mat_vec
 from test_projgeom import ref_canon_index, ref_canon_index_many
 
@@ -28,6 +32,65 @@ def space(p, n, d):
     if (p, n, d) not in _SPACES:
         _SPACES[p, n, d] = ProjSpace(make_field(p, n), d)
     return _SPACES[p, n, d]
+
+
+def gl_size(q, d):
+    out = 1
+    for i in range(d):
+        out *= q ** d - q ** i
+    return out
+
+
+def candidate_matrices(S):
+    """Row codes [B, d] of the invertible d x d matrices with leading
+    nonzero entry 1, one per element of PGL_d(q), in lexicographic order
+    of their entries read row by row.
+
+    Row 0 runs over the canonical points; each further row runs over
+    the codes outside the span of the rows above it."""
+    f, q, d = S.field, S.q, S.d
+    vecs = S.code_vectors()
+    every = np.arange(q ** d, dtype=np.min_scalar_type(q ** d - 1))
+    codes = np.sort(S.pts @ S._qpow).astype(every.dtype)[:, None]
+    step = max(1, (1 << 18) // q ** d)   # prefixes per span mask
+    for k in range(1, d):
+        n, n_free = len(codes), q ** d - q ** k
+        out = np.empty((n, n_free, k + 1), dtype=every.dtype)
+        out[:, :, :k] = codes[:, None]
+        for s in range(0, n, step):
+            prefix = vecs[codes[s:s + step]]
+            m = len(prefix)
+            # the q^k linear combinations of the prefix rows
+            span = np.zeros((m, 1, d), dtype=np.int32)
+            for i in range(k):
+                span = f.add_t[span[:, :, None], f.mul_t[
+                    np.arange(q)[:, None], prefix[:, None, None, i]]]
+                span = span.reshape(m, -1, d)
+            free = np.ones((m, q ** d), dtype=bool)
+            free[np.arange(m)[:, None], span @ S._qpow] = False
+            out[s:s + m, :, k] = np.broadcast_to(every, free.shape)[
+                free].reshape(m, n_free)
+        codes = out.reshape(-1, k + 1)
+    return codes
+
+
+def ref_brute_force_extensions(pc):
+    """Every collineation agreeing with sigma on U1, by walking the
+    semilinear group modulo scalars: each of the n Frobenius powers, then
+    every candidate_matrices row in order."""
+    S = pc.space
+    f = S.field
+    codes = candidate_matrices(S)
+    vecs = S.code_vectors()
+    U1 = np.flatnonzero(pc.sigma >= 0)
+    out = []
+    for e in range(f.n):
+        moved = f.frob_t[e][S.pts]
+        mask = _kernels.matrix_filter(codes, moved[U1], pc.sigma[U1], vecs,
+                                      S.code_points(), f.mul_t, f.add_t)
+        maps = S.canon_index_many(mat_apply(f, vecs[codes[mask]], moved))
+        out += [Collineation(S, sigma) for sigma in maps]
+    return out
 
 
 def ref_candidate_matrices(f, d):
@@ -54,12 +117,12 @@ def ref_candidate_matrices(f, d):
 def test_candidates_match_digit_sweep(p, n, d):
     S = space(p, n, d)
     q = S.q
-    codes = E._candidate_matrices(S)
+    codes = candidate_matrices(S)
     got = S.code_vectors()[codes]
     ref = ref_candidate_matrices(S.field, d)
     assert got.shape == ref.shape
     assert (got == ref).all()
-    assert len(codes) == E._gl_size(q, d) // (q - 1)
+    assert len(codes) == gl_size(q, d) // (q - 1)
     if n == 1:
         assert len(codes) == gl_order(d, q) // (q - 1)
 
@@ -113,7 +176,7 @@ def test_matrix_filter_memory_stays_near_the_mask():
     # front peaked at 108 MB above the candidate codes.
     S = ProjSpace(make_field(211), 2)
     f = S.field
-    codes = E._candidate_matrices(S)
+    codes = candidate_matrices(S)
     U = np.arange(1, S.n_points)
     sigma = random_semilinear(S, np.random.default_rng(211)).sigma_array()
     args = (codes, S.pts[U], sigma[U], S.code_vectors(), S.code_points(),
@@ -148,3 +211,97 @@ def test_brute_force_unique_on_P2_F7():
     res = E.extend(pc, AmpleFamily.size_at_most(1), order="shuffled")
     assert (found[0].sigma == res.sigma_tilde).all()
     assert (found[0].sigma == iso.sigma_array()).all()
+
+
+# ---------------------------------------------------------------------------
+# the frame search against the full enumeration
+# ---------------------------------------------------------------------------
+
+def fixing(S, U):
+    """The identity of S restricted to U."""
+    return E.restrict(SemilinearIso(S, np.eye(S.d, dtype=int), 0), U)
+
+
+def assert_same_extensions(pc):
+    got = E.brute_force_extensions(pc)
+    ref = ref_brute_force_extensions(pc)
+    assert len(got) == len(ref)
+    assert all(a == b for a, b in zip(got, ref))
+    return got
+
+
+@pytest.mark.parametrize("p,n,d,U,count", [
+    (2, 1, 3, [0], 24),        # point stabilizer of PGL(3,2): 168 / 7
+    (3, 1, 2, [0], 6),         # PGL(2,3): 24 / 4
+    (2, 1, 4, [0], 1344),      # PGL(4,2): 20160 / 15
+    (5, 1, 3, [0, 8], 400),    # PGL(3,5): 372000 / (31 * 30)
+])
+def test_frame_search_matches_on_stabilizers(p, n, d, U, count):
+    assert len(assert_same_extensions(fixing(space(p, n, d), U))) == count
+
+
+def test_frame_search_matches_on_inconsistent_sigma():
+    S = space(5, 1, 3)
+    U = [x for x in range(S.n_points) if x != 3]
+    basis, unit = E._frame_in(S, np.array(U))
+    line = S.line_pts[S.join_idx(basis[0], basis[1])]
+    off = [x for x in line if x not in basis[:2]][0]
+    for dom, edit in ((U, {U[1]: U[4], U[4]: U[1]}),  # images swapped
+                      (U, {basis[1]: basis[0]}),      # basis images repeated
+                      (U, {basis[2]: off}),           # basis images collinear
+                      (U, {unit: off}),               # unit image on a side
+                      (line, {basis[1]: basis[0]})):  # the same, off a frame
+        pc = fixing(S, dom)
+        for x, y in edit.items():
+            pc.sigma[x] = y
+        assert assert_same_extensions(pc) == []
+
+
+def battery_domain(S, kind, rng):
+    """A seeded U1 of the given kind: an ample instance (it holds a
+    frame), the points of a line with or without one point off it (no
+    frame), or a few random points."""
+    if kind == "ample":
+        return E.random_ample_instance(S, 1, rng)[0]
+    line = S.line_pts[int(rng.integers(S.n_lines))].tolist()
+    if kind == "line":
+        return line
+    if kind == "line_plus_point":
+        off = [x for x in range(S.n_points) if x not in line]
+        return line + [off[int(rng.integers(len(off)))]]
+    return rng.choice(S.n_points, size=int(rng.integers(2, 7)),
+                      replace=False).tolist()
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (5, 1)])
+def test_frame_search_matches_full_enumeration(p, n):
+    S = space(p, n, 3)
+    f = S.field
+    rng = np.random.default_rng(40 + 7 * p + n)
+    seen = set()
+    for trial in range(12):
+        iso = random_semilinear(S, rng)
+        if n > 1:   # every other map twisted by the Frobenius
+            iso = SemilinearIso(S, iso.mat, trial % 2)
+        kind = ("ample", "line", "line_plus_point", "random")[trial % 4]
+        U = np.sort(battery_domain(S, kind, rng))
+        pc = E.restrict(iso, U)
+        if trial % 3 == 2:   # images permuted: usually no extension
+            pc.sigma[U] = pc.sigma[rng.permutation(U)]
+        got = assert_same_extensions(pc)
+        seen.add((E._frame_in(S, U)[1] is not None, iso.frob_exp, len(got)))
+    assert {framed for framed, _, _ in seen} == {False, True}
+    assert {frob for _, frob, _ in seen} == set(range(f.n))
+    assert {count > 1 for _, _, count in seen} == {False, True}
+
+
+@pytest.mark.parametrize("p,n,U,count", [
+    (7, 1, [0], 56 * 49 * 36),      # |PGL(3,7)| / 57
+    (3, 2, [0, 1], 2 * 81 * 64),    # |PGammaL(3,9)| / (91 * 90)
+])
+def test_frame_search_counts_match_closed_forms(p, n, U, count):
+    S = space(p, n, 3)
+    q = S.q
+    group = gl_size(q, 3) // (q - 1) * n
+    assert count * S.n_points * (S.n_points - 1) ** (len(U) - 1) == group
+    assert len(E.brute_force_extensions(fixing(S, U))) == count

@@ -79,6 +79,19 @@ def test_oracle_counts_one(capsys):
     assert all(t["count"] == 1 and t["ok"] for t in rep["trials"])
 
 
+@pytest.mark.parametrize("q,d", [(8, 3), (9, 3), (5, 4)])
+def test_oracle_runs_where_the_group_walk_was_refused(q, d, capsys):
+    # |PGammaL_d(q)| is above the 1e7 budget at each size; the frame
+    # search builds n candidates per trial instead
+    code, out = run_main(["--cmd", "oracle", "--q", str(q), "--d", str(d),
+                          "--t", "1", "--trials", "3", "--seed", "5"],
+                         capsys)
+    assert code == 0
+    trials = json.loads(out)["trials"]
+    assert len(trials) == 3
+    assert all(t["count"] == 1 and t["ok"] for t in trials)
+
+
 def test_primesets_defaults(capsys):
     code, out = run_main(["--cmd", "primesets", "--g", "1", "--p", "2",
                           "--eps", "0.3", "--bound", "100000"], capsys)
@@ -131,9 +144,10 @@ def test_precondition_rejections(capsys):
     assert code == 2
     code, _ = run_main(["--cmd", "extend", "--q", "6", "--d", "3"], capsys)
     assert code == 2   # 6 is not a prime power
-    code, _ = run_main(["--cmd", "oracle", "--q", "9", "--d", "4",
-                        "--t", "1", "--trials", "1"], capsys)
-    assert code == 2   # brute force over PGammaL(4, 9) refused
+    code, out = run_main(["--cmd", "oracle", "--q", "9", "--d", "4",
+                          "--t", "1", "--trials", "1"], capsys)
+    assert code == 0   # U1 holds a frame: two candidates, not PGammaL(4, 9)
+    assert json.loads(out)["trials"][0]["count"] == 1
 
 
 def test_failing_trial_exits_one(capsys, monkeypatch):

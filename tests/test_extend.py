@@ -1,8 +1,11 @@
 """Partial collineations: validation, extension, uniqueness oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from collinext import _kernels
 from collinext.gf import make_field
 from collinext.projgeom import ProjSpace
 from collinext.semilinear import (
@@ -437,11 +440,25 @@ def test_brute_force_inconsistent_sigma_has_no_extension():
     assert brute_force_extensions(pc) == []
 
 
-def test_brute_force_budget_guard():
-    S = space(3, 2)  # PGammaL(3,9) is about 85 million
-    pc = restrict(SemilinearIso(S, np.eye(3, dtype=int), 0), [0, 1])
-    with pytest.raises(ExtendError, match="too large"):
-        brute_force_extensions(pc)
+def test_brute_force_budget_guard(monkeypatch):
+    # P^3(F_5) with one point fixed: 155 * 150 * 125 images of the missing
+    # basis points times 4^3 unit images is 186,000,000 candidates, refused
+    # from the count before any candidate is built or filtered
+    S = space(5, 1, 4)
+    pc = restrict(SemilinearIso(S, np.eye(4, dtype=int), 0), [0])
+
+    def no_filter(*args):
+        raise AssertionError("matrix_filter was called")
+    monkeypatch.setattr(_kernels, "matrix_filter", no_filter)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ExtendError, match=r"too large for brute force "
+                                              r"\(186000000 candidates\)"):
+            brute_force_extensions(pc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 def test_brute_force_small_plane_full_group():

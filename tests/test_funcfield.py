@@ -1,6 +1,7 @@
 """Divisors on the line, truncated function spaces, ring-map recovery."""
 
 import functools
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,7 +14,7 @@ from collinext.gf import (field_of_order, irreducible_monics, make_field,
                           ptrim)
 from collinext.projgeom import ProjSpace
 from collinext._kernels import pair_mult_scan
-from collinext.ample import AmpleFamily
+from collinext.ample import AmpleFamily, is_mn_admissible
 from collinext.extend import extend
 from collinext.funcfield import (
     ClosedPointP1,
@@ -295,6 +296,23 @@ def test_ample_certificate_demo_and_small_q():
     Ufull = unit_subset(D5, set())
     cfull = ample_certificate(Ufull)
     assert cfull.ample and cfull.t_star == 0
+
+
+def test_ample_certificate_margin_is_the_family_admissibility():
+    # P(L(2(t-1))) over GF(5) with E empty has t* = 0; the explicit family
+    # of all subsets of size <= 2 is (3,2)-admissible exactly when
+    # size_at_most(2) is, and neither is at q = 5 (5 <= 3*2 + 1)
+    f5 = make_field(5)
+    D5 = DivisorP1(f5, {ClosedPointP1.finite(f5, (f5.neg(1), 1)): 2})
+    U = unit_subset(D5, set())
+    small = AmpleFamily.explicit(
+        [s for k in range(3) for s in itertools.combinations(range(6), k)], 5)
+    sized = AmpleFamily.size_at_most(2)
+    cert, cert_sized = ample_certificate(U, small), ample_certificate(U, sized)
+    assert cert.t_star == cert_sized.t_star == 0
+    assert cert.ample and cert_sized.ample
+    assert cert.extendable == is_mn_admissible(small, 5, 3, 2) is False
+    assert cert_sized.extendable == is_mn_admissible(sized, 5, 3, 2) is False
 
 
 # ---------------------------------------------------------------------------
