@@ -1,11 +1,14 @@
-"""Hot inner loops, each one chunked numpy gather.
+"""Hot inner loops, each run in chunks sized from _CHUNK so that
+temporaries stay small.
 
-The axiom-II and Desargues sweeps, the brute-force matrix filter and the
-all-pairs multiplicativity scan of the function-field demo, each run in
-chunks sized from _CHUNK so that temporaries stay small.
+The axiom-II and Desargues sweeps and the multiplicativity scan of the
+function-field demo are numpy gathers; the brute-force matrix filter is
+gf.mat_apply and a ProjSpace.code_points lookup.
 """
 
 import numpy as np
+
+from .gf import mat_apply
 
 # Read by perfbench/child.py for its environment record; there is one
 # backend, numpy.
@@ -99,36 +102,30 @@ def desargues_scan(ps, qs, join_t, meet_t, line_pts):
 # matrix agreement filter (brute-force extension oracle)
 # ---------------------------------------------------------------------------
 
-def matrix_filter(codes, reps, expect, vecs, point_of, mul_t, add_t):
+def matrix_filter(mats, reps, expect, space):
     """Mask of the candidate matrices mapping each rep to its expected point.
 
-    codes: [B, d] row codes of the candidates, the code of a row being the
-    base-q number of its field indices; vecs: [q^d, d] the row of every
-    code; point_of: [q^d] the point index of every code, -1 for zero;
-    reps: [m, d] (already frobenius twisted by the caller); expect: [m]
-    point indices.  Row i of M v is dot[code of row i] for the table
-    dot = vecs . v, so each image is d gathers and one point lookup.  The
-    reps go one at a time over the survivors of the ones before, so one
-    [q^d] table is live at once and none is built once nothing survives."""
-    q, d = len(mul_t), codes.shape[1]
-    weights = q ** np.arange(d - 1, -1, -1)
-    n, step = len(codes), _CHUNK * 4
-    alive = None   # every candidate, without a full-length index array
-    for v, e in zip(reps, expect):
-        if not n:
-            break
-        dot = 0
-        for j in range(d):
-            dot = add_t[dot, mul_t[vecs[:, j], v[j]]]
-        keep = []
-        for s in range(0, n, step):
-            a = (np.arange(s, min(s + step, n)) if alive is None
-                 else alive[s:s + step])
-            keep.append(a[point_of[dot[codes[a]] @ weights] == e])
-        alive = np.concatenate(keep)
-        n = len(alive)
-    out = np.zeros(len(codes), dtype=bool)
-    out[slice(None) if alive is None else alive] = True
+    mats: [B, d, d]; reps: [m, d] (already Frobenius twisted by the
+    caller); expect: [m] point indices.  In each chunk of _CHUNK
+    candidates the reps go in blocks of max(1, _CHUNK // (n_alive d))
+    over the survivors of the blocks before: one mat_apply, then one
+    code_points lookup, where a zero image reads -1 and matches nothing."""
+    f, d = space.field, space.d
+    point_of = space.code_points()
+    out = np.zeros(len(mats), dtype=bool)
+    for s in range(0, len(mats), _CHUNK):
+        chunk = mats[s:s + _CHUNK]
+        alive = None   # the whole chunk, without an index array
+        n, r = len(chunk), 0
+        while n and r < len(reps):
+            step = max(1, _CHUNK // (n * d))
+            img = mat_apply(f, chunk if alive is None else chunk[alive],
+                            reps[r:r + step])
+            ok = (point_of[space._vector_code(img)]
+                  == expect[r:r + step]).all(axis=1)
+            alive = np.flatnonzero(ok) if alive is None else alive[ok]
+            n, r = len(alive), r + step
+        out[s:s + len(chunk)][slice(None) if alive is None else alive] = True
     return out
 
 

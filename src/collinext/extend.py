@@ -310,7 +310,7 @@ def _span_codes(S, rows):
         span = f.add_t[span[:, :, None], f.mul_t[
             np.arange(q)[:, None], rows[:, None, None, i]]]
         span = span.reshape(len(rows), -1, d)
-    return span @ S._qpow
+    return S._vector_code(span)
 
 
 def _flat_points(space, gens):
@@ -381,7 +381,7 @@ def _frame_in(S, U1):
     pts = S.pts[U1]
     basis = []
     for _ in range(S.d):
-        inspan = np.isin(pts @ S._qpow,
+        inspan = np.isin(S._vector_code(pts),
                          _span_codes(S, S.pts[basis][None])[0])
         if inspan.all():
             break
@@ -412,8 +412,8 @@ def _image_bases(S, fixed):
     running over the points off the span of the rows above it."""
     q, d = S.q, S.d
     vecs = S.code_vectors()
-    pt_codes = (S.pts @ S._qpow).astype(np.min_scalar_type(q ** d - 1))
-    codes = (fixed @ S._qpow).astype(pt_codes.dtype)[None]
+    pt_codes = S._vector_code(S.pts).astype(np.min_scalar_type(q ** d - 1))
+    codes = S._vector_code(fixed).astype(pt_codes.dtype)[None]
     step = max(1, (1 << 18) // q ** d)   # prefixes per span mask
     for k in range(len(fixed), d):
         n, n_free = len(codes), (q ** d - q ** k) // (q - 1)
@@ -441,8 +441,10 @@ def brute_force_extensions(pc):
     mu, every choice of images in general position for the completion
     gives one candidate M = W diag(s) A^-1: A has the frame's basis
     vectors under mu as columns, W their images, and s scales the columns
-    of W so that the unit goes to the unit's image.  matrix_filter keeps
-    the candidates that agree with sigma on all of U1.
+    of W so that the unit goes to the unit's image.  Each chunk of
+    candidates goes through matrix_filter as it is built, and only the
+    ones that agree with sigma on all of U1 are kept.  tau is not
+    consulted: a survivor's line map is its own, whatever pc.tau says.
 
     The survivors come power by power, each in lexicographic order of its
     matrix scaled to first entry 1, read row by row: the order of a walk
@@ -481,24 +483,20 @@ def brute_force_extensions(pc):
             scales = f.mul_t[c, f.inv_t[a]][None]
         # the columns of every diag(s) A^-1, and W times each of them
         cols = f.mul_t[scales[:, :, None], A_inv].swapaxes(1, 2).reshape(-1, d)
-        codes = np.empty((len(bases), len(scales), d), dtype=bases.dtype)
+        mats = []
         step = max(1, _kernels._CHUNK // len(cols))
         for s in range(0, len(bases), step):
             W = vecs[bases[s:s + step]].swapaxes(1, 2)
-            M = mat_apply(f, W, cols).reshape(len(W), -1, d, d).swapaxes(2, 3)
+            M = mat_apply(f, W, cols).reshape(-1, d, d).swapaxes(1, 2)
             lead = np.take_along_axis(
-                M[:, :, 0], np.argmax(M[:, :, 0] != 0, axis=2)[..., None],
-                axis=2)
+                M[:, 0], np.argmax(M[:, 0] != 0, axis=1)[:, None], axis=1)
             M = f.mul_t[f.inv_t[lead][..., None], M]
-            codes[s:s + len(W)] = M @ S._qpow
-        codes = codes.reshape(-1, d)
-        mask = _kernels.matrix_filter(codes, moved[U1], expect, vecs,
-                                      S.code_points(), f.mul_t, f.add_t)
-        codes = codes[mask]
-        codes = codes[np.lexsort(codes.T[::-1])]
+            mats.append(M[_kernels.matrix_filter(M, moved[U1], expect, S)])
+        mats = np.concatenate(mats)
+        # lexicographic in the entries read row by row
+        mats = mats[np.lexsort(mats.reshape(-1, d * d).T[::-1])]
         # the point maps v -> M mu(v) of the survivors, a chunk at a time;
         # each M is invertible by construction
-        mats = vecs[codes]
         step = max(1, _kernels._CHUNK // S.n_points)
         for s in range(0, len(mats), step):
             out += Collineation.many(S, S.canon_index_many(

@@ -384,12 +384,11 @@ def _stabilizer_chain(space, cols, gens):
     with the generators collineations, any ordered non-collinear triple
     goes to (e1, e2, e3)."""
     from .semilinear import Collineation, SemilinearError
-    for g in gens:
-        try:
-            Collineation(space, g)
-        except SemilinearError as err:
-            raise GeomError("generator is not a collineation of the "
-                            "incidence tables: %s" % err)
+    try:
+        Collineation.many(space, gens)
+    except SemilinearError as err:
+        raise GeomError("generator is not a collineation of the "
+                        "incidence tables: %s" % err)
     base = space._offs[:3]   # indices of e1, e2, e3
     want = np.ones((3, space.n_points), dtype=bool)
     want[1:, base[0]] = False

@@ -5,8 +5,9 @@ row by row, under every Frobenius power, and keeps those that
 matrix_filter passes; the frame search must return the same
 collineations in the same order.  The row-by-row enumeration is checked
 in turn against the q^(d^2) digit sweep with a determinant filter, and
-matrix_filter against a loop that applies each candidate matrix to each
-rep, one at a time."""
+matrix_filter, which takes [B, d, d] matrices and applies them to blocks
+of reps through mat_apply, against a loop that applies each candidate
+matrix to each rep, one at a time."""
 
 import importlib
 import tracemalloc
@@ -80,15 +81,13 @@ def ref_brute_force_extensions(pc):
     every candidate_matrices row in order."""
     S = pc.space
     f = S.field
-    codes = candidate_matrices(S)
-    vecs = S.code_vectors()
+    mats = S.code_vectors()[candidate_matrices(S)]
     U1 = np.flatnonzero(pc.sigma >= 0)
     out = []
     for e in range(f.n):
         moved = f.frob_t[e][S.pts]
-        mask = _kernels.matrix_filter(codes, moved[U1], pc.sigma[U1], vecs,
-                                      S.code_points(), f.mul_t, f.add_t)
-        maps = S.canon_index_many(mat_apply(f, vecs[codes[mask]], moved))
+        mask = _kernels.matrix_filter(mats, moved[U1], pc.sigma[U1], S)
+        maps = S.canon_index_many(mat_apply(f, mats[mask], moved))
         out += [Collineation(S, sigma) for sigma in maps]
     return out
 
@@ -143,44 +142,57 @@ def ref_matrix_filter(S, mats, reps, expect):
 @pytest.mark.parametrize("p,n,d", [(2, 2, 3), (2, 3, 3), (3, 2, 2),
                                    (5, 1, 3), (3, 1, 4)])
 def test_matrix_filter_matches_per_candidate_loop(p, n, d, monkeypatch):
-    monkeypatch.setattr(_kernels, "_CHUNK", 1)   # filter chunks of 4 codes
     S = space(p, n, d)
     f, q = S.field, S.q
-    vecs = S.code_vectors()
+    blocks = []   # (candidates, reps) of every mat_apply in the filter
+
+    def recording(f, mats, vecs):
+        blocks.append((len(mats), len(vecs)))
+        return mat_apply(f, mats, vecs)
+    monkeypatch.setattr(_kernels, "mat_apply", recording)
     rng = np.random.default_rng(100 * q + d)
-    for trial in range(4):
-        e = trial % f.n
-        U = rng.choice(S.n_points, size=int(rng.integers(1, d + 3)),
-                       replace=False)
-        reps = f.frob_t[e][S.pts[U]]
-        # random rows, singular ones included, plus a planted matrix and
-        # its scalar multiples, which map every rep where it does
-        codes = rng.integers(0, q ** d, size=(300, d))
-        plant = random_semilinear(S, rng).mat
-        expect = np.array([ref_canon_index(S, mat_vec(f, plant.tolist(), v))
-                           for v in reps.tolist()])
-        at = rng.choice(len(codes), size=q - 1, replace=False)
-        for c, pos in zip(range(1, q), at):
-            codes[pos] = f.mul_t[c, plant] @ S._qpow
-        mask = _kernels.matrix_filter(codes, reps, expect, vecs,
-                                      S.code_points(), f.mul_t, f.add_t)
-        assert mask.dtype == bool and mask[at].all()
-        assert (mask == ref_matrix_filter(S, vecs[codes], reps,
-                                          expect)).all()
+    # _CHUNK = 1 filters one candidate against one rep at a time; at 64,
+    # a full chunk takes one rep, and its few survivors take the rest in
+    # blocks of several reps
+    for chunk in (1, 64):
+        monkeypatch.setattr(_kernels, "_CHUNK", chunk)
+        blocks.clear()
+        for trial in range(4):
+            e = trial % f.n
+            U = rng.choice(S.n_points, size=int(rng.integers(1, d + 3)),
+                           replace=False)
+            reps = f.frob_t[e][S.pts[U]]
+            # random matrices, singular ones included, plus a planted
+            # matrix and its scalar multiples, which map every rep where
+            # it does
+            mats = S.code_vectors()[rng.integers(0, q ** d, size=(300, d))]
+            plant = random_semilinear(S, rng).mat
+            expect = np.array([ref_canon_index(S, mat_vec(f, plant.tolist(),
+                                                          v))
+                               for v in reps.tolist()])
+            at = rng.choice(len(mats), size=q - 1, replace=False)
+            mats[at] = f.mul_t[np.arange(1, q)[:, None, None], plant]
+            mask = _kernels.matrix_filter(mats, reps, expect, S)
+            assert mask.dtype == bool and mask[at].all()
+            assert (mask == ref_matrix_filter(S, mats, reps, expect)).all()
+        if chunk == 1:
+            assert set(blocks) == {(1, 1)}
+        else:
+            assert (chunk, 1) in blocks
+            assert max(r for _, r in blocks) > 1
 
 
 def test_matrix_filter_memory_stays_near_the_mask():
     # P^1(F_211) with all but one point fixed: 9.4M candidates, 211 reps,
-    # of which nearly every candidate fails the first.  One [q^d] dot table
-    # at a time keeps the peak near the B-byte mask; building all 211 up
-    # front peaked at 108 MB above the candidate codes.
+    # of which nearly every candidate fails the first.  Chunks of _CHUNK
+    # candidates, each filtered over its own survivors, keep the peak near
+    # the B-byte mask.
     S = ProjSpace(make_field(211), 2)
-    f = S.field
     codes = candidate_matrices(S)
+    mats = S.code_vectors().astype(np.uint8)[codes]
     U = np.arange(1, S.n_points)
     sigma = random_semilinear(S, np.random.default_rng(211)).sigma_array()
-    args = (codes, S.pts[U], sigma[U], S.code_vectors(), S.code_points(),
-            f.mul_t, f.add_t)
+    args = (mats, S.pts[U], sigma[U], S)
     tracemalloc.start()
     try:
         mask = _kernels.matrix_filter(*args)
