@@ -18,8 +18,7 @@ from .semilinear import (SemilinearError, SemilinearIso,
                          Collineation, random_semilinear, equal_up_to_scalar,
                          decode_ftpg)
 from .ample import (AmpleError, AmpleFamily, AmpleReport, lines_meeting,
-                    is_ample, is_mn_admissible, closed_form_admissible,
-                    is_pgl2_stable, transport_subset)
+                    is_ample, is_mn_admissible, is_pgl2_stable)
 from .extend import (ExtendError, PartialCollineation, ValidationReport,
                      validate_partial, ExtensionResult, extend, restrict,
                      random_ample_instance, brute_force_extensions)

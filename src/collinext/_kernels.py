@@ -27,8 +27,6 @@ def axiom2_scan(tri, join_t, meet_t, line_pts):
 
     Returns (n_checked, witness): witness is None or the first failing
     triple in row order, n_checked counting point pairs through it."""
-    if join_t is None or meet_t is None:
-        raise ValueError("axiom II sweep needs join/meet tables")
     k = line_pts.shape[1]
     step = max(1, _CHUNK // (k * k))
     n = 0

@@ -28,11 +28,6 @@ class AmpleFamily:
     q: int | None = None
 
     @staticmethod
-    def empty_only():
-        """Only the empty complement: the size cap 0."""
-        return AmpleFamily.size_at_most(0)
-
-    @staticmethod
     def size_at_most(t):
         if t < 0:
             raise AmpleError("threshold must be >= 0")
@@ -59,11 +54,6 @@ class AmpleFamily:
         if self.q != q:
             raise AmpleError("family is bound to q=%s, line has q=%d" % (self.q, q))
         return s in self.sets
-
-    def max_size(self, q):
-        if self.kind == "size_at_most":
-            return min(self.t, q + 1)
-        return max((len(s) for s in self.sets), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -121,11 +111,6 @@ def is_pgl2_stable(family, field):
 # (m, n)-admissibility
 # ---------------------------------------------------------------------------
 
-def closed_form_admissible(q, m, n, t):
-    """Cover-free bound for the size-capped family: q > m t + n - 1."""
-    return q > m * t + n - 1
-
-
 def is_mn_admissible(family, q, m, n):
     """No m family members plus n extra points can cover the q+1 positions."""
     if m < 0 or n < 0:
@@ -155,12 +140,6 @@ def is_mn_admissible(family, q, m, n):
 def line_parametrization(space, l):
     """Point index at each position: c -> b0 + c b1 for c < q, then b1."""
     return space.span_points(space.line_b0[l:l + 1], space.line_b1[l:l + 1])[0]
-
-
-def transport_subset(space, l, positions):
-    """Point indices of a position subset carried onto line l."""
-    par = line_parametrization(space, l)
-    return {int(par[c]) for c in positions}
 
 
 def _positions_on_line(space, l, pts):

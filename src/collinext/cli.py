@@ -22,7 +22,7 @@ from .semilinear import SemilinearError, equal_up_to_scalar, random_semilinear
 from .ample import AmpleError, AmpleFamily
 from .extend import (ExtendError, brute_force_extensions, extend,
                      random_ample_instance, restrict)
-from .primesets import (PrimeSet, PrimeSetError, construct_remark28,
+from .primesets import (PrimeSetError, construct_remark28,
                         natural_density_estimate)
 from .funcfield import FuncFieldError, run_demo
 
@@ -58,8 +58,11 @@ def _field(q, d, check=space_size):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_extend(cfg):
-    """Random scramble -> restrict -> extend -> decode round trips."""
+def _trials(cfg, judge):
+    """Report of cfg.trials seeded trials.  Trial k restricts a random
+    semilinear map iso, with collineation truth, to a random U ample for
+    size_at_most(t), giving pc; its record is trial, kind and n_u1 plus
+    the fields judge(k, fam, iso, truth, pc) returns."""
     q, d, t = cfg.q, cfg.d, cfg.t
     _check_extend_pre(q, d, t, cfg.trials)
     space = ProjSpace(_field(q, d), d)
@@ -71,34 +74,30 @@ def cmd_extend(cfg):
         truth = iso.induce()
         U, kind = random_ample_instance(space, t, rng)
         pc = restrict(truth, U)
-        res = extend(pc, fam, order="shuffled", seed=k)
+        trials.append(dict(judge(k, fam, iso, truth, pc), trial=k, kind=kind,
+                           n_u1=int(len(U))))
+    return _wrap(cfg, trials)
+
+
+def cmd_extend(cfg):
+    """Random scramble -> restrict -> extend -> decode round trips."""
+    def judge(k, fam, iso, truth, pc):
+        res = extend(pc, fam, seed=k)
         ok = (np.array_equal(res.sigma_tilde, truth.sigma)
               and equal_up_to_scalar(res.decoded, iso))
-        trials.append({"trial": k, "kind": kind, "n_u1": int(len(U)),
-                       "frob": int(iso.frob_exp), "ok": bool(ok)})
-    return _wrap(cfg, trials)
+        return {"frob": int(iso.frob_exp), "ok": bool(ok)}
+    return _trials(cfg, judge)
 
 
 def cmd_oracle(cfg):
     """Exhaustive uniqueness counts against the extension output."""
-    q, d, t = cfg.q, cfg.d, cfg.t
-    _check_extend_pre(q, d, t, cfg.trials)
-    space = ProjSpace(_field(q, d), d)
-    fam = AmpleFamily.size_at_most(t)
-    trials = []
-    for k in range(cfg.trials):
-        rng = trial_rng(cfg.seed, k)
-        iso = random_semilinear(space, rng)
-        truth = iso.induce()
-        U, kind = random_ample_instance(space, t, rng)
-        pc = restrict(truth, U)
+    def judge(k, fam, iso, truth, pc):
         found = brute_force_extensions(pc)
-        res = extend(pc, fam, order="shuffled", seed=k)
+        res = extend(pc, fam, seed=k)
         ok = (len(found) == 1
               and np.array_equal(found[0].sigma, res.sigma_tilde))
-        trials.append({"trial": k, "kind": kind, "n_u1": int(len(U)),
-                       "count": int(len(found)), "ok": bool(ok)})
-    return _wrap(cfg, trials)
+        return {"count": int(len(found)), "ok": bool(ok)}
+    return _trials(cfg, judge)
 
 
 def cmd_primesets(cfg):
@@ -125,7 +124,7 @@ def cmd_ffdemo(cfg):
     if key is None:
         raise FuncFieldError("no demo instance at q = %d (use 13 or 9)"
                              % cfg.q)
-    rep = run_demo(key, order="shuffled", seed=cfg.seed)
+    rep = run_demo(key, seed=cfg.seed)
     ok = bool(rep["multiplicative"] and rep["matches_truth"]
               and rep["ample"] and rep["extendable"])
     rec = dict(rep, trial=0, ok=ok)

@@ -48,9 +48,6 @@ class PartialCollineation:
     def U2(self):
         return np.flatnonzero(_image_mask(self.space, self.sigma)).tolist()
 
-    def meeting_lines(self):
-        return np.flatnonzero(_meets(self.space, self.sigma)).tolist()
-
 
 def _index_map(m, n, name):
     """A partial map of [0, n) into itself, given as a dict or as a
@@ -231,12 +228,12 @@ class ExtensionResult:
     diagnostics: dict
 
 
-def extend(pc, fam, order="canonical", seed=0):
+def extend(pc, fam, seed=0):
     """Full extension with verification; raises on any inconsistency.
 
-    fam governs both the domain and its image.  order picks the
-    line-search sequence per point: "canonical" ascending, "reversed", or
-    "shuffled" (seeded); the result must not depend on it.
+    fam governs both the domain and its image.  Each point outside U1
+    searches its lines along its own seeded shuffle of U1; the result
+    must not depend on the seed.
     """
     S = pc.space
     if S.d < 3:
@@ -260,12 +257,8 @@ def extend(pc, fam, order="canonical", seed=0):
     diagnostics = {"line_searches": 0, "points_extended": len(outside),
                    "lines_verified": S.n_lines,
                    "t_star": max(rep1.t_star, rep2.t_star)}
-    if order not in ("canonical", "reversed", "shuffled"):
-        raise ExtendError("unknown order %r" % order)
-    U1 = np.flatnonzero(pc.sigma >= 0)
-    seqs = np.tile(U1[::-1] if order == "reversed" else U1, (len(outside), 1))
-    if order == "shuffled":
-        seqs = np.random.default_rng(seed).permuted(seqs, axis=1)
+    seqs = np.random.default_rng(seed).permuted(
+        np.tile(np.flatnonzero(pc.sigma >= 0), (len(outside), 1)), axis=1)
     sigma_tilde[outside] = _extend_points(pc, outside, seqs, tau, diagnostics)
     if len(np.unique(sigma_tilde)) != S.n_points:
         raise ExtendError("Step3-1: extended point map is not a bijection")

@@ -567,14 +567,16 @@ def demo_instance(key):
     raise FuncFieldError("unknown demo instance %r" % (key,))
 
 
-def run_demo(key, order="shuffled", seed=0):
-    """Full pipeline on a named instance; every claim is verified."""
+def run_demo(key, seed=0):
+    """Full pipeline on a named instance; every claim is verified.
+
+    seed picks extend's line-search shuffle."""
     f, D, E, gmat, frob = demo_instance(key)
     scr = scramble(gmat, frob, D, E)
     cert = ample_certificate(scr.unit)
     if not (cert.ample and cert.extendable):
         raise FuncFieldError("demo instance is not extendable")
-    res = extend(scr.pc, cert.family, order=order, seed=seed)
+    res = extend(scr.pc, cert.family, seed=seed)
     rep = recover_ring_iso(res, scr.unit, truth=scr.semi)
     return {
         "instance": key,

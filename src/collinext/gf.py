@@ -45,32 +45,6 @@ class GF:
         self._pw = [self.p ** i for i in range(self.n + 1)]
         self._build_tables()
 
-    # -- encoding ----------------------------------------------------------
-
-    def coeffs(self, a):
-        """Coefficient vector of element a, constant term first, length n."""
-        out = []
-        for _ in range(self.n):
-            out.append(a % self.p)
-            a //= self.p
-        return tuple(out)
-
-    def el(self, c):
-        """Element from an int (coerced mod p if n == 1 semantics do not
-        apply: ints 0..q-1 are taken as indices) or a coefficient list."""
-        if isinstance(c, (list, tuple)):
-            if len(c) > self.n:
-                raise GFError("coefficient vector longer than n")
-            return sum((int(ci) % self.p) * self._pw[i] for i, ci in enumerate(c))
-        c = int(c)
-        if not 0 <= c < self.q:
-            raise GFError("index %d out of range for q=%d" % (c, self.q))
-        return c
-
-    def elements(self):
-        """All q elements in canonical order: zero first, then one."""
-        return range(self.q)
-
     # -- tables ------------------------------------------------------------
 
     def _build_tables(self):
@@ -158,12 +132,6 @@ class GF:
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
-    def pow_(self, a, e):
-        e = int(e)
-        if e < 0:
-            a, e = self.inv(a), -e
-        return self._pow_scalar(a, e)
-
     def _pow_scalar(self, a, e):
         r = 1
         while e:
@@ -173,14 +141,7 @@ class GF:
             e >>= 1
         return r
 
-    def frob(self, a, i):
-        """a ** (p**i); i is reduced mod n."""
-        return int(self.frob_t[int(i) % self.n, a])
-
     # -- misc --------------------------------------------------------------
-
-    def prime_subfield(self):
-        return range(self.p)
 
     def __eq__(self, other):
         return (isinstance(other, GF) and self.p == other.p and

@@ -170,9 +170,6 @@ class PrimeSet:
                 return True
         return False
 
-    def complement_is_finite(self):
-        return self.kind == "cofinite"
-
 
 @dataclass(frozen=True)
 class SigmaFactorization:
@@ -283,7 +280,7 @@ def recover_M0_and_p(growth):
     agreeing solutions are required before M0 is accepted.
     """
     sigma = growth.sigma
-    if not sigma.complement_is_finite():
+    if sigma.kind != "cofinite":
         raise PrimeSetError("recovery needs a cofinite set "
                             "(finite removed support)")
     if all(v == 1 for v in growth.values):

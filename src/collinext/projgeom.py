@@ -260,6 +260,15 @@ class AxiomReport:
     witness: tuple | None
 
 
+def _full_tables(space):
+    """(join_t, meet_t, line_pts), the tables the sweeps read; refused
+    when the join or meet table is over its cap."""
+    jt, mt = space.join_t, space.meet_t
+    if jt is None or mt is None:
+        raise GeomError("sweeps need full incidence tables")
+    return jt, mt, space.line_pts
+
+
 def _triple_count(space):
     """T = P (P - 1)(P - k), the number of ordered non-collinear triples;
     refused up front when it exceeds TRIPLE_CAP."""
@@ -278,12 +287,11 @@ def noncollinear_triples(space):
     Refused up front when T exceeds TRIPLE_CAP."""
     P = space.n_points
     _triple_count(space)
-    if space.join_t is None:
-        raise GeomError("enumerating triples needs the join table")
+    jt, _, lp = _full_tables(space)
     a, b = np.nonzero(~np.eye(P, dtype=bool))
     # row (a, b) marks the points of the line a v b as collinear
     off = np.ones((len(a), P), dtype=bool)
-    off[np.arange(len(a))[:, None], space.line_pts[space.join_t[a, b]]] = False
+    off[np.arange(len(a))[:, None], lp[jt[a, b]]] = False
     flat = np.flatnonzero(off)
     out = np.empty((len(flat), 3), dtype=np.int32)
     out[:, 2] = flat % P
@@ -309,13 +317,11 @@ def check_axioms(space, triples=None):
     returned, when the caller has run it already; None runs it here.
     """
     from . import _kernels
-    if space.join_t is None or space.meet_t is None:
-        raise GeomError("axiom II sweep needs full incidence tables")
+    tables = _full_tables(space)
     T = certify_triples(space) if triples is None else triples
     n2, bad = 0, None
     if T:   # a projective line has no triple, and no frame
-        n2, bad = _kernels.axiom2_scan(space._offs[None, :3], space.join_t,
-                                       space.meet_t, space.line_pts)
+        n2, bad = _kernels.axiom2_scan(space._offs[None, :3], *tables)
     checked = {"points": space.n_points, "lines": space.n_lines,
                "axiom_ii_configs": n2 if bad else T * n2}
     return AxiomReport(bad is None, checked, bad)
@@ -457,8 +463,7 @@ def certify_triples(space):
     what lets the exhaustive sweeps scan the frame row and multiply by T.
     A projective line has T = 0 and no frame, so it has no chain."""
     T = _triple_count(space)
-    if space.join_t is None or space.meet_t is None:
-        raise GeomError("the certificate needs full incidence tables")
+    _full_tables(space)
     _check_tables(space)
     if T:
         _stabilizer_chain(space, *_transvection_maps(space))
@@ -491,9 +496,7 @@ def desargues_sweep(space, sample=None, seed=0, triples=None):
     """
     from . import _kernels
     check_plane(space.d)
-    jt, mt, lp = space.join_t, space.meet_t, space.line_pts
-    if jt is None or mt is None:
-        raise GeomError("Desargues sweep needs full incidence tables")
+    jt, mt, lp = _full_tables(space)
     if sample is None:
         T = certify_triples(space) if triples is None else triples
         tri = noncollinear_triples(space)

@@ -55,15 +55,6 @@ class SemilinearIso:
         out.mat = f.mul_t[f.inv(lead), self.mat].astype(np.int64)
         return out
 
-    def compose(self, other):
-        """self after other, as a semilinear map."""
-        if other.space is not self.space:
-            raise SemilinearError("maps on different spaces")
-        # the columns of mu(B), each taken through A
-        twisted = self.field.frob_t[self.frob_exp][other.mat]
-        prod = mat_apply(self.field, self.mat, twisted.T).T
-        return SemilinearIso(self.space, prod, self.frob_exp + other.frob_exp)
-
     def __repr__(self):
         return "SemilinearIso(d=%d, frob=%d)" % (self.space.d, self.frob_exp)
 
@@ -91,20 +82,6 @@ class Collineation:
             c.space, c.sigma, c.tau = space, sigma, tau
             out.append(c)
         return out
-
-    def line_map(self, l):
-        return int(self.tau[l])
-
-    def inverse(self):
-        inv = np.empty_like(self.sigma)
-        inv[self.sigma] = np.arange(len(self.sigma))
-        return Collineation(self.space, inv)
-
-    def compose(self, other):
-        """self after other."""
-        if other.space is not self.space:
-            raise SemilinearError("collineations on different spaces")
-        return Collineation(self.space, self.sigma[other.sigma])
 
     def __eq__(self, other):
         return (isinstance(other, Collineation) and other.space is self.space

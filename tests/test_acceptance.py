@@ -14,8 +14,7 @@ from collinext.gf import make_field, mat_apply, rref
 from collinext.projgeom import ProjSpace, check_axioms, desargues_sweep
 from collinext.semilinear import (SemilinearIso, equal_up_to_scalar,
                                   random_semilinear)
-from collinext.ample import (AmpleFamily, closed_form_admissible, is_ample,
-                             is_mn_admissible)
+from collinext.ample import AmpleFamily, is_ample, is_mn_admissible
 from collinext.extend import (_flat_points, _frame_in, _inverse,
                               brute_force_extensions, extend,
                               random_ample_instance, restrict)
@@ -59,7 +58,7 @@ def test_criterion_1_unique_extension_brute_force():
         U, _ = random_ample_instance(space, 1, rng)
         pc = restrict(truth, U)
         found = ref_brute_force_extensions(pc)
-        res = extend(pc, fam, order="shuffled", seed=k)
+        res = extend(pc, fam, seed=k)
         ok &= (len(found) == 1 and brute_force_extensions(pc) == found
                and np.array_equal(found[0].sigma, res.sigma_tilde)
                and np.array_equal(found[0].sigma, truth.sigma))
@@ -83,7 +82,7 @@ def test_criterion_2_roundtrip_at_scale():
             iso = random_semilinear(space, rng)
             truth = iso.induce()
             U, _ = random_ample_instance(space, 1, rng)
-            res = extend(restrict(truth, U), fam, order="shuffled", seed=k)
+            res = extend(restrict(truth, U), fam, seed=k)
             good += (np.array_equal(res.sigma_tilde, truth.sigma)
                      and equal_up_to_scalar(res.decoded, iso))
         dt = time.time() - t0
@@ -117,7 +116,7 @@ def test_criterion_4_admissibility_criterion():
             fam = AmpleFamily.size_at_most(t)
             got = is_mn_admissible(fam, q, m, n)
             want = q > m * t + n - 1
-            ok &= got == want == closed_form_admissible(q, m, n, t)
+            ok &= got == want
             n_checked += 1
     report(4, ok, "%d grid cells, exact, %.1fs" % (n_checked,
                                                    time.time() - t0))

@@ -10,13 +10,11 @@ from collinext.projgeom import ProjSpace
 from collinext.ample import (
     AmpleError,
     AmpleFamily,
-    closed_form_admissible,
     is_ample,
     is_mn_admissible,
     is_pgl2_stable,
     line_parametrization,
     lines_meeting,
-    transport_subset,
     _pgl2_generator_tables,
 )
 
@@ -36,15 +34,11 @@ def all_small_subsets(q, t):
 # family objects
 # ---------------------------------------------------------------------------
 
-def test_family_contains_and_max_size():
-    f0 = AmpleFamily.empty_only()
-    assert f0 == AmpleFamily.size_at_most(0)
+def test_family_contains():
+    f0 = AmpleFamily.size_at_most(0)
     assert f0.contains([], 5) and not f0.contains([0], 5)
-    assert f0.max_size(5) == 0
     f1 = AmpleFamily.size_at_most(2)
     assert f1.contains([0, 5], 5) and not f1.contains([0, 1, 2], 5)
-    assert f1.max_size(5) == 2
-    assert AmpleFamily.size_at_most(99).max_size(5) == 6
     fx = AmpleFamily.explicit(all_small_subsets(3, 1), 3)
     assert fx.contains([2], 3) and not fx.contains([0, 1], 3)
 
@@ -73,7 +67,7 @@ def test_generator_tables_are_permutations():
 
 def test_size_families_always_stable():
     f = make_field(5, 1)
-    assert is_pgl2_stable(AmpleFamily.empty_only(), f)
+    assert is_pgl2_stable(AmpleFamily.size_at_most(0), f)
     assert is_pgl2_stable(AmpleFamily.size_at_most(3), f)
 
 
@@ -113,7 +107,7 @@ def test_admissible_matches_closed_form_grid():
             for m in range(5):
                 for n in range(5):
                     assert is_mn_admissible(fam, q, m, n) == \
-                        closed_form_admissible(q, m, n, t), (q, t, m, n)
+                        (q > m * t + n - 1), (q, t, m, n)
 
 
 def test_admissible_explicit_agrees_with_size_kind():
@@ -128,7 +122,7 @@ def test_admissible_explicit_agrees_with_size_kind():
 
 
 def test_admissible_empty_only():
-    fam = AmpleFamily.empty_only()
+    fam = AmpleFamily.size_at_most(0)
     assert is_mn_admissible(fam, 5, 3, 5)
     assert not is_mn_admissible(fam, 5, 0, 6)
 
@@ -154,13 +148,6 @@ def test_parametrization_covers_line():
             assert sorted(map(int, par)) == [int(x) for x in S.line_pts[l]]
             assert par[0] == S.canon_index_many(S.line_b0[l])
             assert par[S.q] == S.canon_index_many(S.line_b1[l])
-
-
-def test_transport_subset():
-    S = space(3, 1)
-    got = transport_subset(S, 0, {0, S.q})
-    par = line_parametrization(S, 0)
-    assert got == {int(par[0]), int(par[S.q])}
 
 
 def test_membership_basis_invariant_when_stable():
@@ -193,7 +180,7 @@ def test_membership_basis_invariant_when_stable():
 
 def test_ample_full_and_empty():
     S = space(5, 1)
-    rep = is_ample(S, range(S.n_points), AmpleFamily.empty_only())
+    rep = is_ample(S, range(S.n_points), AmpleFamily.size_at_most(0))
     assert rep.ample and rep.t_star == 0 and rep.n_meeting == S.n_lines
     rep = is_ample(S, [], AmpleFamily.size_at_most(3))
     assert not rep.ample and rep.reason == "empty set"
@@ -206,7 +193,7 @@ def test_ample_line_complement():
     rep = is_ample(S, U, AmpleFamily.size_at_most(1))
     assert rep.ample and rep.t_star == 1
     assert rep.n_meeting == S.n_lines - 1  # the deleted line never meets U
-    rep0 = is_ample(S, U, AmpleFamily.empty_only())
+    rep0 = is_ample(S, U, AmpleFamily.size_at_most(0))
     assert not rep0.ample and rep0.witness_line is not None
     assert rep0.reason == "complement larger than the threshold"
 

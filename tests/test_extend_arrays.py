@@ -31,6 +31,7 @@ from collinext.extend import (
     restrict,
     validate_partial,
 )
+from test_extend import meeting_lines
 
 _SPACES = {}
 
@@ -58,7 +59,7 @@ def ref_validate(pc, concurrency="sampled", samples=300, seed=0):
     vals = list(sigma.values())
     if len(set(vals)) != len(vals):
         return ValidationReport(False, "sigma is not injective", None)
-    meeting = pc.meeting_lines()
+    meeting = meeting_lines(pc)
     if set(tau) != set(meeting):
         return ValidationReport(
             False, "tau domain differs from the lines meeting U1", None)
@@ -143,7 +144,7 @@ GRID = [(5, 1, 3), (3, 2, 3), (5, 1, 4)]
 
 def _mutations(S, pc, rng):
     """(label, mutated copy) pairs covering every validation branch."""
-    meeting = pc.meeting_lines()
+    meeting = meeting_lines(pc)
     out = []
 
     def copy():
@@ -346,7 +347,8 @@ def test_extend_point_matches_reference_search():
 
 
 def test_extend_line_searches_match_reference():
-    # canonical and reversed orders search U1 exactly as the per-point loop
+    # each point searches its own seeded shuffle of U1 exactly as the
+    # per-point loop does
     S = space(3, 2, 3)
     rng = np.random.default_rng(32)
     fam = AmpleFamily.size_at_most(2)
@@ -354,10 +356,12 @@ def test_extend_line_searches_match_reference():
     while kind in ("all", "point"):
         U, kind = random_ample_instance(S, 2, rng)
     pc = restrict(random_semilinear(S, rng), U)
-    for order, seq in (("canonical", pc.U1), ("reversed", pc.U1[::-1])):
-        res = extend(pc, fam, order=order)
-        off = [p for p in range(S.n_points) if pc.sigma[p] < 0]
-        want = [ref_extend_point(pc, p, seq) for p in off]
+    off = [p for p in range(S.n_points) if pc.sigma[p] < 0]
+    for seed in (0, 1):
+        res = extend(pc, fam, seed=seed)
+        seqs = np.random.default_rng(seed).permuted(
+            np.tile(pc.U1, (len(off), 1)), axis=1)
+        want = [ref_extend_point(pc, p, seq) for p, seq in zip(off, seqs)]
         assert [int(res.sigma_tilde[p]) for p in off] == [w[0] for w in want]
         assert res.diagnostics["line_searches"] == sum(w[1] for w in want)
         assert res.diagnostics["points_extended"] == len(off)
@@ -398,10 +402,9 @@ def test_restrict_extend_decode_roundtrip(pnd, seed):
     U, _ = random_ample_instance(S, 1, rng)
     pc = restrict(iso, U)
     truth = iso.sigma_array()
-    for order in ("canonical", "reversed", "shuffled"):
-        res = extend(pc, fam, order=order, seed=seed)
-        assert (res.sigma_tilde == truth).all()
-        assert equal_up_to_scalar(res.decoded, iso)
+    res = extend(pc, fam, seed=seed)
+    assert (res.sigma_tilde == truth).all()
+    assert equal_up_to_scalar(res.decoded, iso)
 
 
 # ---------------------------------------------------------------------------

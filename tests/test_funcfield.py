@@ -289,7 +289,7 @@ def test_ample_certificate_demo_and_small_q():
     assert cert5.ample and cert5.t_star == 2
     assert not cert5.extendable    # 5 <= 3*2 + 1
     # the empty-only family is the cap 0, and its margin is that of t = 0
-    only = ample_certificate(unit_subset(D5, E5), AmpleFamily.empty_only())
+    only = ample_certificate(unit_subset(D5, E5), AmpleFamily.size_at_most(0))
     assert not only.ample and only.t_star == 2
     assert only.extendable         # 5 > 3*0 + 1
 
@@ -490,8 +490,7 @@ def test_normalize_fixing_one_applies_the_twist():
 
 
 def test_demo_order_independent():
-    reps = [run_demo("q13", order=o, seed=3) for o in
-            ("canonical", "reversed", "shuffled")]
+    reps = [run_demo("q13", seed=s) for s in (0, 3, 5)]
     assert all(r["matches_truth"] for r in reps)
 
 

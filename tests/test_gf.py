@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -73,21 +74,6 @@ def test_make_field_rejects():
         make_field(2, 0)
 
 
-def test_enumeration_zero_then_one():
-    for p, n in SMALL:
-        f = make_field(p, n)
-        els = list(f.elements())
-        assert els == list(range(p ** n))
-        assert f.coeffs(els[0]) == (0,) * n
-        assert f.coeffs(els[1]) == (1,) + (0,) * (n - 1)
-
-
-def test_coeff_roundtrip():
-    f = make_field(3, 2)
-    for a in f.elements():
-        assert f.el(list(f.coeffs(a))) == a
-
-
 # ---------------------------------------------------------------------------
 # field axioms, exhaustive for q <= 16
 # ---------------------------------------------------------------------------
@@ -130,14 +116,19 @@ def test_field_axioms_random_triples(p, n):
         assert f.mul(a, b) == f.mul(b, a)
     # a^q == a on a sample
     for a in rng.integers(0, f.q, size=50):
-        assert f.pow_(int(a), f.q) == int(a)
+        assert _pow(f, int(a), f.q) == int(a)
+
+
+def _pow(f, a, e):
+    """a ** e by repeated multiplication, the reference for frob_t."""
+    return functools.reduce(f.mul, [a] * e, 1)
 
 
 def test_power_map_identity_small():
     for p, n in SMALL:
         f = make_field(p, n)
-        for a in f.elements():
-            assert f.pow_(a, f.q) == a
+        for a in range(f.q):
+            assert _pow(f, a, f.q) == a
 
 
 # ---------------------------------------------------------------------------
@@ -147,41 +138,41 @@ def test_power_map_identity_small():
 def test_frobenius_is_p_power():
     for p, n in SMALL:
         f = make_field(p, n)
-        for a in f.elements():
-            assert f.frob(a, 1) == f.pow_(a, p)
+        for i in range(n):
+            assert f.frob_t[i].tolist() == [_pow(f, a, p ** i)
+                                            for a in range(f.q)]
 
 
 def test_frobenius_order_exactly_n():
     for p, n in [(2, 4), (3, 2), (2, 3), (5, 2), (3, 3)]:
         f = make_field(p, n)
+        ident = np.arange(f.q)
+        assert (f.frob_t[0] == ident).all()
         for i in range(1, n):
-            assert any(f.frob(a, i) != a for a in f.elements())
-        assert all(f.frob(a, n % n) == a for a in f.elements())  # i reduced mod n
-        assert all(f.frob(a, n) == a for a in f.elements())
+            assert (f.frob_t[i] != ident).any()
+        # the n-th power of x -> x^p is the identity
+        assert (f.frob_t[1][f.frob_t[n - 1]] == ident).all()
 
 
 def test_frobenius_fixes_prime_subfield():
+    # the prime subfield is the constants, indices 0 .. p - 1
     f = make_field(3, 3)
-    for a in f.prime_subfield():
-        assert f.frob(a, 1) == a
+    assert f.frob_t[1][:f.p].tolist() == list(range(f.p))
 
 
 def test_frobenius_additive_multiplicative():
     f = make_field(2, 4)
-    for a in f.elements():
-        for b in f.elements():
-            assert f.frob(f.add(a, b), 1) == f.add(f.frob(a, 1), f.frob(b, 1))
-            assert f.frob(f.mul(a, b), 1) == f.mul(f.frob(a, 1), f.frob(b, 1))
+    fr = f.frob_t[1]
+    assert (fr[f.add_t] == f.add_t[fr[:, None], fr[None, :]]).all()
+    assert (fr[f.mul_t] == f.mul_t[fr[:, None], fr[None, :]]).all()
 
 
 def test_gf4_frobenius_swaps_generators():
-    # in GF(4) with modulus x^2+x+1 the two non-subfield elements are
-    # exchanged by x -> x^2
+    # in GF(4) with modulus x^2+x+1 the two non-subfield elements, x and
+    # x + 1 (indices 2 and 3), are exchanged by x -> x^2
     f = make_field(2, 2)
-    w = f.el([0, 1])
-    w2 = f.el([1, 1])
-    assert f.frob(w, 1) == w2
-    assert f.frob(w2, 1) == w
+    assert f.frob_t[1][2] == 3
+    assert f.frob_t[1][3] == 2
 
 
 # ---------------------------------------------------------------------------

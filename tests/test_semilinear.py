@@ -49,24 +49,9 @@ def test_sigma_array_matches_pointwise_apply():
         iso = random_semilinear(S, rng)
         sig = iso.sigma_array()
         for i in range(0, S.n_points, max(1, S.n_points // 25)):
-            moved = [f.frob(int(x), iso.frob_exp) for x in S.pts[i]]
+            moved = [int(f.frob_t[iso.frob_exp, x]) for x in S.pts[i]]
             w = mat_vec(f, iso.mat.tolist(), moved)
             assert ref_canon_index(S, w) == sig[i]
-
-
-def test_compose_matches_induced_composition():
-    # over GF(8) the twists add mod 3, so some products wrap
-    S = space(2, 3, 3)
-    rng = np.random.default_rng(9)
-    wrapped = 0
-    for _ in range(10):
-        a = random_semilinear(S, rng)
-        b = random_semilinear(S, rng)
-        lhs = a.compose(b).sigma_array()
-        rhs = a.induce().compose(b.induce()).sigma
-        assert (lhs == rhs).all()
-        wrapped += a.frob_exp + b.frob_exp >= 3
-    assert wrapped
 
 
 def test_frobenius_plane_fixed_points():
@@ -117,10 +102,7 @@ def test_collineation_tau_consistent():
     coll = iso.induce()
     for l in range(S.n_lines):
         img = sorted(int(coll.sigma[p]) for p in S.line_pts[l])
-        assert img == [int(x) for x in S.line_pts[coll.line_map(l)]]
-    inv = coll.inverse()
-    assert (inv.sigma[coll.sigma] == np.arange(S.n_points)).all()
-    assert coll.compose(inv) == Collineation(S, np.arange(S.n_points))
+        assert img == [int(x) for x in S.line_pts[coll.tau[l]]]
 
 
 # ---------------------------------------------------------------------------
@@ -271,16 +253,3 @@ def test_decode_rejects_non_semilinear_bijection():
     sigma[[a, b]] = sigma[[b, a]]
     with pytest.raises(SemilinearError, match="not induced by a semilinear"):
         decode_ftpg(SimpleNamespace(space=S, sigma=sigma))
-
-
-def test_compose_matches_scalar_product():
-    S = space(2, 2, 3)
-    f = S.field
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        a, b = random_semilinear(S, rng), random_semilinear(S, rng)
-        twisted = f.frob_t[a.frob_exp][b.mat]
-        want = [mat_vec(f, a.mat.tolist(), col) for col in twisted.T.tolist()]
-        ab = a.compose(b)
-        assert ab.mat.T.tolist() == want
-        assert ab.frob_exp == (a.frob_exp + b.frob_exp) % f.n
