@@ -3,7 +3,9 @@ temporaries stay small.
 
 The axiom-II and Desargues sweeps and the multiplicativity scan of the
 function-field demo are numpy gathers; the brute-force matrix filter is
-gf.mat_apply and a ProjSpace.code_points lookup.
+gf.mat_apply and a ProjSpace.code_points lookup.  The scan decides which
+pairs are in range from the classes of their remainders, not pair by
+pair, so its product checks scale with the in-range pairs.
 """
 
 import numpy as np
@@ -128,7 +130,8 @@ def matrix_filter(mats, reps, expect, space):
 
 
 # ---------------------------------------------------------------------------
-# all-pairs multiplicativity scan (function-field demo)
+# multiplicativity scan (function-field demo): the range from a table over
+# remainder classes, the product check on the in-range pairs only
 # ---------------------------------------------------------------------------
 
 def _polymul(x, y, width, mul_t, add_t):
@@ -162,32 +165,50 @@ def pair_mult_scan(nums, psin, psi_m, mu, mpoly, degcap, mul_t, add_t, neg_t):
     monic denominator mpoly; psin[i] the numerator of its psi image; psi_m
     and mu give psi on arbitrary coordinate vectors.  A pair is in range
     when the product stays representable: its degree lies in
-    [deg mpoly, degcap] and mpoly divides it.  Pairs (a, b) run in
-    row-major order, in chunks.  Returns (n_in_range, bad_i, bad_j): with
-    every pair agreeing, the in-range count and -1 markers; otherwise the
-    first failing pair, with n_in_range counting the in-range pairs up to
-    and including it."""
+    [deg mpoly, degcap] and mpoly divides it.  The range is decided from
+    classes, not from pairs: the rows fall into C classes by their
+    remainder mod mpoly scaled to be monic, and one [C, C] table says
+    which class products mpoly divides.  Rows a go in chunks of
+    _CHUNK // N, and each chunk gathers that table against every row b and
+    checks the product only on its in-range pairs, in row-major order.
+    Returns (n_in_range, bad_i, bad_j): with every pair agreeing, the
+    in-range count and -1 markers; otherwise the first failing pair, with
+    n_in_range counting the in-range pairs up to and including it."""
     N, md = nums.shape
     mpoly = np.asarray(mpoly)
     dm = len(mpoly) - 1
     clen = 2 * md - 1
     sub_t = neg_t[mul_t[:, mpoly]]
     # Over a field deg(f g) = deg f + deg g, and mpoly divides f g exactly
-    # when it divides the product of their remainders, so the range test
-    # needs only per-row degrees and remainders; a zero row is never in
-    # range.
+    # when it divides the product of their remainders, whatever nonzero
+    # constants scale them; so the range test needs only per-row degrees
+    # and remainder classes.  A zero row is never in range.
     deg = ((nums != 0) * np.arange(1, md + 1)).max(axis=1) - 1
     deg[deg < 0] = -md
     res = _polydiv(nums, sub_t, add_t)[1]
+    # each remainder times the inverse of its leading coefficient
+    lead = np.zeros(N, dtype=res.dtype)
+    for k in range(dm):
+        lead = np.where(res[:, k] != 0, res[:, k], lead)
+    res = mul_t[(mul_t == 1).argmax(axis=1)[lead][:, None], res]
+    _, first, cls = np.unique(res @ len(mul_t) ** np.arange(dm),
+                              return_index=True, return_inverse=True)
+    C = len(first)
+    zero = np.empty(C * C, dtype=bool)   # class pair -> mpoly | product
     step = max(1, _CHUNK // clen)
+    for s in range(0, C * C, step):
+        ca, cb = np.divmod(np.arange(s, min(s + step, C * C)), C)
+        rr = _polymul(res[first[ca]], res[first[cb]], max(2 * dm - 1, 0),
+                      mul_t, add_t)
+        zero[s:s + step] = ~_polydiv(rr, sub_t, add_t)[1].any(axis=1)
+    zero = zero.reshape(C, C)
+    rows = max(1, _CHUNK // N)
     n_in = 0
-    for s in range(0, N * N, step):
-        a, b = np.divmod(np.arange(s, min(s + step, N * N)), N)
-        rr = _polymul(res[a], res[b], max(2 * dm - 1, 0), mul_t, add_t)
-        sdeg = deg[a] + deg[b]
-        keep = ((sdeg >= dm) & (sdeg <= degcap)
-                & ~_polydiv(rr, sub_t, add_t)[1].any(axis=1))
-        a, b = a[keep], b[keep]
+    for s in range(0, N, rows):
+        sdeg = deg[s:s + rows, None] + deg
+        a, b = np.nonzero(zero[cls[s:s + rows, None], cls]
+                          & (sdeg >= dm) & (sdeg <= degcap))
+        a += s
         prod = _polymul(nums[a], nums[b], clen, mul_t, add_t)
         muq = mu[_polydiv(prod, sub_t, add_t)[0][:, :md]]
         img = 0   # psi of the quotient: psi_m . mu[quo]

@@ -367,11 +367,14 @@ def _inverse(f, M):
 
 
 def _frame_in(S, U1):
-    """Points of U1 in general position, taken greedily in ascending order:
-    a basis of the span of U1, then, when that basis spans the space, the
-    first point of U1 whose coordinates in it are all nonzero (the unit),
-    else None."""
-    pts = S.pts[U1]
+    """Points of U1 in general position: a basis of the span of U1, taken
+    greedily in ascending order, and, when it spans the space, a unit: a
+    point of U1 whose coordinates x in the basis are all nonzero, else
+    None.  When the greedy basis holds no unit, the bases one exchange
+    away are searched: b_j gives way to a point w with x_wj != 0, and u is
+    a unit of the new basis when x_uj != 0 and x_ui x_wj != x_wi x_uj for
+    every i != j."""
+    f, pts = S.field, S.pts[U1]
     basis = []
     for _ in range(S.d):
         inspan = np.isin(S._vector_code(pts),
@@ -379,14 +382,23 @@ def _frame_in(S, U1):
         if inspan.all():
             break
         basis.append(int(U1[np.argmin(inspan)]))
-    unit = None
-    if len(basis) == S.d:
-        # coordinates x of v in the basis rows B: v = x B
-        x = mat_apply(S.field, _inverse(S.field, S.pts[basis]).T, pts)
-        full = (x != 0).all(axis=1)
-        if full.any():
-            unit = int(U1[np.argmax(full)])
-    return basis, unit
+    if len(basis) < S.d:
+        return basis, None
+    # coordinates x of v in the basis rows B: v = x B
+    x = mat_apply(f, _inverse(f, S.pts[basis]).T, pts)
+    full = (x != 0).all(axis=1)
+    if full.any():
+        return basis, int(U1[np.argmax(full)])
+    for j in range(S.d):
+        for w in np.flatnonzero(x[:, j]):
+            minor = f.add_t[f.mul_t[x, x[w, j]],
+                            f.neg_t[f.mul_t[x[w], x[:, j, None]]]]
+            minor[:, j] = x[:, j]
+            full = (minor != 0).all(axis=1)
+            if full.any():
+                basis[j] = int(U1[w])
+                return basis, int(U1[np.argmax(full)])
+    return basis, None
 
 
 def _candidate_count(q, d, n, k, unit):

@@ -1,10 +1,10 @@
 """Prime-support arithmetic: Sigma-parts, growth sequences, densities.
 
-A PrimeSet is finite, cofinite, or the residue-order kind (all primes
-whose order mod r is at most 2g, together with r and p).  The Sigma-part
-of an integer splits it into the factor supported inside the set and the
-factor outside; for finite and cofinite sets this needs no factorization
-of the full number, which is what keeps the growth-sequence recovery
+A PrimeSet is cofinite or the residue-order kind (all primes whose order
+mod r is at most 2g, together with r and p).  The Sigma-part of an
+integer splits it into the factor supported inside the set and the
+factor outside; for a cofinite set this needs no factorization of the
+full number, which is what keeps the growth-sequence recovery
 cheap at astronomical magnitudes.
 """
 
@@ -127,15 +127,11 @@ def _checked_primes(primes):
 
 @dataclass(frozen=True)
 class PrimeSet:
-    kind: str                      # "finite" | "cofinite" | "remark28"
-    primes: tuple = ()             # members (finite) or complement (cofinite)
+    kind: str                      # "cofinite" | "remark28"
+    primes: tuple = ()             # complement (cofinite)
     r: int | None = None
     g: int | None = None
     p: int | None = None
-
-    @staticmethod
-    def finite(primes):
-        return PrimeSet("finite", _checked_primes(primes))
 
     @staticmethod
     def cofinite(complement):
@@ -156,8 +152,6 @@ class PrimeSet:
         l = int(l)
         if not is_prime_u64(l):
             raise PrimeSetError("membership is defined on primes")
-        if self.kind == "finite":
-            return l in self.primes
         if self.kind == "cofinite":
             return l not in self.primes
         if l in (self.r, self.p):
@@ -191,9 +185,6 @@ def sigma_part(n, sigma):
     n = int(n)
     if n < 1:
         raise PrimeSetError("sigma_part needs n >= 1")
-    if sigma.kind == "finite":
-        inside, rest = _extract_part(n, sigma.primes)
-        return SigmaFactorization(inside, rest)
     if sigma.kind == "cofinite":
         outside, rest = _extract_part(n, sigma.primes)
         return SigmaFactorization(rest, outside)
@@ -391,9 +382,7 @@ def natural_density_estimate(sigma, bound):
     if bound < 100:
         raise PrimeSetError("bound must be >= 100")
     primes = prime_sieve(bound)
-    if sigma.kind == "finite":
-        hits = int(np.isin(primes, np.array(sigma.primes, dtype=np.int64)).sum())
-    elif sigma.kind == "cofinite":
+    if sigma.kind == "cofinite":
         hits = len(primes) - int(
             np.isin(primes, np.array(sigma.primes, dtype=np.int64)).sum())
     else:

@@ -10,6 +10,7 @@ of reps through mat_apply, against a loop that applies each candidate
 matrix to each rep, one at a time."""
 
 import importlib
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -17,7 +18,7 @@ import pytest
 
 from collinext import _kernels
 from collinext.ample import AmpleFamily
-from collinext.gf import make_field, mat_apply
+from collinext.gf import make_field, mat_apply, rref
 from collinext.primesets import gl_order
 from collinext.projgeom import ProjSpace
 from collinext.semilinear import Collineation, SemilinearIso, random_semilinear
@@ -267,6 +268,46 @@ def test_frame_search_matches_on_inconsistent_sigma():
         for x, y in edit.items():
             pc.sigma[x] = y
         assert assert_same_extensions(pc) == []
+
+
+def in_general_position(S, pts):
+    """Whether every d of the points are independent."""
+    return all(len(rref(S.field, S.pts[list(B)].tolist())[1]) == S.d
+               for B in itertools.combinations(pts, S.d))
+
+
+def test_frame_search_exchanges_a_basis_point_for_a_unit():
+    # greedily [0, 7, 8], in whose basis neither 10 nor 12 has all
+    # coordinates nonzero; [0, 7, 10] with unit 12 is a frame in U1
+    S = space(3, 1, 3)
+    U = np.array([0, 7, 8, 10, 12])
+    basis, unit = E._frame_in(S, U)
+    assert unit is not None and in_general_position(S, basis + [unit])
+    assert set(basis + [unit]) <= set(U.tolist())
+    assert E._candidate_count(S.q, S.d, S.field.n, len(basis), unit) == 1
+    rng = np.random.default_rng(3)
+    assert_same_extensions(fixing(S, U))
+    assert_same_extensions(E.restrict(random_semilinear(S, rng), U))
+
+
+def test_frame_search_finds_every_frame_in_the_plane():
+    # the bases one exchange from the greedy one hold a unit whenever U1
+    # holds a frame, on random small sets of P^2(F_3)
+    S = space(3, 1, 3)
+    rng = np.random.default_rng(15)
+    found = set()
+    for _ in range(200):
+        U = np.sort(rng.choice(S.n_points, size=int(rng.integers(4, 7)),
+                               replace=False))
+        basis, unit = E._frame_in(S, U)
+        framed = any(in_general_position(S, F)
+                     for F in itertools.combinations(U.tolist(), S.d + 1))
+        assert (unit is not None) == framed
+        if framed:
+            assert in_general_position(S, basis + [unit])
+            assert set(basis + [unit]) <= set(U.tolist())
+        found.add(framed)
+    assert found == {False, True}
 
 
 def battery_domain(S, kind, rng):

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from collinext import funcfield
+from collinext import _kernels, funcfield
 from collinext.gf import (field_of_order, irreducible_monics, make_field,
-                          mat_apply, padd, pdivmod, pfactor, pgcd, pmonic, pmul,
-                          ptrim)
+                          mat_apply, padd, pdivmod, peval, pfactor, pgcd,
+                          pmonic, pmul, ptrim)
 from collinext.projgeom import ProjSpace
 from collinext._kernels import pair_mult_scan
 from collinext.ample import AmpleFamily, is_mn_admissible
@@ -600,6 +600,63 @@ def test_multscan_kernel_twins():
                 cap = len(mpoly) - 1 + zero.shape[1] - 1
                 bad = (zero,) + args[1:4] + (mpoly, cap) + args[6:]
                 assert pair_mult_scan(*bad) == multscan_reference(*bad)
+
+
+def mpoly_shapes(f):
+    """Monic denominators the demos do not reach: a constant, where only
+    the degree window decides; an irreducible quadratic, with no root; the
+    square of a linear factor; two distinct linear factors."""
+    r, s = f.neg(2), f.neg(3)
+    shapes = {"constant": ((1,), None),
+              "irreducible": (irreducible_monics(f, 2)[0], []),
+              "square": (pmul(f, (r, 1), (r, 1)), [2]),
+              "split": (pmul(f, (r, 1), (s, 1)), [2, 3])}
+    for mpoly, roots in shapes.values():
+        assert roots is None or roots == [
+            x for x in range(f.q) if peval(f, mpoly, x) == 0]
+    return {name: mpoly for name, (mpoly, _) in shapes.items()}
+
+
+@pytest.mark.parametrize("key", ["q13", "q9frob"])
+def test_multscan_kernel_twins_on_other_denominators(key):
+    # the demo rows scaled row by row, so that their remainders are not
+    # monic; with psi the identity every in-range pair agrees, whatever
+    # mpoly is, and a bumped psi entry plants a failure
+    args = scan_inputs(key, False)
+    f = demo_instance(key)[0]
+    rng = np.random.default_rng(19)
+    nums = f.mul_t[rng.integers(1, f.q, size=(len(args[0]), 1)), args[0]]
+    n = len(nums)
+    for name, mpoly in mpoly_shapes(f).items():
+        mpoly = np.array(mpoly, dtype=np.int64)
+        cap = len(mpoly) - 1 + nums.shape[1] - 1
+        for cut in (0, 1):
+            ok = (nums, nums) + args[2:4] + (mpoly, cap - cut) + args[6:]
+            want = multscan_reference(*ok)
+            assert want[0] > 0 and want[1:] == (-1, -1), name
+            assert pair_mult_scan(*ok) == want, name
+            bad = bumped(ok, n // 2, 1)
+            want = multscan_reference(*bad)
+            assert n // 2 in want[1:], name
+            assert pair_mult_scan(*bad) == want, name
+
+
+def test_multscan_range_work_scales_with_classes(monkeypatch):
+    # q13: mpoly has degree 2, so the remainders fall into at most
+    # (13^2 - 1) / 12 + 1 = 15 classes up to scaling; _polymul sees the
+    # 15^2 class pairs and three products per in-range pair, not 183^2
+    # pairs
+    args = scan_inputs("q13", True)
+    rows = []
+
+    def counting(x, y, width, mul_t, add_t):
+        rows.append(len(x))
+        return polymul(x, y, width, mul_t, add_t)
+    polymul = _kernels._polymul
+    monkeypatch.setattr(_kernels, "_polymul", counting)
+    assert pair_mult_scan(*args) == (703, -1, -1)
+    assert len(args[0]) ** 2 == 33489
+    assert sum(rows) <= 15 ** 2 + 3 * 703
 
 
 def test_multscan_witness_counts_through_failing_pair():

@@ -69,10 +69,10 @@ def test_factorize_small_and_errors():
 # ---------------------------------------------------------------------------
 
 def test_primeset_validation():
-    ps = PrimeSet.finite([5, 2, 2, 3])
+    ps = PrimeSet.cofinite([5, 2, 2, 3])
     assert ps.primes == (2, 3, 5)
     with pytest.raises(PrimeSetError):
-        PrimeSet.finite([4])
+        PrimeSet.cofinite([4])
     with pytest.raises(PrimeSetError):
         PrimeSet.cofinite([9])
     with pytest.raises(PrimeSetError):
@@ -83,14 +83,12 @@ def test_primeset_validation():
         PrimeSet.remark28(13, 0, 2)
 
 
-def test_membership_finite_cofinite():
-    fin = PrimeSet.finite([2, 7])
+def test_membership_cofinite():
     cof = PrimeSet.cofinite([2, 7])
     for l in (2, 3, 5, 7, 11):
-        assert fin.contains(l) == (l in (2, 7))
         assert cof.contains(l) == (l not in (2, 7))
     with pytest.raises(PrimeSetError):
-        fin.contains(6)
+        cof.contains(6)
 
 
 def test_remark28_membership_vs_modular_exponentiation():
@@ -117,9 +115,9 @@ def test_remark28_small_members_frozen():
 # ---------------------------------------------------------------------------
 
 def test_sigma_part_examples():
-    s = sigma_part(12, PrimeSet.finite([2]))
-    assert (s.n_sigma, s.n_sigma_prime) == (4, 3)
-    for sig in (PrimeSet.finite([2]), PrimeSet.cofinite([5]),
+    s = sigma_part(12, PrimeSet.cofinite([2]))
+    assert (s.n_sigma, s.n_sigma_prime) == (3, 4)
+    for sig in (PrimeSet.cofinite([2]), PrimeSet.cofinite([5]),
                 PrimeSet.remark28(13, 1, 2)):
         s = sigma_part(1, sig)
         assert (s.n_sigma, s.n_sigma_prime) == (1, 1)
@@ -131,7 +129,6 @@ def test_sigma_part_examples():
 
 def test_sigma_part_recomposition_exhaustive():
     # against a trial-division ground truth for every n <= 10^4
-    sig = PrimeSet.finite([2, 5])
     cof = PrimeSet.cofinite([2, 5])
     for n in range(1, 10 ** 4 + 1):
         part = 1
@@ -140,9 +137,6 @@ def test_sigma_part_recomposition_exhaustive():
             while m % l == 0:
                 part *= l
                 m //= l
-        s = sigma_part(n, sig)
-        assert s.n_sigma == part and s.n_sigma_prime == m
-        assert s.n_sigma * s.n_sigma_prime == n
         c = sigma_part(n, cof)
         assert (c.n_sigma, c.n_sigma_prime) == (m, part)
 
@@ -205,7 +199,7 @@ def test_recover_errors():
     with pytest.raises(PrimeSetError, match="no growth"):
         recover_M0_and_p(FrobGrowth(None, None, cof, [1, 2, 4], [1, 1, 1]))
     with pytest.raises(PrimeSetError, match="cofinite"):
-        recover_M0_and_p(FrobGrowth(None, None, PrimeSet.finite([3]),
+        recover_M0_and_p(FrobGrowth(None, None, PrimeSet.remark28(13, 1, 2),
                                     [1, 2], [3, 15]))
     # a single ratio is not enough evidence
     with pytest.raises(PrimeSetError, match="too short"):
@@ -325,10 +319,10 @@ def test_gl_order_mod_matches_gl_order():
 
 def test_density_basics():
     assert natural_density_estimate(PrimeSet.cofinite([]), 10 ** 4) == 1
-    d = natural_density_estimate(PrimeSet.finite([2, 3]), 10 ** 4)
-    assert d == Fraction(2, 1229)
+    d = natural_density_estimate(PrimeSet.cofinite([2, 3]), 10 ** 4)
+    assert d == Fraction(1227, 1229)
     with pytest.raises(PrimeSetError):
-        natural_density_estimate(PrimeSet.finite([2]), 50)
+        natural_density_estimate(PrimeSet.cofinite([2]), 50)
 
 
 def test_density_remark28_under_bound():
