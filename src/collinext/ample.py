@@ -168,7 +168,7 @@ class AmpleReport:
 
 def lines_meeting(space, U):
     inU = np.zeros(space.n_points, dtype=bool)
-    inU[np.asarray(list(U), dtype=np.int64)] = True
+    inU[np.asarray(U, dtype=np.int64)] = True
     in_cnt = inU[space.line_pts].sum(axis=1)
     return np.nonzero(in_cnt > 0)[0], in_cnt, inU
 
@@ -178,8 +178,8 @@ def is_ample(space, U, family):
 
     Also reports t*, the largest such complement, which is what the
     extension precondition is phrased in."""
-    U = list(U)
-    if len(U) == 0:
+    U = np.asarray(U, dtype=np.int64)
+    if not U.size:
         return AmpleReport(False, 0, 0, None, "empty set")
     meeting, in_cnt, inU = lines_meeting(space, U)
     k = space.pts_per_line

@@ -223,6 +223,9 @@ _parser = functools.cache(build_parser)
 
 def main(argv=None):
     cfg = _parser().parse_args(argv)
+    if cfg.seed < 0:   # default_rng refuses one: one rule for every command
+        print("rejected: --seed must be at least 0", file=sys.stderr)
+        return 2
     t0 = time.time()
     try:
         report = _COMMANDS[cfg.cmd](cfg)

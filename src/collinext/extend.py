@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import mat_apply, rref
+from .gf import mat_apply, mat_inv, rref
 from .projgeom import ProjSpace
 from .semilinear import Collineation, SemilinearError, SemilinearIso, decode_ftpg
 from .ample import is_ample, is_mn_admissible
@@ -39,14 +39,15 @@ class PartialCollineation:
         self.sigma = _index_map(sigma, space.n_points, "sigma")
         self.tau = _index_map(tau, space.n_lines, "tau")
 
-    # derived on access: callers may edit sigma in place
+    # derived on access, as ascending int64 index arrays: callers may
+    # edit sigma in place
     @property
     def U1(self):
-        return np.flatnonzero(self.sigma >= 0).tolist()
+        return np.flatnonzero(self.sigma >= 0)
 
     @property
     def U2(self):
-        return np.flatnonzero(_image_mask(self.space, self.sigma)).tolist()
+        return np.flatnonzero(_image_mask(self.space, self.sigma))
 
 
 def _index_map(m, n, name):
@@ -181,8 +182,9 @@ def extend_point(pc, p, order=None, diagnostics=None):
     _check_ranges(pc)
     if pc.sigma[p] >= 0:
         return int(pc.sigma[p])
-    seq = [int(u) for u in (pc.U1 if order is None else order) if int(u) != p]
-    return int(_extend_points(pc, [p], [seq], pc.tau, diagnostics)[0])
+    seq = np.asarray(pc.U1 if order is None else order, dtype=np.int64)
+    return int(_extend_points(pc, [p], [seq[seq != p]], pc.tau,
+                              diagnostics)[0])
 
 
 def _extend_points(pc, pts, seqs, tau, diagnostics=None):
@@ -307,64 +309,57 @@ def _span_codes(S, rows):
 
 
 def _flat_points(space, gens):
-    """Point indices of the span of generator vectors."""
+    """Point indices of the span of generator vectors, ascending."""
     codes = _span_codes(space, np.asarray(gens)[None])[0]
-    return set(space.code_points()[codes[codes > 0]].tolist())
+    return np.unique(space.code_points()[codes[codes > 0]])
 
 
 def random_ample_instance(space, t, rng):
-    """Random U ample for size_at_most(t); returns (U, kind label).
+    """Random U ample for size_at_most(t), as an ascending int64 index
+    array; returns (U, kind label).
 
-    Shapes of the removed set, by threshold: nothing or a single flat for
-    t <= 1; additionally point pairs, triangles, and flat-plus-point for
-    t = 2.  The complement of a flat is exempt on the lines inside it and
-    misses exactly one point on every other meeting line.
+    Shapes of the removed set, by threshold: nothing for t = 0; a single
+    point or a single flat as well for t = 1; additionally point pairs,
+    triangles, and flat-plus-point for t = 2.  The complement of a point
+    or a flat is exempt on the lines inside it and misses exactly one
+    point on every other meeting line.
     """
     if space.d < 3:
         raise ExtendError("precondition: dimension must be at least 3")
-    kinds = ["all", "point"]
+    kinds = ["all"]
     if t >= 1:
-        kinds += ["flat"]
+        kinds += ["point", "flat"]
     if t >= 2:
         kinds += ["two_points", "triangle", "flat_plus_point"]
     kind = kinds[int(rng.integers(0, len(kinds)))]
     P = space.n_points
-    removed = set()
+    removed = np.zeros(P, dtype=bool)
     if kind == "point":
-        removed = {int(rng.integers(0, P))}
+        removed[rng.integers(0, P)] = True
     elif kind in ("flat", "flat_plus_point"):
         dim_flat = int(rng.integers(2, space.d))  # proper flat, >= a line
         while True:
-            picks = rng.integers(0, P, size=dim_flat)
-            gens = [space.pts[int(i)] for i in picks]
-            _, piv = rref(space.field, [list(map(int, g)) for g in gens])
-            if len(piv) == dim_flat:
+            gens = space.pts[rng.integers(0, P, size=dim_flat)]
+            if len(rref(space.field, gens)[1]) == dim_flat:
                 break
-        removed = _flat_points(space, gens)
+        removed[_flat_points(space, gens)] = True
         if kind == "flat_plus_point":
-            outside = [p for p in range(P) if p not in removed]
-            removed.add(int(outside[int(rng.integers(0, len(outside)))]))
+            outside = np.flatnonzero(~removed)
+            removed[outside[rng.integers(0, len(outside))]] = True
     elif kind == "two_points":
-        removed = set(rng.choice(P, size=2, replace=False).tolist())
+        removed[rng.choice(P, size=2, replace=False)] = True
     elif kind == "triangle":
         while True:
-            a, b, c = map(int, rng.choice(P, size=3, replace=False))
+            a, b, c = rng.choice(P, size=3, replace=False)
             if c not in space.line_pts[space.join_idx(a, b)]:
-                removed = {a, b, c}
+                removed[[a, b, c]] = True
                 break
-    return [p for p in range(P) if p not in removed], kind
+    return np.flatnonzero(~removed), kind
 
 
 # ---------------------------------------------------------------------------
 # exhaustive oracle
 # ---------------------------------------------------------------------------
-
-def _inverse(f, M):
-    """Inverse of an invertible square matrix of field indices."""
-    d = len(M)
-    R, _ = rref(f, np.hstack([M, np.eye(d, dtype=np.int64)]).tolist())
-    return np.array(R, dtype=np.int64)[:, d:]
-
 
 def _frame_in(S, U1):
     """Points of U1 in general position: a basis of the span of U1, taken
@@ -385,7 +380,7 @@ def _frame_in(S, U1):
     if len(basis) < S.d:
         return basis, None
     # coordinates x of v in the basis rows B: v = x B
-    x = mat_apply(f, _inverse(f, S.pts[basis]).T, pts)
+    x = mat_apply(f, mat_inv(f, S.pts[basis]).T, pts)
     full = (x != 0).all(axis=1)
     if full.any():
         return basis, int(U1[np.argmax(full)])
@@ -466,23 +461,23 @@ def brute_force_extensions(pc):
                           "(%d candidates)" % count)
     # a collineation keeps the basis images independent
     img = S.pts[pc.sigma[basis]]
-    if len(rref(f, img.tolist())[1]) < len(basis):
+    if len(rref(f, img)[1]) < len(basis):
         return []
     if unit is None:
         # every column scaling; scaling column 0 by 1 fixes the scalar
         scales = np.indices((1,) + (q - 1,) * (d - 1)).reshape(d, -1).T + 1
     else:
-        c = mat_apply(f, _inverse(f, img.T), S.pts[pc.sigma[[unit]]])[0]
+        c = mat_apply(f, mat_inv(f, img.T), S.pts[pc.sigma[[unit]]])[0]
     bases = _image_bases(S, img)
     # standard basis vectors off the pivots complete the domain basis
-    free = np.setdiff1d(np.arange(d), rref(f, S.pts[basis].tolist())[1])
+    free = np.setdiff1d(np.arange(d), rref(f, S.pts[basis])[1])
     vecs = S.code_vectors()
     expect = pc.sigma[U1]
     out = []
     for e in range(f.n):
         moved = f.frob_t[e][S.pts]
-        A_inv = _inverse(f, np.vstack([moved[basis],
-                                       np.eye(d, dtype=np.int64)[free]]).T)
+        A_inv = mat_inv(f, np.vstack([moved[basis],
+                                      np.eye(d, dtype=np.int64)[free]]).T)
         if unit is not None:
             a = mat_apply(f, A_inv, moved[[unit]])[0]
             scales = f.mul_t[c, f.inv_t[a]][None]

@@ -467,8 +467,7 @@ def scramble(gmat, frob, D, E):
     B = f.frob_t[e][A].astype(np.int64)
     semi = SemilinearIso(U.space, B, e)
     truth = semi.induce()
-    img_units = set(int(truth.sigma[p]) for p in U.points)
-    if img_units != set(int(p) for p in U.points):
+    if not np.isin(truth.sigma[U.points], U.points).all():
         raise FuncFieldError("internal: scramble does not preserve units")
     pc = restrict(truth, U.points)
     return Scramble(pc, truth, semi, U, gmat, e)

@@ -355,43 +355,35 @@ def mat_apply(f, mats, vecs):
 
 
 def rref(f, M):
-    """Reduced row echelon form; returns (rows, pivot columns)."""
-    R = [list(int(x) for x in row) for row in M]
-    nrows = len(R)
-    ncols = len(R[0]) if nrows else 0
+    """Reduced row echelon form of an [m, n] index array, as (rows, pivot
+    columns): rows is the reduced [m, n] int64 array, zero rows last.
+    Each pivot clears its column from every other row in one table
+    gather."""
+    R = np.array(M, dtype=np.int64)
+    m, n = R.shape
     pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if R[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        R[r], R[piv] = R[piv], R[r]
-        s = f.inv(R[r][c])
-        R[r] = [f.mul(s, x) for x in R[r]]
-        for i in range(nrows):
-            if i != r and R[i][c] != 0:
-                t = R[i][c]
-                R[i] = [f.sub(x, f.mul(t, y)) for x, y in zip(R[i], R[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
+    for c in range(n):
+        r = len(pivots)
+        if r == m:
             break
+        nz = np.flatnonzero(R[r:, c])
+        if not len(nz):
+            continue
+        if nz[0]:
+            R[[r, r + nz[0]]] = R[[r + nz[0], r]]
+        R[r] = f.mul_t[f.inv_t[R[r, c]], R[r]]
+        t = f.neg_t[R[:, c]]
+        t[r] = 0
+        R[:] = f.add_t[R, f.mul_t[t[:, None], R[r]]]
+        pivots.append(c)
     return R, pivots
 
 
-def solve_linear(f, A, b):
-    """One solution x of A x = b, or None.  A is square or tall."""
-    n = len(A)
-    m = len(A[0])
-    aug = [list(A[i]) + [int(b[i])] for i in range(n)]
-    R, pivots = rref(f, aug)
-    if m in pivots:
-        return None  # inconsistent: pivot in the augmented column
-    x = [0] * m
-    for r, c in enumerate(pivots):
-        x[c] = R[r][m]
-    return x
+def mat_inv(f, M):
+    """Inverse of a square index matrix, from the rref of [M | I]; None
+    when M is singular."""
+    d = len(M)
+    R, pivots = rref(f, np.hstack([M, np.eye(d, dtype=np.int64)]))
+    if pivots != list(range(d)):
+        return None
+    return R[:, d:]

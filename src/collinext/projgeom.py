@@ -72,15 +72,14 @@ class ProjSpace:
         self.lines_per_pt = (q ** (self.d - 1) - 1) // (q - 1)
         # weights of a vector code, see code_vectors
         self._qpow = q ** np.arange(self.d - 1, -1, -1, dtype=np.int64)
-        self._offs = np.zeros(self.d, dtype=np.int64)
-        for j in range(1, self.d):
-            self._offs[j] = self._offs[j - 1] + q ** (self.d - 1 - (j - 1))
         self._build_points()
         # point index of every vector code, from the nonzero multiples
         multiples = field.mul_t[np.arange(1, q)[:, None, None], self.pts]
         self._point_of = np.full(q ** self.d, -1, dtype=np.int32)
         self._point_of[self._vector_code(multiples)] = np.arange(self.n_points)
         self._point_of.flags.writeable = False
+        # index of each standard basis vector e_j: where lead j starts
+        self._offs = self.canon_index_many(np.eye(self.d, dtype=np.int64))
         self._build_lines()
         self._build_incidence()
 
@@ -103,30 +102,21 @@ class ProjSpace:
         self.pts = pts
 
     def _build_lines(self):
-        q, d = self.q, self.d
+        # the basis (b0, b1) of a line in reduced row-echelon form, with
+        # pivots j0 < j1, is a point with lead j0 and a zero at j1 and a
+        # point with lead j1; b0 outer, each in point order.  The points
+        # with lead j are offs[j] .. offs[j + 1] - 1.
+        ends = np.append(self._offs, self.n_points)
         r0s, r1s = [], []
-        for j0 in range(d):
-            for j1 in range(j0 + 1, d):
-                free0 = [c for c in range(j0 + 1, d) if c != j1]
-                free1 = [c for c in range(j1 + 1, d)]
-                nf = len(free0) + len(free1)
-                cnt = q ** nf
-                b0 = np.zeros((cnt, d), dtype=np.int32)
-                b1 = np.zeros((cnt, d), dtype=np.int32)
-                b0[:, j0] = 1
-                b1[:, j1] = 1
-                t = np.arange(cnt)
-                slots = [(0, c) for c in free0] + [(1, c) for c in free1]
-                for i, (r, c) in enumerate(slots):
-                    dig = (t // q ** (nf - 1 - i)) % q
-                    if r == 0:
-                        b0[:, c] = dig
-                    else:
-                        b1[:, c] = dig
-                r0s.append(b0)
-                r1s.append(b1)
-        self.line_b0 = np.concatenate(r0s)
-        self.line_b1 = np.concatenate(r1s)
+        for j0 in range(self.d):
+            lead0 = self.pts[ends[j0]:ends[j0 + 1]]
+            for j1 in range(j0 + 1, self.d):
+                i0 = ends[j0] + np.flatnonzero(lead0[:, j1] == 0)
+                i1 = np.arange(ends[j1], ends[j1 + 1])
+                r0s.append(np.repeat(i0, len(i1)))
+                r1s.append(np.tile(i1, len(i0)))
+        self.line_b0 = self.pts[np.concatenate(r0s)]
+        self.line_b1 = self.pts[np.concatenate(r1s)]
         assert len(self.line_b0) == self.n_lines
         lp = self.span_points(self.line_b0, self.line_b1)
         lp.sort(axis=1)

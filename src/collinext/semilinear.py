@@ -10,7 +10,7 @@ import copy
 
 import numpy as np
 
-from .gf import mat_apply, rref, solve_linear
+from .gf import mat_apply, rref
 from .projgeom import ProjSpace
 
 
@@ -30,7 +30,7 @@ class SemilinearIso:
         mat = np.asarray(mat, dtype=np.int64)
         if mat.shape != (space.d, space.d):
             raise SemilinearError("matrix must be %d x %d" % (space.d, space.d))
-        if len(rref(self.field, mat.tolist())[1]) != space.d:
+        if len(rref(self.field, mat)[1]) != space.d:
             raise SemilinearError("matrix is singular")
         self.mat = mat
         self.frob_exp = int(frob_exp) % self.field.n
@@ -111,7 +111,7 @@ def random_semilinear(space, rng):
     f, d = space.field, space.d
     while True:
         mat = rng.integers(0, f.q, size=(d, d))
-        if len(rref(f, mat.tolist())[1]) == d:
+        if len(rref(f, mat)[1]) == d:
             break
     e = int(rng.integers(0, f.n))
     return SemilinearIso(space, mat, e)
@@ -152,11 +152,13 @@ def decode_ftpg(coll):
     frame = np.vstack([np.eye(d, dtype=np.int64), np.ones((1, d), np.int64)])
     img = S.pts[coll.sigma[S.canon_index_many(frame)]]
     # scale column j, the image of e_j, by c_j so that M maps (1, ..., 1)
-    # onto the unit's image
-    c = solve_linear(f, img[:d].T.tolist(), img[d].tolist())
-    if c is None or 0 in c:
+    # onto the unit's image: c solves W c = u, W = img[:d].T.  The last
+    # column of the rref of [W | u] is c when W is invertible; otherwise
+    # it has a zero, in a row that reduces to zero or off its own pivot
+    c = rref(f, np.column_stack([img[:d].T, img[d]]))[0][:, d]
+    if not c.all():
         raise SemilinearError("frame images are degenerate")
-    M = f.mul_t[np.array(c), img[:d].T]
+    M = f.mul_t[c, img[:d].T]
     for e in range(f.n):
         iso = SemilinearIso(S, M, e)
         if np.array_equal(iso.sigma_array(), coll.sigma):

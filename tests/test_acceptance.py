@@ -10,12 +10,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from collinext.gf import make_field, mat_apply, rref
+from collinext.gf import make_field, mat_apply, mat_inv, rref
 from collinext.projgeom import ProjSpace, check_axioms, desargues_sweep
 from collinext.semilinear import (SemilinearIso, equal_up_to_scalar,
                                   random_semilinear)
 from collinext.ample import AmpleFamily, is_ample, is_mn_admissible
-from collinext.extend import (_flat_points, _frame_in, _inverse,
+from collinext.extend import (_flat_points, _frame_in,
                               brute_force_extensions, extend,
                               random_ample_instance, restrict)
 from collinext.primesets import (PrimeSet, construct_remark28, gl_order,
@@ -182,8 +182,8 @@ def holds_frame(space, U):
     if _frame_in(space, np.array(U))[1] is not None:
         return True
     for B in itertools.combinations(range(len(U)), space.d):
-        if len(rref(f, pts[list(B)].tolist())[1]) == space.d:
-            x = mat_apply(f, _inverse(f, pts[list(B)]).T, pts)
+        if len(rref(f, pts[list(B)])[1]) == space.d:
+            x = mat_apply(f, mat_inv(f, pts[list(B)]).T, pts)
             if (x != 0).all(axis=1).any():
                 return True
     return False

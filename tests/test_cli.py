@@ -148,6 +148,27 @@ def test_precondition_rejections(capsys):
                           "--t", "1", "--trials", "1"], capsys)
     assert code == 0   # U1 holds a frame: two candidates, not PGammaL(4, 9)
     assert json.loads(out)["trials"][0]["count"] == 1
+    # one seed rule for every command, before any work
+    for args in (["--cmd", "extend", "--seed", "-1"],
+                 ["--cmd", "oracle", "--trials", "1", "--seed", "-7"],
+                 ["--cmd", "ffdemo", "--q", "13", "--seed", "-5"],
+                 ["--cmd", "checkgeom", "--q", "3", "--d", "4", "--seed", "-1"],
+                 ["--cmd", "primesets", "--seed", "-2"]):
+        code = cli.main(args)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "", args
+        assert "--seed must be at least 0" in err, args
+
+
+def test_threshold_zero_runs(capsys):
+    # at t = 0 the only ample domain is the whole space
+    for args in (["--cmd", "extend", "--t", "0", "--trials", "2"],
+                 ["--cmd", "oracle", "--q", "2", "--t", "0", "--trials", "3"]):
+        code, out = run_main(args, capsys)
+        assert code == 0, args
+        trials = json.loads(out)["trials"]
+        assert [t["kind"] for t in trials] == ["all"] * len(trials), args
+        assert all(t["ok"] for t in trials), args
 
 
 def test_failing_trial_exits_one(capsys, monkeypatch):

@@ -156,7 +156,8 @@ def test_domain_follows_sigma_edited_in_place():
     S = space(5, 1)
     pc = restrict(SemilinearIso(S, np.eye(3, dtype=int), 0), minus(S, {3}))
     pc.sigma[3] = 3
-    assert pc.U1 == pc.U2 == list(range(S.n_points))
+    assert np.array_equal(pc.U1, np.arange(S.n_points))
+    assert np.array_equal(pc.U2, np.arange(S.n_points))
     rep = validate_partial(pc)
     assert rep.ok, rep
     res = extend(pc, AmpleFamily.size_at_most(1))
@@ -353,6 +354,20 @@ def test_random_instances_are_ample():
         assert len(seen) >= 2
 
 
+def test_random_instances_at_threshold_zero_are_ample():
+    # at t = 0 a line that meets U must lie in it, so only the whole
+    # space qualifies: removing a point would leave extend to refuse
+    for p, n, d in [(2, 1, 3), (5, 1, 3), (2, 2, 4)]:
+        S = space(p, n, d)
+        fam = AmpleFamily.size_at_most(0)
+        rng = np.random.default_rng(3)
+        for _ in range(10):
+            U, kind = random_ample_instance(S, 0, rng)
+            assert kind == "all" and is_ample(S, U, fam).ample
+            assert U.dtype == np.int64
+            assert np.array_equal(U, np.arange(S.n_points))
+
+
 def ref_triangle_instance(S, rng):
     """The triangle draw of random_ample_instance at t = 2, collinearity
     by join_t; returns U and the number of collinear draws rejected."""
@@ -376,7 +391,7 @@ def test_triangle_draws_match_join_reference():
                 continue
             triangles += 1
             want, r = ref_triangle_instance(S, np.random.default_rng(seed))
-            assert U == want, (p, n, d, seed)
+            assert np.array_equal(U, want), (p, n, d, seed)
             rejected += r
         assert triangles >= 3, (p, n, d)
     assert rejected > 0   # the collinear branch was taken

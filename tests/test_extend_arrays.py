@@ -54,7 +54,7 @@ def as_dict(m):
 def ref_validate(pc, concurrency="sampled", samples=300, seed=0):
     S = pc.space
     sigma, tau = as_dict(pc.sigma), as_dict(pc.tau)
-    if not pc.U1:
+    if not len(pc.U1):
         return ValidationReport(False, "empty domain", None)
     vals = list(sigma.values())
     if len(set(vals)) != len(vals):
@@ -332,7 +332,7 @@ def test_extend_point_matches_reference_search():
     for p in off * 10 + [int(x) for x in rng.integers(0, S.n_points, size=5)]:
         # explicit orders may repeat points, hold p itself, and start with
         # points whose line through p misses U1
-        seq = [int(u) for u in rng.permutation(S.n_points)[:20]] + [p] + pc.U1
+        seq = [int(u) for u in rng.permutation(S.n_points)[:20]] + [p] + pc.U1.tolist()
         if pc.sigma[p] >= 0:
             assert extend_point(pc, p, order=seq) == pc.sigma[p]
             continue

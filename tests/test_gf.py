@@ -6,7 +6,7 @@ import pytest
 
 from collinext.gf import (
     Q_CAP, GFError, _least_modulus, make_field, field_of_order, mat_apply,
-    rref, solve_linear,
+    mat_inv, rref,
 )
 
 SMALL = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)]
@@ -211,29 +211,100 @@ def mat_det(f, A):
     return det
 
 
-def mat_inv(f, A):
-    """Inverse by row reduction of [A | I], None when A is singular."""
-    n = len(A)
-    aug = [list(A[i]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-    R, pivots = rref(f, aug)
-    if pivots[:n] != list(range(n)):
-        return None
-    return [row[n:] for row in R[:n]]
+def ref_rref(f, M):
+    """Reduced row echelon form of a list of rows, one scalar at a time:
+    the reference for the array rref.  Returns (rows, pivot columns)."""
+    R = [list(int(x) for x in row) for row in M]
+    nrows = len(R)
+    ncols = len(R[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = None
+        for i in range(r, nrows):
+            if R[i][c] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        R[r], R[piv] = R[piv], R[r]
+        s = f.inv(R[r][c])
+        R[r] = [f.mul(s, x) for x in R[r]]
+        for i in range(nrows):
+            if i != r and R[i][c] != 0:
+                t = R[i][c]
+                R[i] = [f.sub(x, f.mul(t, y)) for x, y in zip(R[i], R[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return R, pivots
+
+
+def ref_solve(f, A, b):
+    """One solution x of A x = b from ref_rref, free unknowns 0; None
+    when there is none."""
+    m = len(A[0])
+    R, pivots = ref_rref(f, [list(row) + [int(x)] for row, x in zip(A, b)])
+    if m in pivots:
+        return None  # inconsistent: pivot in the augmented column
+    x = [0] * m
+    for r, c in enumerate(pivots):
+        x[c] = R[r][m]
+    return x
 
 
 def test_linalg_roundtrip():
     f = make_field(5)
     rng = np.random.default_rng(42)
     for _ in range(50):
-        A = rng.integers(0, 5, size=(3, 3)).tolist()
+        A = rng.integers(0, 5, size=(3, 3))
         if mat_det(f, A) == 0:
             continue
         Ainv = mat_inv(f, A)
-        assert (mat_apply(f, A, np.array(Ainv).T).T == np.eye(3)).all()
-        v = rng.integers(0, 5, size=3).tolist()
-        b = mat_vec(f, A, v)
-        x = solve_linear(f, A, b)
-        assert x == [int(t) for t in v]
+        assert (mat_apply(f, A, Ainv.T).T == np.eye(3)).all()
+        v = rng.integers(0, 5, size=3)
+        assert (mat_apply(f, Ainv, mat_apply(f, A, v[None])) == v).all()
+
+
+def random_matrices(f, rng):
+    """Seeded [m, n] index matrices: square, wide, tall, of deficient
+    rank (products of [m, k] and [k, n] factors, and zero) and empty."""
+    for m, n in [(1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (2, 5), (3, 7),
+                 (5, 2), (7, 3), (1, 4), (4, 1)]:
+        for _ in range(12):
+            yield rng.integers(0, f.q, size=(m, n))
+    for m, n, k in [(3, 3, 2), (4, 4, 1), (5, 5, 3), (3, 6, 2), (6, 3, 2)]:
+        for _ in range(6):
+            a = rng.integers(0, f.q, size=(m, k))
+            b = rng.integers(0, f.q, size=(k, n))
+            yield mat_apply(f, a, b.T).T
+    for m, n in [(3, 3), (2, 4), (0, 3), (3, 0), (0, 0)]:
+        yield np.zeros((m, n), dtype=np.int64)
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (2, 2), (5, 1), (2, 3), (3, 2)])
+def test_rref_matches_list_reference(p, n):
+    f = make_field(p, n)
+    rng = np.random.default_rng(100 * p + n)
+    square = singular = 0
+    for M in random_matrices(f, rng):
+        R, piv = rref(f, M)
+        want_R, want_piv = ref_rref(f, M.tolist())
+        assert R.shape == M.shape and R.dtype == np.int64
+        assert R.tolist() == want_R and piv == want_piv
+        if M.shape[0] != M.shape[1] or not len(M):
+            continue
+        d = len(M)
+        inv = mat_inv(f, M)
+        square += 1
+        if len(piv) < d:
+            singular += 1
+            assert inv is None
+            continue
+        assert (mat_apply(f, inv, M.T).T == np.eye(d)).all()
+        assert (mat_apply(f, M, inv.T).T == np.eye(d)).all()
+    assert 0 < singular < square
 
 
 def test_mat_apply_matches_mat_vec():
@@ -252,9 +323,9 @@ def test_mat_apply_matches_mat_vec():
 
 def test_rref_canonical():
     f = make_field(3)
-    R, piv = rref(f, [[2, 1, 0], [1, 1, 0]])
+    R, piv = rref(f, np.array([[2, 1, 0], [1, 1, 0]]))
     assert piv == [0, 1]
-    assert R == [[1, 0, 0], [0, 1, 0]]
+    assert np.array_equal(R, [[1, 0, 0], [0, 1, 0]])
 
 
 def test_full_rank_iff_nonzero_det():
@@ -268,7 +339,7 @@ def test_full_rank_iff_nonzero_det():
 
 def test_singular_inverse_none():
     f = make_field(5)
-    assert mat_inv(f, [[1, 2, 3], [2, 4, 1], [0, 0, 1]]) is None
+    assert mat_inv(f, np.array([[1, 2, 3], [2, 4, 1], [0, 0, 1]])) is None
 
 
 def test_field_of_order():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from collinext import semilinear
-from collinext.gf import make_field, solve_linear
+from collinext.gf import make_field
 from collinext.projgeom import ProjSpace
 from collinext.semilinear import (
     Collineation,
@@ -17,7 +17,7 @@ from collinext.semilinear import (
     equal_up_to_scalar,
     random_semilinear,
 )
-from test_gf import mat_det, mat_vec
+from test_gf import mat_det, mat_vec, ref_solve
 from test_projgeom import ref_canon_index
 
 
@@ -213,7 +213,7 @@ def ref_decode_ftpg(coll):
     unit_idx = ref_canon_index(S, [1] * d)
     F = [list(map(int, S.pts[coll.sigma[i]])) for i in frame_idx]
     W = list(map(int, S.pts[coll.sigma[unit_idx]]))
-    c = solve_linear(f, [[F[j][i] for j in range(d)] for i in range(d)], W)
+    c = ref_solve(f, [[F[j][i] for j in range(d)] for i in range(d)], W)
     assert c is not None and 0 not in c
     M = np.array([[f.mul(c[j], F[j][i]) for j in range(d)]
                   for i in range(d)], dtype=np.int64)
@@ -222,7 +222,7 @@ def ref_decode_ftpg(coll):
     for a in range(1, q):
         x = ref_canon_index(S, [1, a] + [0] * (d - 2))
         w = list(map(int, S.pts[coll.sigma[x]]))
-        sol = solve_linear(f, cols, w)
+        sol = ref_solve(f, cols, w)
         assert sol is not None and sol[0] != 0
         mu_map[a] = f.div(sol[1], sol[0])
     e = next(e for e in range(f.n) if (mu_map == f.frob_t[e]).all())
@@ -242,6 +242,19 @@ def test_decode_matches_pointwise_reference(p, n, d):
         got, want = decode_ftpg(coll), ref_decode_ftpg(coll)
         assert got.frob_exp == want.frob_exp
         assert (got.mat == want.mat).all() and got.mat.dtype == want.mat.dtype
+
+
+def test_decode_rejects_degenerate_frame_images():
+    # e3 sent onto e1 v e2 leaves the frame images dependent; the unit
+    # sent onto e1 v e2 needs a zero scale on e3
+    S = space(3, 1, 3)
+    e3, u = ref_canon_index(S, [0, 0, 1]), ref_canon_index(S, [1, 1, 1])
+    w = ref_canon_index(S, [1, 1, 0])
+    for a in (e3, u):
+        sigma = np.arange(S.n_points)
+        sigma[[a, w]] = sigma[[w, a]]
+        with pytest.raises(SemilinearError, match="frame images are degenerate"):
+            decode_ftpg(SimpleNamespace(space=S, sigma=sigma))
 
 
 def test_decode_rejects_non_semilinear_bijection():
