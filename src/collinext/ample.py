@@ -2,10 +2,11 @@
 
 A family lives on an abstract projective line with q+1 positions: the
 affine parameters c in k at positions 0..q-1 and the infinite point at
-position q.  Carrying it onto a concrete line of a space uses that line's
-basis parametrization; the result is basis-independent exactly when the
-family is stable under PGL_2, so the explicit kind is checked for that
-before any per-line membership question is answered.
+position q.  On a line of a space, a point's position is its column in
+the line's row of line_pts (b0 + c b1, then b1, for the reduced basis);
+the result is basis-independent exactly when the family is stable under
+PGL_2, so the explicit kind is checked for that before any per-line
+membership question is answered.
 """
 
 from dataclasses import dataclass
@@ -134,26 +135,6 @@ def is_mn_admissible(family, q, m, n):
 
 
 # ---------------------------------------------------------------------------
-# transport onto concrete lines
-# ---------------------------------------------------------------------------
-
-def line_parametrization(space, l):
-    """Point index at each position: c -> b0 + c b1 for c < q, then b1."""
-    return space.span_points(space.line_b0[l:l + 1], space.line_b1[l:l + 1])[0]
-
-
-def _positions_on_line(space, l, pts):
-    par = line_parametrization(space, l)
-    back = {int(p): c for c, p in enumerate(par)}
-    out = set()
-    for p in pts:
-        if int(p) not in back:
-            raise AmpleError("point %d is not on line %d" % (p, l))
-        out.add(back[int(p)])
-    return out
-
-
-# ---------------------------------------------------------------------------
 # ample subsets
 # ---------------------------------------------------------------------------
 
@@ -197,8 +178,7 @@ def is_ample(space, U, family):
         raise AmpleError("family is not stable, per-line membership would "
                          "depend on the choice of basis")
     for l in meeting:
-        comp_pts = [int(p) for p in space.line_pts[l] if not inU[p]]
-        pos = _positions_on_line(space, int(l), comp_pts)
+        pos = np.flatnonzero(~inU[space.line_pts[l]])
         if not family.contains(pos, space.q):
             return AmpleReport(False, t_star, len(meeting), int(l),
                                "complement not in the family")

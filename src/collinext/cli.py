@@ -33,7 +33,9 @@ _ERRORS = (GFError, GeomError, SemilinearError, AmpleError, ExtendError,
 
 
 def trial_rng(seed, trial):
-    return np.random.Generator(np.random.Philox(key=[seed, trial]))
+    # a uint64 key: a list key goes through a lossy cast at 2^63 and above
+    key = np.array([seed, trial], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _check_extend_pre(q, d, t, trials):
@@ -223,8 +225,9 @@ _parser = functools.cache(build_parser)
 
 def main(argv=None):
     cfg = _parser().parse_args(argv)
-    if cfg.seed < 0:   # default_rng refuses one: one rule for every command
-        print("rejected: --seed must be at least 0", file=sys.stderr)
+    if not 0 <= cfg.seed < 1 << 64:   # Philox's key words are 64-bit
+        print("rejected: --seed must be at least 0 and below 2^64",
+              file=sys.stderr)
         return 2
     t0 = time.time()
     try:

@@ -2,9 +2,10 @@
 
 Points are canonicalized so the leftmost nonzero coordinate is 1 and are
 addressed by an index in a fixed enumeration (leading position ascending,
-then remaining coordinates lexicographic).  Lines are 2-dimensional
-subspaces enumerated by their reduced row-echelon basis and looked up by
-their two lowest points.  A space is built with its points, lines and
+then remaining coordinates lexicographic).  A line is its row of point
+indices, b0 + c b1 at column c < q and b1 at column q for its reduced
+row-echelon basis (b0, b1), in ascending order; it is looked up by its
+two lowest points.  A space is built with its points, lines and
 pencils; the dense point-on-line mask and the join/meet lookup tables
 that the sweeps read are built on first read.  Above their caps the
 join/meet tables are None.
@@ -115,11 +116,11 @@ class ProjSpace:
                 i1 = np.arange(ends[j1], ends[j1 + 1])
                 r0s.append(np.repeat(i0, len(i1)))
                 r1s.append(np.tile(i1, len(i0)))
-        self.line_b0 = self.pts[np.concatenate(r0s)]
-        self.line_b1 = self.pts[np.concatenate(r1s)]
-        assert len(self.line_b0) == self.n_lines
-        lp = self.span_points(self.line_b0, self.line_b1)
-        lp.sort(axis=1)
+        # row l is in parameter order and strictly increasing: b0 + c b1
+        # has lead j0 and digit c at j1, and b1 (column q) has lead j1
+        lp = self.span_points(self.pts[np.concatenate(r0s)],
+                              self.pts[np.concatenate(r1s)])
+        assert len(lp) == self.n_lines
         self.line_pts = lp
         # two distinct points lie on one line, so its lowest pair keys it
         keys = lp[:, 0].astype(np.int64) * self.n_points + lp[:, 1]

@@ -110,11 +110,13 @@ def random_semilinear(space, rng):
     """Uniform-ish random element: random invertible matrix + random twist."""
     f, d = space.field, space.d
     while True:
-        mat = rng.integers(0, f.q, size=(d, d))
-        if len(rref(f, mat)[1]) == d:
+        try:   # the constructor's rank check is the only one
+            iso = SemilinearIso(space, rng.integers(0, f.q, size=(d, d)), 0)
             break
-    e = int(rng.integers(0, f.n))
-    return SemilinearIso(space, mat, e)
+        except SemilinearError:   # a singular draw
+            pass
+    iso.frob_exp = int(rng.integers(0, f.n))
+    return iso
 
 
 def equal_up_to_scalar(a, b):
@@ -158,9 +160,10 @@ def decode_ftpg(coll):
     c = rref(f, np.column_stack([img[:d].T, img[d]]))[0][:, d]
     if not c.all():
         raise SemilinearError("frame images are degenerate")
-    M = f.mul_t[c, img[:d].T]
+    # W invertible and c without zeros: one iso, stepped over the twists
+    iso = SemilinearIso(S, f.mul_t[c, img[:d].T], 0)
     for e in range(f.n):
-        iso = SemilinearIso(S, M, e)
+        iso.frob_exp = e
         if np.array_equal(iso.sigma_array(), coll.sigma):
             return iso.normalized()
     raise SemilinearError("point map is not induced by a semilinear map")

@@ -5,7 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from collinext.gf import make_field
+from collinext.gf import make_field, rref
 from collinext.projgeom import ProjSpace
 from collinext.ample import (
     AmpleError,
@@ -13,7 +13,6 @@ from collinext.ample import (
     is_ample,
     is_mn_admissible,
     is_pgl2_stable,
-    line_parametrization,
     lines_meeting,
     _pgl2_generator_tables,
 )
@@ -21,6 +20,22 @@ from collinext.ample import (
 
 def space(p, n, d=3):
     return ProjSpace(make_field(p, n), d)
+
+
+def pgl2_closure(sets, f):
+    """The position sets reached from sets under the PGL_2 generators."""
+    out = {frozenset(s) for s in sets}
+    tables = _pgl2_generator_tables(f)
+    changed = True
+    while changed:
+        changed = False
+        for s in list(out):
+            for t in tables:
+                img = frozenset(t[x] for x in s)
+                if img not in out:
+                    out.add(img)
+                    changed = True
+    return out
 
 
 def all_small_subsets(q, t):
@@ -78,18 +93,7 @@ def test_explicit_stability():
     lopsided = AmpleFamily.explicit([set(), {0}], 3)
     assert not is_pgl2_stable(lopsided, f)
     # closing the lopsided family under the generators makes it stable
-    sets = {frozenset(), frozenset({0})}
-    tables = _pgl2_generator_tables(f)
-    changed = True
-    while changed:
-        changed = False
-        for s in list(sets):
-            for t in tables:
-                img = frozenset(t[x] for x in s)
-                if img not in sets:
-                    sets.add(img)
-                    changed = True
-    closed = AmpleFamily.explicit(sets, 3)
+    closed = AmpleFamily.explicit(pgl2_closure([set(), {0}], f), 3)
     assert is_pgl2_stable(closed, f)
     # orbit of one point under a transitive action is everything
     assert closed.sets == frozenset(
@@ -140,38 +144,98 @@ def test_admissible_overlapping_explicit_family():
 # transport
 # ---------------------------------------------------------------------------
 
+def ref_basis(S, l):
+    """Reduced row-echelon basis (b0, b1) of line l: the rref of two of
+    its points."""
+    b0, b1 = rref(S.field, S.pts[S.line_pts[l, :2]])[0]
+    return b0, b1
+
+
+def ref_parametrization(S, b0, b1):
+    """Point index at each position of span(b0, b1): c -> b0 + c b1 for
+    c < q, then b1."""
+    f = S.field
+    vecs = [f.add_t[b0, f.mul_t[c, b1]] for c in range(S.q)] + [b1]
+    return S.canon_index_many(np.array(vecs))
+
+
+def ref_is_ample(S, U, fam):
+    """(ample, t_star, n_meeting, witness_line) of is_ample for an
+    explicit family, positions read through ref_parametrization."""
+    inU = np.zeros(S.n_points, dtype=bool)
+    inU[U] = True
+    meeting = [l for l in range(S.n_lines) if inU[S.line_pts[l]].any()]
+    t_star = max(S.q + 1 - int(inU[S.line_pts[l]].sum()) for l in meeting)
+    for l in meeting:
+        par = ref_parametrization(S, *ref_basis(S, l))
+        pos = {c for c, p in enumerate(par) if not inU[p]}
+        if not fam.contains(pos, S.q):
+            return False, t_star, len(meeting), l
+    return True, t_star, len(meeting), None
+
+
 def test_parametrization_covers_line():
     for p, n in [(2, 1), (3, 1), (2, 2), (5, 1)]:
         S = space(p, n)
         for l in range(S.n_lines):
-            par = line_parametrization(S, l)
-            assert sorted(map(int, par)) == [int(x) for x in S.line_pts[l]]
-            assert par[0] == S.canon_index_many(S.line_b0[l])
-            assert par[S.q] == S.canon_index_many(S.line_b1[l])
+            b0, b1 = ref_basis(S, l)
+            par = ref_parametrization(S, b0, b1)
+            # the position of a point is its column in line_pts[l]
+            assert (par == S.line_pts[l]).all()
+            assert par[0] == S.canon_index_many(b0)
+            assert par[S.q] == S.canon_index_many(b1)
 
 
 def test_membership_basis_invariant_when_stable():
     # same line, two parametrizations (basis swapped); a stable family
     # gives one answer, position sets themselves differ
     S = space(3, 1)
-    f = S.field
     fam = AmpleFamily.explicit(all_small_subsets(3, 1), 3)
-    assert is_pgl2_stable(fam, f)
+    assert is_pgl2_stable(fam, S.field)
     for l in range(S.n_lines):
-        par1 = line_parametrization(S, l)
-        b0 = S.line_b0[l].astype(np.int64)
-        b1 = S.line_b1[l].astype(np.int64)
-        vecs = np.empty((f.q + 1, S.d), dtype=np.int64)
-        for c in range(f.q):
-            vecs[c] = f.add_t[b1, f.mul_t[c, b0]]
-        vecs[f.q] = b0
-        par2 = S.canon_index_many(vecs)
+        b0, b1 = ref_basis(S, l)
+        par1 = ref_parametrization(S, b0, b1)
+        par2 = ref_parametrization(S, b1, b0)
         back1 = {int(p): c for c, p in enumerate(par1)}
         back2 = {int(p): c for c, p in enumerate(par2)}
         for pt in map(int, S.line_pts[l]):
             m1 = fam.contains({back1[pt]}, 3)
             m2 = fam.contains({back2[pt]}, 3)
             assert m1 == m2
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (2, 2), (5, 1), (7, 1)])
+def test_explicit_is_ample_matches_basis_reference(p, n):
+    # stable families: the small subsets, every subset of a seeded choice
+    # of sizes, and every set but the 4-sets off the orbit of
+    # {0, 1, 2, inf}.  PGL_2 is 3-transitive, so at q <= 5 each size is
+    # one orbit; at q = 7 the 4-sets split by cross-ratio into orbits of
+    # 42 and 28, so that family tells positions apart
+    S = space(p, n)
+    q = S.q
+    rng = np.random.default_rng(40 + q)
+    families = [AmpleFamily.explicit(all_small_subsets(q, t), q)
+                for t in (0, 1, 2)]
+    families.append(AmpleFamily.explicit(
+        pgl2_closure([{0, 1, 2, q}], S.field)
+        | {frozenset(s) for k in range(q + 2) if k != 4
+           for s in combinations(range(q + 1), k)}, q))
+    for _ in range(3):
+        sizes = {0} | set(rng.choice(np.arange(1, q + 2), size=q // 2 + 1,
+                                     replace=False).tolist())
+        families.append(AmpleFamily.explicit(
+            [s for k in sizes for s in combinations(range(q + 1), k)], q))
+    verdicts = set()
+    for fam in families:
+        assert is_pgl2_stable(fam, S.field)
+        for _ in range(8):
+            k = int(rng.integers(1, S.n_points))
+            U = rng.choice(S.n_points, size=k, replace=False)
+            rep = is_ample(S, U, fam)
+            got = (rep.ample, rep.t_star, rep.n_meeting, rep.witness_line)
+            assert got == ref_is_ample(S, U, fam), (q, sorted(fam.sets))
+            verdicts.add(rep.ample)
+    assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------

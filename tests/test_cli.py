@@ -153,11 +153,20 @@ def test_precondition_rejections(capsys):
                  ["--cmd", "oracle", "--trials", "1", "--seed", "-7"],
                  ["--cmd", "ffdemo", "--q", "13", "--seed", "-5"],
                  ["--cmd", "checkgeom", "--q", "3", "--d", "4", "--seed", "-1"],
-                 ["--cmd", "primesets", "--seed", "-2"]):
+                 ["--cmd", "primesets", "--seed", "-2"],
+                 ["--cmd", "extend", "--seed", str(1 << 64)],
+                 ["--cmd", "oracle", "--trials", "1", "--seed", str(1 << 64)],
+                 ["--cmd", "ffdemo", "--q", "13", "--seed", str(1 << 64)],
+                 ["--cmd", "checkgeom", "--q", "3", "--d", "4",
+                  "--seed", str(1 << 65)],
+                 ["--cmd", "primesets", "--seed", str(1 << 64)]):
         code = cli.main(args)
         out, err = capsys.readouterr()
         assert code == 2 and out == "", args
-        assert "--seed must be at least 0" in err, args
+        assert "--seed must be at least 0 and below 2^64" in err, args
+    code, out = run_main(["--cmd", "extend", "--trials", "1",
+                          "--seed", str((1 << 64) - 1)], capsys)
+    assert code == 0 and json.loads(out)["config"]["seed"] == (1 << 64) - 1
 
 
 def test_threshold_zero_runs(capsys):
@@ -197,6 +206,10 @@ def test_trial_streams_independent():
     b = cli.trial_rng(5, 3).integers(0, 1 << 30, size=4)
     c = cli.trial_rng(5, 4).integers(0, 1 << 30, size=4)
     assert np.array_equal(a, b) and not np.array_equal(a, c)
+    # the whole seed range keys its own stream, 2^63 and above too
+    top = [cli.trial_rng(s, 0).integers(0, 1 << 30, size=4)
+           for s in ((1 << 63) + 1, (1 << 63) + 5, (1 << 64) - 1)]
+    assert len({t.tobytes() for t in top}) == 3
 
 
 def test_module_entry_point():

@@ -156,13 +156,24 @@ def ref_pair_table(rows, n):
     return t
 
 
+def ref_line_bases(pts):
+    """Reduced row-echelon bases (b0, b1) of every line, as [L, d] stacks:
+    every pair of points with leads j0 < j1 and a zero in b0 at j1,
+    ordered by (j0, j1, b0, b1)."""
+    lead = np.argmax(pts != 0, axis=1)
+    a, b = np.nonzero((lead[:, None] < lead[None, :])
+                      & (pts[:, lead] == 0))
+    order = np.lexsort((b, a, lead[b], lead[a]))
+    return pts[a[order]], pts[b[order]]
+
+
 def ref_tables(S):
     q, d, P, L = S.q, S.d, S.n_points, S.n_lines
     pts = np.array([[0] * j + [1] + list(rest) for j in range(d)
                     for rest in itertools.product(range(q), repeat=d - 1 - j)],
                    dtype=np.int32)
-    lp = np.sort(ref_span_points(S, S.line_b0, S.line_b1), axis=1)
-    lp = lp.astype(np.int32)
+    # column c is b0 + c b1 for c < q, column q is b1: no sort
+    lp = ref_span_points(S, *ref_line_bases(pts)).astype(np.int32)
     keys = np.sort(lp[:, 0].astype(np.int64) * P + lp[:, 1])
     flat_pts = lp.ravel()
     flat_lns = np.repeat(np.arange(L, dtype=np.int32), q + 1)
@@ -210,6 +221,24 @@ def test_space_build_transient_memory():
     finally:
         tracemalloc.stop()
     assert peak - held < 4 << 20
+
+
+@pytest.mark.parametrize("q,d", [(2, 3), (3, 3), (4, 3), (5, 3), (3, 4),
+                                 (2, 5)])
+def test_fresh_space_holds_only_its_tables(q, d):
+    # a table a later change stores on the space has to be named here
+    S = ProjSpace(field_of_order(q), d)
+    held = {k: v for k, v in vars(S).items() if isinstance(v, np.ndarray)}
+    assert set(held) == {"pts", "_point_of", "_offs", "_qpow", "line_pts",
+                         "_keys", "_key_order", "pt_lines"}
+    assert all(isinstance(v, int) for k, v in vars(S).items()
+               if k not in held and k != "field")
+    # int32 pts, code table, offsets, lines and pencils (P r = L k);
+    # int64 digit weights, line keys and key order
+    P, L = space_size(q, d)
+    k = q + 1
+    assert sum(a.nbytes for a in held.values()) == (
+        4 * (P * d + q ** d + d + 2 * L * k) + 8 * (d + 2 * L))
 
 
 def test_dense_tables_are_built_on_first_read():
