@@ -15,18 +15,19 @@ from fractions import Fraction
 import numpy as np
 
 from .gf import GFError, field_of_order
-from .projgeom import (GeomError, ProjSpace, certify_triples, check_axioms,
-                       check_plane, check_sweep_tables, desargues_sweep,
+from .projgeom import (GeomError, certify_triples, check_axioms, check_plane,
+                       check_sweep_tables, desargues_sweep, space_of,
                        space_size)
 from .semilinear import SemilinearError, equal_up_to_scalar, random_semilinear
 from .ample import AmpleError, AmpleFamily
 from .extend import (ExtendError, brute_force_extensions, extend,
                      random_ample_instance, restrict)
-from .primesets import (PrimeSetError, construct_remark28,
-                        natural_density_estimate)
+from .primesets import (PrimeSetError, check_density_bound,
+                        construct_remark28, natural_density_estimate)
 from .funcfield import FuncFieldError, run_demo
 
 SCHEMA = 1
+TRIALS_CAP = 1000   # trials in one extend or oracle battery
 
 _ERRORS = (GFError, GeomError, SemilinearError, AmpleError, ExtendError,
            PrimeSetError, FuncFieldError)
@@ -39,8 +40,9 @@ def trial_rng(seed, trial):
 
 
 def _check_extend_pre(q, d, t, trials):
-    if trials < 1:
-        raise ExtendError("precondition: --trials must be at least 1")
+    if not 1 <= trials <= TRIALS_CAP:
+        raise ExtendError("precondition: --trials must be from 1 to %d"
+                          % TRIALS_CAP)
     if d < 3:
         raise ExtendError("precondition: dimension must be at least 3")
     if q <= 3 * t + 1:
@@ -67,7 +69,7 @@ def _trials(cfg, judge):
     the fields judge(k, fam, iso, truth, pc) returns."""
     q, d, t = cfg.q, cfg.d, cfg.t
     _check_extend_pre(q, d, t, cfg.trials)
-    space = ProjSpace(_field(q, d), d)
+    space = space_of(_field(q, d), d)
     fam = AmpleFamily.size_at_most(t)
     trials = []
     for k in range(cfg.trials):
@@ -104,6 +106,7 @@ def cmd_oracle(cfg):
 
 def cmd_primesets(cfg):
     """Low-density prime set construction with its certificate."""
+    check_density_bound(cfg.bound)   # before any sieve
     ps, cert = construct_remark28(cfg.g, cfg.p, cfg.eps)
     density = natural_density_estimate(ps, cfg.bound)
     ok = bool(cert["all_pass"])
@@ -136,7 +139,7 @@ def cmd_ffdemo(cfg):
 def cmd_checkgeom(cfg):
     """Exhaustive incidence axioms and the Desargues property."""
     check_plane(cfg.d)
-    space = ProjSpace(_field(cfg.q, cfg.d, check_sweep_tables), cfg.d)
+    space = space_of(_field(cfg.q, cfg.d, check_sweep_tables), cfg.d)
     T = certify_triples(space)   # once, for both sweeps
     ax = check_axioms(space, triples=T)
     sample = None if space.d == 3 else 2000

@@ -18,7 +18,7 @@ from .gf import (GF, field_of_order, mat_apply, padd, pdivmod, peval,
                  pfactor, pgcd, pirreducible, pmonic, pmul, pneg, ppow,
                  pscale, ptrim)
 from ._kernels import _polydiv, pair_mult_scan
-from .projgeom import ProjSpace
+from .projgeom import ProjSpace, space_of
 from .semilinear import Collineation, SemilinearIso
 from .ample import AmpleFamily, is_ample, is_mn_admissible, lines_meeting
 from .extend import extend, restrict
@@ -294,7 +294,7 @@ def unit_subset(D, E):
     if E & D.support():
         raise FuncFieldError("divisor and evaluation set overlap")
     rr = rr_basis(D)
-    space = ProjSpace(f, rr.dim)
+    space = space_of(f, rr.dim)
     # point i is the function pts[i] / M, with M prime to every point of E
     keep = np.ones(space.n_points, dtype=bool)
     for pt in E:

@@ -16,6 +16,7 @@ import numpy as np
 
 TRIAL_BOUND = 10 ** 6
 R_SEARCH_BOUND = 10 ** 6
+SIEVE_CAP = 10 ** 8   # density bound cap: a 100 MB bool sieve
 
 
 class PrimeSetError(Exception):
@@ -376,11 +377,20 @@ def _residue_order_members(sigma, primes):
     return member
 
 
+def check_density_bound(bound):
+    """Refuse a density bound below 100 or above SIEVE_CAP, before the
+    sieve is allocated."""
+    if bound < 100:
+        raise PrimeSetError("bound must be >= 100")
+    if bound > SIEVE_CAP:
+        raise PrimeSetError("budget: bound %d is above the sieve cap %d"
+                            % (bound, SIEVE_CAP))
+
+
 def natural_density_estimate(sigma, bound):
     """Fraction of primes <= bound lying in the set."""
     bound = int(bound)
-    if bound < 100:
-        raise PrimeSetError("bound must be >= 100")
+    check_density_bound(bound)
     primes = prime_sieve(bound)
     if sigma.kind == "cofinite":
         hits = len(primes) - int(

@@ -8,11 +8,13 @@ row-echelon basis (b0, b1), in ascending order; it is looked up by its
 two lowest points.  A space is built with its points, lines and
 pencils; the dense point-on-line mask and the join/meet lookup tables
 that the sweeps read are built on first read.  Above their caps the
-join/meet tables are None.
+join/meet tables are None.  Every table is read-only, so one space can
+serve every caller: space_of keeps the four last asked for and hands the
+same space to each command that works in P(k^d).
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -22,6 +24,7 @@ P_CAP = 10_000          # hard point-count cap, desk scale
 _JOIN_TABLE_CAP = 2048  # P x P join table below this many points
 _MEET_TABLE_CAP = 2048  # L x L meet table below this many lines
 TRIPLE_CAP = 4_000_000  # ordered non-collinear triples an exhaustive sweep takes
+_LINE_CHUNK = 1 << 15   # lines spanned per slice of the line build
 
 
 class GeomError(Exception):
@@ -78,11 +81,14 @@ class ProjSpace:
         multiples = field.mul_t[np.arange(1, q)[:, None, None], self.pts]
         self._point_of = np.full(q ** self.d, -1, dtype=np.int32)
         self._point_of[self._vector_code(multiples)] = np.arange(self.n_points)
-        self._point_of.flags.writeable = False
         # index of each standard basis vector e_j: where lead j starts
         self._offs = self.canon_index_many(np.eye(self.d, dtype=np.int64))
         self._build_lines()
         self._build_incidence()
+        # space_of hands one space to every caller: its tables stay as built
+        for a in vars(self).values():
+            if isinstance(a, np.ndarray):
+                _read_only(a)
 
     # -- construction ------------------------------------------------------
 
@@ -116,11 +122,16 @@ class ProjSpace:
                 i1 = np.arange(ends[j1], ends[j1 + 1])
                 r0s.append(np.repeat(i0, len(i1)))
                 r1s.append(np.tile(i1, len(i0)))
+        r0, r1 = np.concatenate(r0s), np.concatenate(r1s)
+        assert len(r0) == self.n_lines
         # row l is in parameter order and strictly increasing: b0 + c b1
-        # has lead j0 and digit c at j1, and b1 (column q) has lead j1
-        lp = self.span_points(self.pts[np.concatenate(r0s)],
-                              self.pts[np.concatenate(r1s)])
-        assert len(lp) == self.n_lines
+        # has lead j0 and digit c at j1, and b1 (column q) has lead j1.
+        # Spanned a slice at a time, so the [n, d] basis gathers and their
+        # field sums stay small next to the rows kept.
+        lp = np.empty((self.n_lines, self.pts_per_line), dtype=np.int32)
+        for s in range(0, self.n_lines, _LINE_CHUNK):
+            cut = slice(s, s + _LINE_CHUNK)
+            lp[cut] = self.span_points(self.pts[r0[cut]], self.pts[r1[cut]])
         self.line_pts = lp
         # two distinct points lie on one line, so its lowest pair keys it
         keys = lp[:, 0].astype(np.int64) * self.n_points + lp[:, 1]
@@ -143,7 +154,7 @@ class ProjSpace:
         """[P, L] point-on-line mask, built on first read."""
         on = np.zeros((self.n_points, self.n_lines), dtype=bool)
         on[self.line_pts, np.arange(self.n_lines)[:, None]] = True
-        return on
+        return _read_only(on)
 
     @cached_property
     def join_t(self):
@@ -151,7 +162,7 @@ class ProjSpace:
         first read; None above _JOIN_TABLE_CAP points."""
         if self.n_points > _JOIN_TABLE_CAP:
             return None
-        return self._pair_table(self.line_pts, self.n_points)
+        return _read_only(self._pair_table(self.line_pts, self.n_points))
 
     @cached_property
     def meet_t(self):
@@ -159,7 +170,7 @@ class ProjSpace:
         skew, built on first read; None above _MEET_TABLE_CAP lines."""
         if self.n_lines > _MEET_TABLE_CAP:
             return None
-        return self._pair_table(self.pt_lines, self.n_lines)
+        return _read_only(self._pair_table(self.pt_lines, self.n_lines))
 
     @staticmethod
     def _pair_table(rows, n):
@@ -238,6 +249,20 @@ class ProjSpace:
 
     def __repr__(self):
         return "ProjSpace(%r, d=%d)" % (self.field, self.d)
+
+
+def _read_only(a):
+    """a, with writes through it refused."""
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=4)
+def space_of(field, d):
+    """The shared, read-only ProjSpace of P(field^d): built on the first
+    call, then handed to every caller while it is among the four spaces
+    last asked for."""
+    return ProjSpace(field, d)
 
 
 # ---------------------------------------------------------------------------

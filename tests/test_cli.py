@@ -11,7 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from collinext import cli, projgeom
+from collinext import cli, primesets, projgeom
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
@@ -68,6 +68,38 @@ def test_reports_byte_identical(tmp_path, capsys):
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
     assert b"elapsed" not in a.read_bytes()   # timing never enters the report
+
+
+# one command on each space-building path: the trial loop, the sweeps and
+# the function-field unit subset
+SHARED_SPACE_RUNS = [
+    ["--cmd", "extend", "--q", "5", "--d", "3", "--t", "1", "--trials", "3",
+     "--seed", "4"],
+    ["--cmd", "oracle", "--q", "7", "--d", "3", "--t", "1", "--trials", "2",
+     "--seed", "4"],
+    ["--cmd", "checkgeom", "--q", "2", "--d", "4", "--seed", "4"],
+    ["--cmd", "ffdemo", "--q", "9", "--seed", "4"],
+]
+
+
+def test_reports_same_on_shared_evicted_and_fresh_spaces(capsys):
+    fresh = [subprocess.run([sys.executable, "-m", "collinext"] + args,
+                            capture_output=True, text=True, timeout=120,
+                            env=child_env()).stdout
+             for args in SHARED_SPACE_RUNS]
+    assert all(json.loads(out)["aggregate"]["all_pass"] for out in fresh)
+    for _ in range(2):   # the second pass reads the shared spaces
+        hits = projgeom.space_of.cache_info().hits
+        assert [run_main(a, capsys)[1] for a in SHARED_SPACE_RUNS] == fresh
+    assert projgeom.space_of.cache_info().hits >= hits + 4
+    for args, want in zip(SHARED_SPACE_RUNS, fresh):
+        # four other spaces evict this command's space before it runs
+        for q in (2, 3, 4, 8):
+            assert run_main(["--cmd", "extend", "--q", str(q), "--d", "3",
+                             "--t", "0", "--trials", "1"], capsys)[0] == 0
+        misses = projgeom.space_of.cache_info().misses
+        assert run_main(args, capsys)[1] == want, args
+        assert projgeom.space_of.cache_info().misses == misses + 1, args
 
 
 def test_oracle_counts_one(capsys):
@@ -134,7 +166,7 @@ def test_out_file_quiet_stdout(tmp_path, capsys):
 # rejections and failure exit
 # ---------------------------------------------------------------------------
 
-def test_precondition_rejections(capsys):
+def test_precondition_rejections(capsys, monkeypatch):
     code, out = run_main(["--cmd", "extend", "--q", "5", "--d", "3",
                           "--t", "2", "--trials", "3"], capsys)
     assert code == 2 and out == ""
@@ -167,6 +199,27 @@ def test_precondition_rejections(capsys):
     code, out = run_main(["--cmd", "extend", "--trials", "1",
                           "--seed", str((1 << 64) - 1)], capsys)
     assert code == 0 and json.loads(out)["config"]["seed"] == (1 << 64) - 1
+    # the sieve and battery caps, before any sieve or field is built: the
+    # bounds ended in a MemoryError and a ValueError traceback, and 100000
+    # trials ran without end
+    def unbuilt(*args):
+        raise AssertionError("work began before the refusal")
+    monkeypatch.setattr(primesets, "prime_sieve", unbuilt)
+    monkeypatch.setattr(cli, "field_of_order", unbuilt)
+    for args, msg in (
+            (["--cmd", "primesets", "--bound", str(10 ** 10)],
+             "bound 10000000000 is above the sieve cap 100000000"),
+            (["--cmd", "primesets", "--bound", str(10 ** 20)],
+             "above the sieve cap"),
+            (["--cmd", "primesets", "--bound", "99"], "bound must be >= 100"),
+            (["--cmd", "extend", "--q", "5", "--d", "3", "--trials",
+              "100000"], "--trials must be from 1 to 1000"),
+            (["--cmd", "oracle", "--trials", "1001"],
+             "--trials must be from 1 to 1000")):
+        code = cli.main(args)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "", args
+        assert msg in err, args
 
 
 def test_threshold_zero_runs(capsys):
@@ -259,7 +312,8 @@ def test_checkgeom_refuses_before_building_the_space(q, d, capsys,
     # a MemoryError traceback, and --q 3 --d 8 refused at a 3 GB peak
     def no_space(*args):
         raise AssertionError("the space was built")
-    monkeypatch.setattr(cli, "ProjSpace", no_space)
+    monkeypatch.setattr(projgeom, "ProjSpace", no_space)
+    monkeypatch.setattr(cli, "space_of", no_space)
     code, out = run_main(["--cmd", "checkgeom", "--q", str(q),
                           "--d", str(d)], capsys)
     assert code == 2 and out == ""

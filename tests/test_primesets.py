@@ -323,6 +323,10 @@ def test_density_basics():
     assert d == Fraction(1227, 1229)
     with pytest.raises(PrimeSetError):
         natural_density_estimate(PrimeSet.cofinite([2]), 50)
+    # above the cap the sieve would not fit a desk budget: refused unbuilt
+    with pytest.raises(PrimeSetError, match="sieve cap"):
+        natural_density_estimate(PrimeSet.cofinite([2]),
+                                 primesets.SIEVE_CAP + 1)
 
 
 def test_density_remark28_under_bound():

@@ -21,6 +21,7 @@ from collinext.projgeom import (
     desargues_sweep,
     gaussian_binomial,
     noncollinear_triples,
+    space_of,
     space_size,
 )
 
@@ -263,10 +264,58 @@ def test_sweep_tables_refused_from_q_and_d():
         check_sweep_tables(5, 1)
 
 
-def test_code_points_is_read_only():
-    S = space(2, 1, 3)
-    with pytest.raises(ValueError):
+def test_space_tables_are_read_only():
+    # space_of hands one space to every caller, so no caller may write
+    # to it; the tables built on first read are sealed too
+    S = space_of(make_field(3), 3)
+    for name in ("pts", "line_pts", "pt_lines", "on_line", "join_t",
+                 "meet_t"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(S, name)[0, 0] = 1
+    with pytest.raises(ValueError, match="read-only"):
         S.code_points()[0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        S.line_pts += 1
+    assert not [k for k, v in vars(S).items()
+                if isinstance(v, np.ndarray) and v.flags.writeable]
+
+
+def test_space_of_shares_a_space_until_evicted():
+    f = make_field(3)
+    S = space_of(f, 3)
+    assert space_of(f, 3) is S and space_of(make_field(3), 3) is S
+    assert isinstance(S, ProjSpace) and (S.field, S.d) == (f, 3)
+    for q, d in [(2, 2), (3, 2), (4, 2), (2, 3)]:   # four other spaces
+        space_of(field_of_order(q), d)
+    T = space_of(f, 3)   # evicted: built afresh, with equal tables
+    assert T is not S
+    for name in ("pts", "line_pts", "pt_lines", "_keys", "_key_order"):
+        assert np.array_equal(getattr(T, name), getattr(S, name)), name
+
+
+@pytest.mark.parametrize("q,d", [(2, 5), (3, 4), (5, 3)])
+def test_line_build_in_slices_matches_one_slice(q, d, monkeypatch):
+    # 7 lines a slice leaves a short last slice at each of these sizes
+    whole = ProjSpace(field_of_order(q), d)
+    monkeypatch.setattr(projgeom, "_LINE_CHUNK", 7)
+    cut = ProjSpace(field_of_order(q), d)
+    assert whole.n_lines > 7 and whole.n_lines % 7
+    for name in ("line_pts", "pt_lines", "_keys", "_key_order"):
+        assert getattr(cut, name).dtype == getattr(whole, name).dtype
+        assert np.array_equal(getattr(cut, name), getattr(whole, name)), name
+
+
+def test_line_build_peak_memory():
+    # the [L, d] basis gathers and field sums of every line at once made
+    # the build of P^10(F_2) peak at 130.8 MB for 26.7 MB held
+    f = make_field(2)
+    tracemalloc.start()
+    try:
+        ProjSpace(f, 11)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
 
 
 # ---------------------------------------------------------------------------
