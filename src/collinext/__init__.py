@@ -29,6 +29,6 @@ from .primesets import (PrimeSetError, PrimeSet, SigmaFactorization,
 from .funcfield import (FuncFieldError, ClosedPointP1, DivisorP1, RatFunc,
                         valuation, divisor_of, RRSpace, rr_basis, UnitSubset,
                         unit_subset, shift_survivors, FFCertificate,
-                        ample_certificate, moebius_substitute, Scramble,
+                        ample_certificate, Scramble,
                         scramble, RingIsoReport, apply_psi, recover_ring_iso,
                         demo_instance, run_demo)

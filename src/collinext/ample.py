@@ -148,8 +148,11 @@ class AmpleReport:
 
 
 def lines_meeting(space, U):
+    U = np.asarray(U, dtype=np.int64)
+    if U.size and not 0 <= U.min() <= U.max() < space.n_points:
+        raise AmpleError("points must lie in 0..%d" % (space.n_points - 1))
     inU = np.zeros(space.n_points, dtype=bool)
-    inU[np.asarray(U, dtype=np.int64)] = True
+    inU[U] = True
     in_cnt = inU[space.line_pts].sum(axis=1)
     return np.nonzero(in_cnt > 0)[0], in_cnt, inU
 

@@ -52,7 +52,8 @@ def _check_extend_pre(q, d, t, trials):
 
 def _field(q, d, check=space_size):
     """GF(q) once check(q, d) has passed, so an oversized space is refused
-    before the field tables (GF(2^10) alone takes seconds to build)."""
+    before the field tables (GF(2^10) alone takes about 0.25 s to build
+    on 2 vCPUs)."""
     if q >= 2:   # space_size divides by q - 1; field_of_order refuses q
         check(q, d)
     return field_of_order(q)
@@ -202,6 +203,14 @@ def _csv_cell(v):
     return s
 
 
+def _fraction(text):
+    """--eps as a Fraction; a zero denominator is a usage error."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError("%r has a zero denominator" % text)
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="collinext",
@@ -214,8 +223,7 @@ def build_parser():
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--g", type=int, default=1)
     ap.add_argument("--p", type=int, default=2)
-    ap.add_argument("--eps", type=lambda s: Fraction(str(s)),
-                    default=Fraction(3, 10))
+    ap.add_argument("--eps", type=_fraction, default=Fraction(3, 10))
     ap.add_argument("--bound", type=int, default=10 ** 5)
     ap.add_argument("--out", default=None)
     ap.add_argument("--format", choices=("json", "csv"), default="json")

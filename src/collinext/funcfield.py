@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import (GF, field_of_order, mat_apply, padd, pdivmod, peval,
-                 pfactor, pgcd, pirreducible, pmonic, pmul, pneg, ppow,
+                 pfactor, pgcd, pirreducible, pmul, pneg, ppow,
                  pscale, ptrim)
-from ._kernels import _polydiv, pair_mult_scan
+from ._kernels import _polydiv, _polymul, pair_mult_scan
 from .projgeom import ProjSpace, space_of
 from .semilinear import Collineation, SemilinearIso
 from .ample import AmpleFamily, is_ample, is_mn_admissible, lines_meeting
@@ -236,9 +236,7 @@ class RRSpace:
     D: DivisorP1
     field: GF
     mpoly: tuple          # product of the finite part, monic
-    n_inf: int
     dim: int
-    basis: list
 
     def coords_of(self, fn):
         """Coefficient vector of fn in the t^j/M basis, or None."""
@@ -256,20 +254,15 @@ class RRSpace:
 
 
 def rr_basis(D):
-    """Basis t^j/M of L(D) on the line; dimension deg(D) + 1."""
+    """L(D) on the line, spanned by t^j/M for 0 <= j <= deg D."""
     if not D.is_effective():
         raise FuncFieldError("divisor must be effective")
     f = D.field
     mpoly = (1,)
-    n_inf = 0
     for pt, m in D.items().items():
-        if pt.is_infinity:
-            n_inf = m
-        else:
+        if not pt.is_infinity:
             mpoly = pmul(f, mpoly, ppow(f, pt.poly, m))
-    dim = D.degree() + 1
-    basis = [RatFunc(f, (0,) * j + (1,), mpoly) for j in range(dim)]
-    return RRSpace(D, f, mpoly, n_inf, dim, basis)
+    return RRSpace(D, f, mpoly, D.degree() + 1)
 
 
 @dataclass
@@ -361,54 +354,37 @@ def ample_certificate(U, fam=None):
 # scrambling: coordinate change + Frobenius, as a partial collineation
 # ---------------------------------------------------------------------------
 
+def _adjugate(f, mat):
+    """The adjugate of a 2 x 2 matrix: the inverse Moebius map."""
+    (a, b), (c, d) = mat
+    return (d, f.neg(b)), (f.neg(c), a)
+
+
+def _form_substitution(f, mat, r):
+    """The [r + 1, r + 1] matrix of F(t, s) -> F(a t + b s, c t + d s) on
+    binary forms of degree r, coefficient j on t^j s^(r - j): column j
+    is (b + a t)^j (d + c t)^(r - j)."""
+    (a, b), (c, d) = mat
+    lin = np.array([[b, a], [d, c]])
+    # pw[j] holds (b + a t)^j and (d + c t)^j
+    pw = np.zeros((r + 1, 2, r + 1), dtype=np.int64)
+    pw[0, :, 0] = 1
+    for j in range(1, r + 1):
+        pw[j] = _polymul(pw[j - 1, :, :r], lin, r + 1, f.mul_t, f.add_t)
+    return _polymul(pw[:, 0], pw[::-1, 1], 2 * r + 1,
+                    f.mul_t, f.add_t)[:, :r + 1].T
+
+
 def moebius_point_image(f, mat, pt):
-    """Image of a closed point under t -> (a t + b)/(c t + d)."""
-    a, b, c, d = (int(mat[0][0]), int(mat[0][1]),
-                  int(mat[1][0]), int(mat[1][1]))
-    if pt.is_infinity:
-        if c == 0:
-            return pt
-        return ClosedPointP1.finite(f, (f.neg(f.div(a, c)), 1))
-    if pt.degree == 1:
-        alpha = f.neg(pt.poly[0])
-        den = f.add(f.mul(c, alpha), d)
-        if den == 0:
-            return ClosedPointP1.infinity(f)
-        beta = f.div(f.add(f.mul(a, alpha), b), den)
-        return ClosedPointP1.finite(f, (f.neg(beta), 1))
-    # roots of the image are m(roots): substitute the inverse map and clear
-    top, bot = (f.neg(b), d), (a, f.neg(c))   # m^-1(y) = (dy - b)/(-cy + a)
-    deg = pt.degree
-    out = ()
-    for i, coef in enumerate(pt.poly):
-        term = pmul(f, ppow(f, top, i), ppow(f, bot, deg - i))
-        out = padd(f, out, pscale(f, term, coef))
-    if len(out) - 1 != deg:
-        raise FuncFieldError("point image degenerates")
-    return ClosedPointP1.finite(f, pmonic(f, out))
-
-
-def moebius_substitute(fn, mat):
-    """fn composed with t -> (a t + b)/(c t + d)."""
-    f = fn.field
-    a, b, c, d = (int(mat[0][0]), int(mat[0][1]),
-                  int(mat[1][0]), int(mat[1][1]))
-    det = f.sub(f.mul(a, d), f.mul(b, c))
-    if det == 0:
-        raise FuncFieldError("substitution matrix is singular")
-    top, bot = (b, a), (d, c)
-    r = max(len(fn.num), len(fn.den)) - 1
-
-    def clear(poly):
-        out = ()
-        for i, coef in enumerate(poly):
-            term = pmul(f, ppow(f, top, i), ppow(f, bot, r - i))
-            out = padd(f, out, pscale(f, term, coef))
-        return out
-    num, den = clear(fn.num), clear(fn.den)
-    if not den:
-        raise FuncFieldError("substitution sends the denominator to zero")
-    return RatFunc(f, num, den)
+    """Image of a closed point under t -> (a t + b)/(c t + d): its binary
+    form (s at infinity) under the inverse map, made monic; a zero top
+    coefficient is the form s, infinity."""
+    form = np.array((1, 0) if pt.is_infinity else pt.poly)
+    A = _form_substitution(f, _adjugate(f, mat), len(form) - 1)
+    img = mat_apply(f, A, form[None])[0]
+    if img[-1] == 0:
+        return ClosedPointP1.infinity(f)
+    return ClosedPointP1.finite(f, f.mul_t[f.inv_t[img[-1]], img])
 
 
 def _transport_divisor(D, point_map):
@@ -453,17 +429,9 @@ def scramble(gmat, frob, D, E):
         if {fpt(pt) for pt in E} != set(E):
             raise FuncFieldError("frobenius does not stabilize "
                                  "the evaluation set")
-    # g^-1 corresponds to the adjugate matrix
-    adj = ((d, f.neg(b)), (f.neg(c), a))
-    rr = U.rr
-    cols = []
-    for bf in rr.basis:
-        img = moebius_substitute(bf, adj)
-        v = rr.coords_of(img)
-        if v is None:
-            raise FuncFieldError("internal: basis image leaves L(D)")
-        cols.append(v)
-    A = np.stack(cols, axis=1)
+    # f o g^-1 on L(D) = <t^j s^(r - j)> / (the form of D), whose form g
+    # fixes up to a scalar
+    A = _form_substitution(f, _adjugate(f, gmat), U.rr.dim - 1)
     B = f.frob_t[e][A].astype(np.int64)
     semi = SemilinearIso(U.space, B, e)
     truth = semi.induce()

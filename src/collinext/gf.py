@@ -17,6 +17,7 @@ import numpy as np
 from .primesets import is_prime_u64
 
 Q_CAP = 1 << 10  # full q x q tables are built up to this
+_TABLE_BLOCK = 1 << 18  # elements per temporary of the table build
 
 
 class GFError(Exception):
@@ -42,73 +43,47 @@ class GF:
             raise GFError("field size %d exceeds cap %d" % (self.q, Q_CAP))
         if len(self.modulus) != self.n + 1 or self.modulus[-1] != 1:
             raise GFError("modulus must be monic of degree n")
-        self._pw = [self.p ** i for i in range(self.n + 1)]
         self._build_tables()
 
     # -- tables ------------------------------------------------------------
 
     def _build_tables(self):
         q, p, n = self.q, self.p, self.n
-        digs = np.zeros((q, n), dtype=np.int64)
-        t = np.arange(q)
-        for i in range(n):
-            digs[:, i] = t % p
-            t = t // p
-        self._digs = digs
-        # addition is digitwise mod p
-        s = (digs[:, None, :] + digs[None, :, :]) % p
-        self.add_t = self._recompose(s)
-        self.neg_t = self._recompose((-digs) % p)
-        # multiplication: row-by-row convolution then reduction by modulus
-        red = self._reduction_rows()
-        mul = np.zeros((q, q), dtype=np.int32)
-        for a in range(q):
-            da = digs[a]
-            conv = np.zeros((q, 2 * n - 1), dtype=np.int64)
-            for i in range(n):
-                if da[i]:
-                    conv[:, i:i + n] += da[i] * digs
-            conv %= p
-            full = conv[:, :n].copy()
-            for k in range(n, 2 * n - 1):
-                full = (full + conv[:, k:k + 1] * red[k - n]) % p
-            mul[a] = full @ np.array(self._pw[:n], dtype=np.int64)
-        self.mul_t = mul
+        pw = p ** np.arange(n)
+        digs = np.arange(q)[:, None] // pw % p   # [q, n] digit rows
+        self.neg_t = (-digs % p @ pw).astype(np.int32)   # digitwise
+        # xb[i] holds the digit rows of x^i b for every b.  Times x is the
+        # companion matrix of the modulus: the digits shift up, and the
+        # carry x^n folds back as -modulus[:n].
+        comp = np.eye(n, k=-1, dtype=np.int64)
+        comp[:, -1] += -np.array(self.modulus[:n]) % p
+        xb = [digs]
+        for _ in range(1, n):
+            xb.append(xb[-1] @ comp.T % p)
+        xb = np.stack(xb)
+        # a block of rows a at a time: a + b is digitwise mod p, and
+        # a b = sum_i a_i x^i b
+        add = np.empty((q, q), dtype=np.int32)
+        mul = np.empty((q, q), dtype=np.int32)
+        step = max(1, _TABLE_BLOCK // (q * n))
+        for s in range(0, q, step):
+            a = digs[s:s + step]
+            add[s:s + step] = (a[:, None] + digs) % p @ pw
+            mul[s:s + step] = np.tensordot(a, xb, 1) % p @ pw
+        self.add_t, self.mul_t = add, mul
         # inverses from the multiplication table
         inv = np.zeros(q, dtype=np.int32)
         aa, bb = np.nonzero(mul == 1)
         inv[aa] = bb
         self.inv_t = inv
-        # frobenius powers
-        frob = np.zeros((n, q), dtype=np.int32)
+        # frobenius powers: row k is row k - 1 raised to the p-th power
+        frob = np.empty((n, q), dtype=np.int32)
         frob[0] = np.arange(q)
-        if n > 1:
-            f1 = np.array([self._pow_scalar(a, p) for a in range(q)], dtype=np.int32)
-            frob[1] = f1
-            for i in range(2, n):
-                frob[i] = f1[frob[i - 1]]
+        for k in range(1, n):
+            frob[k] = 1
+            for _ in range(p):
+                frob[k] = mul[frob[k], frob[k - 1]]
         self.frob_t = frob
-
-    def _recompose(self, digs):
-        return (digs @ np.array(self._pw[:self.n], dtype=np.int64)).astype(np.int32)
-
-    def _reduction_rows(self):
-        # digit rows of x^(n+k) mod modulus, for k = 0..n-2
-        p, n = self.p, self.n
-        rows = np.zeros((max(n - 1, 1), n), dtype=np.int64)
-        cur = [(-c) % p for c in self.modulus[:n]]  # x^n mod f
-        rows[0, :] = cur[:n] if n > 1 else rows[0, :]
-        if n == 1:
-            return rows
-        for k in range(1, n - 1):
-            nxt = [0] + cur[: n - 1]
-            lead = cur[n - 1]
-            if lead:
-                for i in range(n):
-                    nxt[i] = (nxt[i] + lead * rows[0, i]) % p
-            cur = [c % p for c in nxt]
-            rows[k, :] = cur
-        return rows
 
     # -- scalar arithmetic -------------------------------------------------
 
@@ -131,15 +106,6 @@ class GF:
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
-
-    def _pow_scalar(self, a, e):
-        r = 1
-        while e:
-            if e & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return r
 
     # -- misc --------------------------------------------------------------
 

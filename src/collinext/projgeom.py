@@ -114,16 +114,19 @@ class ProjSpace:
         # point with lead j1; b0 outer, each in point order.  The points
         # with lead j are offs[j] .. offs[j + 1] - 1.
         ends = np.append(self._offs, self.n_points)
-        r0s, r1s = [], []
+        r0 = np.empty(self.n_lines, dtype=np.int32)
+        r1 = np.empty(self.n_lines, dtype=np.int32)
+        s = 0
         for j0 in range(self.d):
             lead0 = self.pts[ends[j0]:ends[j0 + 1]]
             for j1 in range(j0 + 1, self.d):
                 i0 = ends[j0] + np.flatnonzero(lead0[:, j1] == 0)
                 i1 = np.arange(ends[j1], ends[j1 + 1])
-                r0s.append(np.repeat(i0, len(i1)))
-                r1s.append(np.tile(i1, len(i0)))
-        r0, r1 = np.concatenate(r0s), np.concatenate(r1s)
-        assert len(r0) == self.n_lines
+                e = s + len(i0) * len(i1)
+                r0[s:e] = np.repeat(i0, len(i1))
+                r1[s:e] = np.tile(i1, len(i0))
+                s = e
+        assert s == self.n_lines
         # row l is in parameter order and strictly increasing: b0 + c b1
         # has lead j0 and digit c at j1, and b1 (column q) has lead j1.
         # Spanned a slice at a time, so the [n, d] basis gathers and their
@@ -146,8 +149,8 @@ class ProjSpace:
         counts = np.bincount(flat_pts, minlength=P)
         assert (counts == self.lines_per_pt).all()
         # entry i of flat_pts lies on line i // k
-        self.pt_lines = (order // k).astype(np.int32).reshape(
-            P, self.lines_per_pt)
+        order //= k
+        self.pt_lines = order.astype(np.int32).reshape(P, self.lines_per_pt)
 
     @cached_property
     def on_line(self):

@@ -250,6 +250,21 @@ def test_ample_full_and_empty():
     assert not rep.ample and rep.reason == "empty set"
 
 
+def test_ample_refuses_points_out_of_range():
+    # a negative entry aliased a point from the end: every point but the
+    # last, plus -1, read as the whole plane, ample with t* = 0; an entry
+    # past the end was a bare IndexError
+    S = space(5, 1)
+    fam = AmpleFamily.size_at_most(0)
+    for U in ([*range(S.n_points - 1), -1], [S.n_points + 3], [S.n_points]):
+        with pytest.raises(AmpleError, match="points must lie in 0..30"):
+            is_ample(S, U, fam)
+        with pytest.raises(AmpleError, match="points must lie in 0..30"):
+            lines_meeting(S, U)
+    rep = is_ample(S, [*range(S.n_points - 1)], fam)
+    assert not rep.ample and rep.t_star == 1
+
+
 def test_ample_line_complement():
     S = space(5, 1)
     l0 = 0

@@ -250,6 +250,18 @@ def test_unknown_cmd_rejected(capsys):
     capsys.readouterr()
 
 
+def test_eps_zero_denominator_is_a_usage_error(capsys):
+    # Fraction("1/0") raises ZeroDivisionError, which argparse does not
+    # catch: the command ended in a traceback with exit 1
+    for eps, msg in (("1/0", "'1/0' has a zero denominator"),
+                     ("abc", "invalid _fraction value: 'abc'")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--cmd", "primesets", "--eps", eps])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == "", eps
+        assert "argument --eps: " + msg in err, eps
+
+
 # ---------------------------------------------------------------------------
 # seeding
 # ---------------------------------------------------------------------------

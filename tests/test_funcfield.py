@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from collinext import _kernels, funcfield
 from collinext.gf import (field_of_order, irreducible_monics, make_field,
                           mat_apply, padd, pdivmod, peval, pfactor, pgcd,
-                          pmonic, pmul, ptrim)
+                          pmonic, pmul, ppow, pscale, ptrim)
 from collinext.projgeom import ProjSpace
 from collinext._kernels import pair_mult_scan
 from collinext.ample import AmpleFamily, is_mn_admissible
@@ -26,7 +26,6 @@ from collinext.funcfield import (
     demo_instance,
     divisor_of,
     moebius_point_image,
-    moebius_substitute,
     recover_ring_iso,
     rr_basis,
     run_demo,
@@ -48,6 +47,71 @@ def rand_func(f, rng, deg=3):
         den = rand_poly(f, rng, int(rng.integers(0, deg + 1)))
         if num and den:
             return RatFunc(f, num, den)
+
+
+def basis(rr):
+    """The basis t^j / M of L(D), as rational functions."""
+    return [rr.func_of(v) for v in np.eye(rr.dim, dtype=np.int64)]
+
+
+def moebius_substitute(fn, mat):
+    """fn composed with t -> (a t + b)/(c t + d), in rational-function
+    arithmetic: the reference for the scramble's matrix."""
+    f = fn.field
+    a, b, c, d = (int(mat[0][0]), int(mat[0][1]),
+                  int(mat[1][0]), int(mat[1][1]))
+    det = f.sub(f.mul(a, d), f.mul(b, c))
+    if det == 0:
+        raise FuncFieldError("substitution matrix is singular")
+    top, bot = (b, a), (d, c)
+    r = max(len(fn.num), len(fn.den)) - 1
+
+    def clear(poly):
+        out = ()
+        for i, coef in enumerate(poly):
+            term = pmul(f, ppow(f, top, i), ppow(f, bot, r - i))
+            out = padd(f, out, pscale(f, term, coef))
+        return out
+    num, den = clear(fn.num), clear(fn.den)
+    if not den:
+        raise FuncFieldError("substitution sends the denominator to zero")
+    return RatFunc(f, num, den)
+
+
+def ref_point_image(f, mat, pt):
+    """Image of a closed point under t -> (a t + b)/(c t + d), case by
+    case in polynomial arithmetic: the reference for moebius_point_image."""
+    a, b, c, d = (int(mat[0][0]), int(mat[0][1]),
+                  int(mat[1][0]), int(mat[1][1]))
+    if pt.is_infinity:
+        if c == 0:
+            return pt
+        return ClosedPointP1.finite(f, (f.neg(f.div(a, c)), 1))
+    if pt.degree == 1:
+        alpha = f.neg(pt.poly[0])
+        den = f.add(f.mul(c, alpha), d)
+        if den == 0:
+            return ClosedPointP1.infinity(f)
+        beta = f.div(f.add(f.mul(a, alpha), b), den)
+        return ClosedPointP1.finite(f, (f.neg(beta), 1))
+    # roots of the image are m(roots): substitute the inverse map and clear
+    top, bot = (f.neg(b), d), (a, f.neg(c))   # m^-1(y) = (dy - b)/(-cy + a)
+    deg = pt.degree
+    out = ()
+    for i, coef in enumerate(pt.poly):
+        term = pmul(f, ppow(f, top, i), ppow(f, bot, deg - i))
+        out = padd(f, out, pscale(f, term, coef))
+    assert len(out) - 1 == deg
+    return ClosedPointP1.finite(f, pmonic(f, out))
+
+
+def rand_moebius(f, rng, sub=None):
+    """A seeded invertible 2 x 2 matrix, with entries below sub (the
+    prime subfield at sub = p)."""
+    while True:
+        (a, b), (c, d) = rng.integers(0, sub or f.q, size=(2, 2)).tolist()
+        if f.sub(f.mul(a, d), f.mul(b, c)):
+            return (a, b), (c, d)
 
 
 # ---------------------------------------------------------------------------
@@ -179,17 +243,17 @@ def test_rr_basis_shapes():
     one = RatFunc.constant(f, 1)
 
     rr = rr_basis(DivisorP1(f, {ClosedPointP1.infinity(f): 2}))
-    assert rr.dim == 3 and set(rr.basis) == {one, t, t * t}
+    assert rr.dim == 3 and set(basis(rr)) == {one, t, t * t}
 
     rr = rr_basis(DivisorP1(f, {ClosedPointP1.finite(f, (0, 1)): 1,
                                 ClosedPointP1.infinity(f): 1}))
-    assert set(rr.basis) == {one, t, one / t}
+    assert set(basis(rr)) == {one, t, one / t}
 
     f5 = make_field(5)
     D = DivisorP1(f5, {ClosedPointP1.finite(f5, (f5.neg(1), 1)): 2})
     rr = rr_basis(D)
     assert rr.dim == 3
-    for b in rr.basis:
+    for b in basis(rr):
         for pt, m in divisor_of(b).items().items():
             if m < 0:
                 assert -m <= D.mult(pt)   # poles stay inside D
@@ -357,6 +421,87 @@ def test_moebius_substitute_evaluates():
                     assert lhs == rhs
 
 
+def closed_points(f, deg):
+    """Infinity and every monic irreducible of degree at most deg."""
+    return [ClosedPointP1.infinity(f)] + [
+        ClosedPointP1.finite(f, poly)
+        for k in range(1, deg + 1) for poly in irreducible_monics(f, k)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_moebius_point_image_matches_reference(q):
+    f = field_of_order(q)
+    rng = np.random.default_rng(300 + q)
+    mats = [((1, 0), (0, 1)), ((0, 1), (1, 0))]
+    mats += [rand_moebius(f, rng) for _ in range(4)]
+    for mat in mats:
+        for pt in closed_points(f, 3):
+            assert moebius_point_image(f, mat, pt) == \
+                ref_point_image(f, mat, pt), (q, mat, pt)
+
+
+def orbit(f, g, pt):
+    """The closed points pt, g pt, g^2 pt, ... up to the return to pt."""
+    out = [pt]
+    while (nxt := moebius_point_image(f, g, out[-1])) != pt:
+        out.append(nxt)
+    return out
+
+
+def orbit_instances():
+    """Seeded (g, frob, D, E) with g stabilizing D and E: D is the g-orbit
+    of a closed point, with multiplicity 1 or 2, and E the orbit of
+    another.  At q = 9 g and the starting points are defined over F_3,
+    so the Frobenius twist stabilizes the orbits too."""
+    for q, deg_cap, n_cases in ((5, 3, 8), (7, 3, 8), (13, 2, 6),
+                                (9, 3, 8)):
+        f = field_of_order(q)
+        sub = f.p if f.n > 1 else None
+        rng = np.random.default_rng(400 + q)
+        pts = [pt for pt in closed_points(f, 2)
+               if sub is None or pt.is_infinity or max(pt.poly) < sub]
+        found = 0
+        while found < n_cases:
+            g = rand_moebius(f, rng, sub)
+            P, Q = (pts[i] for i in rng.choice(len(pts), 2, replace=False))
+            m = 1 + found % 2
+            D = orbit(f, g, P)
+            if m * sum(pt.degree for pt in D) > deg_cap or Q in D:
+                continue
+            found += 1
+            yield (f, g, int(sub is not None),
+                   DivisorP1(f, {pt: m for pt in D}), set(orbit(f, g, Q)))
+
+
+def substitution_matrix(rr, gmat):
+    """The matrix of fn -> fn o g^-1 on L(D), column j the coordinates of
+    the j-th basis function substituted in rational-function arithmetic."""
+    f = rr.field
+    (a, b), (c, d) = gmat
+    adj = ((d, f.neg(b)), (f.neg(c), a))
+    cols = [rr.coords_of(moebius_substitute(fn, adj)) for fn in basis(rr)]
+    return np.stack(cols, axis=1)
+
+
+def test_scramble_matrix_is_the_substitution():
+    # the scramble's matrix is the symmetric power of g^-1 on binary forms;
+    # against the rational-function composition it agrees up to the
+    # scalar by which g^-1 moves the form of D
+    seen = {"infinity": 0, "double": 0, "frobenius": 0, "scaled": 0}
+    for f, g, frob, D, E in orbit_instances():
+        scr = scramble(g, frob, D, E)
+        want = f.frob_t[frob][substitution_matrix(scr.unit.rr, g)]
+        got = scr.semi.mat
+        j = np.flatnonzero(want)[0]
+        s = f.div(int(got.flat[j]), int(want.flat[j]))
+        assert s and np.array_equal(got, f.mul_t[s, want]), (f, g, D)
+        seen["infinity"] += ClosedPointP1.infinity(f) in D.support()
+        seen["double"] += 2 in D.items().values()
+        seen["frobenius"] += frob
+        seen["scaled"] += s != 1
+    assert all(seen.values()), seen
+
+
 # ---------------------------------------------------------------------------
 # scramble and recovery
 # ---------------------------------------------------------------------------
@@ -422,7 +567,7 @@ def test_recovered_psi_is_composition():
     res = extend(scr.pc, cert.family)
     rep = recover_ring_iso(res, scr.unit, truth=scr.semi)
     adj = ((0, 1), (1, 0))   # inverse of t -> 1/t is itself
-    for b in scr.unit.rr.basis:
+    for b in basis(scr.unit.rr):
         lhs = apply_psi(scr.unit.rr, rep.psi_matrix, rep.frob_exp, b)
         assert lhs == moebius_substitute(b, adj)
 

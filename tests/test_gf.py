@@ -1,11 +1,12 @@
 import functools
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from collinext.gf import (
-    Q_CAP, GFError, _least_modulus, make_field, field_of_order, mat_apply,
+    GF, Q_CAP, GFError, _least_modulus, make_field, field_of_order, mat_apply,
     mat_inv, rref,
 )
 
@@ -72,6 +73,64 @@ def test_make_field_rejects():
         make_field(2, 11)  # 2048 is over Q_CAP, every field is tabled
     with pytest.raises(GFError):
         make_field(2, 0)
+
+
+def ref_mul_row(f, a):
+    """Row a of mul_t by convolution and reduction: the digits of a times
+    the digits of every b, then long division by the modulus; the
+    reference for the companion-matrix build."""
+    p, n = f.p, f.n
+    digs = np.arange(f.q)[:, None] // p ** np.arange(n) % p
+    conv = np.zeros((f.q, 2 * n - 1), dtype=np.int64)
+    for i, c in enumerate(digs[a]):
+        conv[:, i:i + n] += c * digs
+    for k in range(2 * n - 2, n - 1, -1):   # x^k = x^(k - n) (x^n - modulus)
+        conv[:, k - n:k + 1] -= conv[:, k:k + 1] * np.array(f.modulus)
+        conv %= p
+    return conv[:, :n] % p @ p ** np.arange(n)
+
+
+ALL_FIELDS = sorted(MODULI) + [(p, 1) for p in (2, 3, 5, 7, 11, 13, 17, 19,
+                                                23, 29, 31)]
+
+
+@pytest.mark.parametrize("p,n", ALL_FIELDS)
+def test_tables_match_convolution_reference(p, n):
+    # every row up to q = 256, and 64 seeded rows of each larger field
+    f = make_field(p, n)
+    q = f.q
+    rows = (range(q) if q <= 256 else
+            np.random.default_rng(q).choice(q, size=64, replace=False))
+    pw = p ** np.arange(n)
+    digs = np.arange(q)[:, None] // pw % p
+    for a in rows:
+        assert np.array_equal(f.mul_t[a], ref_mul_row(f, a)), (p, n, a)
+        assert np.array_equal(f.add_t[a], (digs[a] + digs) % p @ pw)
+    assert np.array_equal(f.neg_t, -digs % p @ pw)
+    assert f.mul_t[np.arange(1, q), f.inv_t[1:]].tolist() == [1] * (q - 1)
+    # x -> x^p is the p-fold product, and frob_t[k] its k-th iterate
+    xp = np.ones(q, dtype=np.int64)
+    for _ in range(p):
+        xp = f.mul_t[xp, np.arange(q)]
+    for k in range(1, n):
+        assert np.array_equal(f.frob_t[k], xp[f.frob_t[k - 1]]), (p, n, k)
+    for t in (f.add_t, f.neg_t, f.mul_t, f.inv_t, f.frob_t):
+        assert t.dtype == np.int32
+    assert f.add_t.shape == f.mul_t.shape == (q, q)
+    assert f.frob_t.shape == (n, q)
+
+
+def test_table_build_peak_memory():
+    # the [q, q, n] digit sums of add_t, built for every pair at once, made
+    # GF(2^10) peak at 160 MB for the 8.4 MB of tables it keeps
+    m = make_field(2, 10).modulus
+    tracemalloc.start()
+    try:
+        GF(2, 10, m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 << 20
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ ALLOWED = {
     "funcfield.shift_survivors": "I",
     "funcfield.apply_psi": "I",
     "funcfield.RRSpace.func_of": "I: called by apply_psi",
+    "funcfield.RRSpace.coords_of": "I: called by apply_psi",
     "funcfield.RatFunc.evaluate": "I",
     "funcfield.RatFunc.coordinate": "I",
     "funcfield.RatFunc.frobenius": "I",
