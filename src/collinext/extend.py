@@ -130,7 +130,7 @@ def validate_partial(pc, concurrency="sampled", samples=300, seed=0):
     if np.count_nonzero(tau_img) != len(meeting):
         return ValidationReport(False, "tau is not injective", None)
     # sigma(l cap U1) against tau(l) cap U2, as sorted rows padded with -1
-    src = np.sort(sig[S.line_pts[meeting]], axis=1)
+    src = np.sort(sig.astype(np.int32)[S.line_pts[meeting]], axis=1)
     dst = S.line_pts[tau[meeting]]
     dst = np.sort(np.where(in_u2[dst], dst, -1), axis=1)
     bad = np.flatnonzero((src != dst).any(axis=1))

@@ -20,7 +20,7 @@ from .gf import (GF, field_of_order, mat_apply, padd, pdivmod, peval,
 from ._kernels import _polydiv, _polymul, pair_mult_scan
 from .projgeom import ProjSpace, space_of
 from .semilinear import Collineation, SemilinearIso
-from .ample import AmpleFamily, is_ample, is_mn_admissible, lines_meeting
+from .ample import AmpleFamily, is_ample, is_mn_admissible
 from .extend import extend, restrict
 
 
@@ -338,16 +338,16 @@ def ample_certificate(U, fam=None):
     """
     space = U.space
     q = space.field.q
-    meeting, in_cnt, _ = lines_meeting(space, U.points)
-    if len(meeting) == 0:
+    # one scan gives t* and the verdict: without a family, the cap q
+    # accepts every complement of a line meeting U, as the cap t* does
+    rep = is_ample(space, U.points,
+                   AmpleFamily.size_at_most(q) if fam is None else fam)
+    if not rep.n_meeting:
         raise FuncFieldError("no line meets the unit set")
-    comp = (space.line_pts.shape[1] - in_cnt[meeting]).astype(np.int64)
-    t_star = int(comp.max())
     if fam is None:
-        fam = AmpleFamily.size_at_most(t_star)
-    rep = is_ample(space, U.points, fam)
-    return FFCertificate(rep.ample, t_star, q, is_mn_admissible(fam, q, 3, 2),
-                         int(len(meeting)), fam)
+        fam = AmpleFamily.size_at_most(rep.t_star)
+    return FFCertificate(rep.ample, rep.t_star, q,
+                         is_mn_admissible(fam, q, 3, 2), rep.n_meeting, fam)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ addressed by an index in a fixed enumeration (leading position ascending,
 then remaining coordinates lexicographic).  A line is its row of point
 indices, b0 + c b1 at column c < q and b1 at column q for its reduced
 row-echelon basis (b0, b1), in ascending order; it is looked up by its
-two lowest points.  A space is built with its points, lines and
+end points, b0 and b1.  A space is built with its points, lines and
 pencils; the dense point-on-line mask and the join/meet lookup tables
 that the sweeps read are built on first read.  Above their caps the
 join/meet tables are None.  Every table is read-only, so one space can
@@ -93,64 +93,65 @@ class ProjSpace:
     # -- construction ------------------------------------------------------
 
     def _build_points(self):
-        q, d = self.q, self.d
-        pts = np.zeros((self.n_points, d), dtype=np.int32)
-        pos = 0
-        for j in range(d):
-            nfree = d - 1 - j
-            cnt = q ** nfree
-            block = np.zeros((cnt, d), dtype=np.int32)
-            block[:, j] = 1
-            t = np.arange(cnt)
-            for i in range(nfree):
-                block[:, j + 1 + i] = (t // q ** (nfree - 1 - i)) % q
-            pts[pos:pos + cnt] = block
-            pos += cnt
-        self.pts = pts
+        # a point with lead j has digit 1 at j and free digits after it,
+        # so its vector code is q^(d-1-j) + t for t < q^(d-1-j)
+        w = self._qpow
+        codes = np.concatenate([np.arange(x, 2 * x) for x in w])
+        self.pts = (codes[:, None] // w % self.q).astype(np.int32)
+        self._lead = np.repeat(np.arange(self.d, dtype=np.int32), w)
 
     def _build_lines(self):
         # the basis (b0, b1) of a line in reduced row-echelon form, with
         # pivots j0 < j1, is a point with lead j0 and a zero at j1 and a
         # point with lead j1; b0 outer, each in point order.  The points
-        # with lead j are offs[j] .. offs[j + 1] - 1.
-        ends = np.append(self._offs, self.n_points)
-        r0 = np.empty(self.n_lines, dtype=np.int32)
-        r1 = np.empty(self.n_lines, dtype=np.int32)
+        # with lead j are offs[j] .. offs[j + 1] - 1, so the line of
+        # (b0, b1) is _line_base[b0, j1] + b1; a pair that is no such basis
+        # meets a sentinel below -(L + P).
+        P, L, d = self.n_points, self.n_lines, self.d
+        ends = np.append(self._offs, P)
+        r0 = np.empty(L, dtype=np.int32)
+        r1 = np.empty(L, dtype=np.int32)
+        self._line_base = np.full((P, d), -(L + P) - 1, dtype=np.int64)
         s = 0
-        for j0 in range(self.d):
+        for j0 in range(d):
             lead0 = self.pts[ends[j0]:ends[j0 + 1]]
-            for j1 in range(j0 + 1, self.d):
+            for j1 in range(j0 + 1, d):
                 i0 = ends[j0] + np.flatnonzero(lead0[:, j1] == 0)
                 i1 = np.arange(ends[j1], ends[j1 + 1])
                 e = s + len(i0) * len(i1)
                 r0[s:e] = np.repeat(i0, len(i1))
                 r1[s:e] = np.tile(i1, len(i0))
+                self._line_base[i0, j1] = np.arange(s, e, len(i1)) - ends[j1]
                 s = e
-        assert s == self.n_lines
+        assert s == L
         # row l is in parameter order and strictly increasing: b0 + c b1
         # has lead j0 and digit c at j1, and b1 (column q) has lead j1.
         # Spanned a slice at a time, so the [n, d] basis gathers and their
         # field sums stay small next to the rows kept.
-        lp = np.empty((self.n_lines, self.pts_per_line), dtype=np.int32)
-        for s in range(0, self.n_lines, _LINE_CHUNK):
+        lp = np.empty((L, self.pts_per_line), dtype=np.int32)
+        for s in range(0, L, _LINE_CHUNK):
             cut = slice(s, s + _LINE_CHUNK)
             lp[cut] = self.span_points(self.pts[r0[cut]], self.pts[r1[cut]])
         self.line_pts = lp
-        # two distinct points lie on one line, so its lowest pair keys it
-        keys = lp[:, 0].astype(np.int64) * self.n_points + lp[:, 1]
-        self._key_order = np.argsort(keys, kind="stable")
-        self._keys = keys[self._key_order]
 
     def _build_incidence(self):
-        P, k = self.n_points, self.pts_per_line
-        flat_pts = self.line_pts.ravel()
-        # P < 2^16: a stable sort of uint16 keys is numpy's radix sort
-        order = np.argsort(flat_pts.astype(np.uint16), kind="stable")
-        counts = np.bincount(flat_pts, minlength=P)
-        assert (counts == self.lines_per_pt).all()
-        # entry i of flat_pts lies on line i // k
-        order //= k
-        self.pt_lines = order.astype(np.int32).reshape(P, self.lines_per_pt)
+        P, k, r = self.n_points, self.pts_per_line, self.lines_per_pt
+        # counting placement, about _LINE_CHUNK entries at a time so the
+        # int64 sort order stays small: a point's entries in the slice, in
+        # line order, take the next free slots of its pencil
+        pl = np.empty(P * r, dtype=np.int32)
+        fill = np.arange(0, P * r, r)   # next free slot of each pencil
+        step = max(1, _LINE_CHUNK // k)
+        for s in range(0, self.n_lines, step):
+            flat = self.line_pts[s:s + step].ravel()
+            # P < 2^16: a stable sort of uint16 keys is numpy's radix sort
+            order = np.argsort(flat.astype(np.uint16), kind="stable")
+            counts = np.bincount(flat, minlength=P)
+            slot = np.repeat(fill - np.cumsum(counts) + counts, counts)
+            pl[slot + np.arange(len(order))] = s + order // k
+            fill += counts
+        assert (fill == np.arange(r, P * r + 1, r)).all()
+        self.pt_lines = pl.reshape(P, r)
 
     @cached_property
     def on_line(self):
@@ -228,11 +229,9 @@ class ProjSpace:
         return np.stack(cols, axis=1)
 
     def line_of(self, a, b):
-        """Line whose two lowest points are a < b, elementwise; -1 where
-        no line has that lowest pair."""
-        key = np.asarray(a, dtype=np.int64) * self.n_points + b
-        pos = np.minimum(np.searchsorted(self._keys, key), self.n_lines - 1)
-        return np.where(self._keys[pos] == key, self._key_order[pos], -1)
+        """Line whose lowest point is a and highest point is b,
+        elementwise; -1 where no line has those end points."""
+        return np.maximum(self._line_base[a, self._lead[b]] + b, -1)
 
     # -- index-level operations -------------------------------------------
 

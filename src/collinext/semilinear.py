@@ -98,9 +98,10 @@ def _line_maps(space, sigmas):
         raise SemilinearError("sigma must list an image for every point")
     if (np.sort(sigmas, axis=1) != np.arange(space.n_points)).any():
         raise SemilinearError("sigma is not a bijection")
-    # each image line is named by its two lowest points, then checked whole
-    img = np.sort(sigmas[:, space.line_pts], axis=2)
-    tau = space.line_of(img[..., 0], img[..., 1])
+    # a bijection of [0, P) sorts faster as int32; each image row is named
+    # by its end points, then checked whole for a middle point that moved
+    img = np.sort(sigmas.astype(np.int32)[:, space.line_pts], axis=2)
+    tau = space.line_of(img[..., 0], img[..., -1])
     if (tau < 0).any() or (space.line_pts[tau] != img).any():
         raise SemilinearError("point map does not carry lines to lines")
     return tau

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from collinext import _kernels, funcfield
+from collinext import _kernels, ample, funcfield
 from collinext.gf import (field_of_order, irreducible_monics, make_field,
                           mat_apply, padd, pdivmod, peval, pfactor, pgcd,
                           pmonic, pmul, ppow, pscale, ptrim)
@@ -360,6 +360,25 @@ def test_ample_certificate_demo_and_small_q():
     Ufull = unit_subset(D5, set())
     cfull = ample_certificate(Ufull)
     assert cfull.ample and cfull.t_star == 0
+
+
+def test_ample_certificate_scans_the_lines_once(monkeypatch):
+    # t* and the verdict come from one is_ample call; the certificate
+    # scanned the lines a second time for t*
+    real, calls = ample.lines_meeting, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    for mod in (ample, funcfield):   # every module that holds the name
+        if getattr(mod, "lines_meeting", None) is real:
+            monkeypatch.setattr(mod, "lines_meeting", counted)
+    _, D, E, _, _ = demo_instance("q13")
+    U = unit_subset(D, E)
+    for fam in (None, AmpleFamily.size_at_most(1)):
+        calls.clear()
+        ample_certificate(U, fam)
+        assert len(calls) == 1, fam
 
 
 def test_ample_certificate_margin_is_the_family_admissibility():

@@ -175,14 +175,18 @@ def ref_tables(S):
                    dtype=np.int32)
     # column c is b0 + c b1 for c < q, column q is b1: no sort
     lp = ref_span_points(S, *ref_line_bases(pts)).astype(np.int32)
-    keys = np.sort(lp[:, 0].astype(np.int64) * P + lp[:, 1])
+    # line l is _line_base[lowest, lead of highest] + highest
+    lead = np.argmax(pts != 0, axis=1).astype(np.int32)
+    line_base = np.full((P, d), -(L + P) - 1, dtype=np.int64)
+    line_base[lp[:, 0], lead[lp[:, q]]] = np.arange(L) - lp[:, q]
     flat_pts = lp.ravel()
     flat_lns = np.repeat(np.arange(L, dtype=np.int32), q + 1)
     pt_lines = flat_lns[np.argsort(flat_pts, kind="stable")].reshape(P, -1)
     on_line = np.zeros((P, L), dtype=bool)
     on_line[flat_pts, flat_lns] = True
     return {
-        "pts": pts, "line_pts": lp, "_keys": keys, "pt_lines": pt_lines,
+        "pts": pts, "line_pts": lp, "_lead": lead, "_line_base": line_base,
+        "pt_lines": pt_lines,
         "on_line": on_line, "code_points": ref_code_points(S),
         "join_t": (ref_pair_table(lp, P)
                    if P <= projgeom._JOIN_TABLE_CAP else None),
@@ -231,15 +235,15 @@ def test_fresh_space_holds_only_its_tables(q, d):
     S = ProjSpace(field_of_order(q), d)
     held = {k: v for k, v in vars(S).items() if isinstance(v, np.ndarray)}
     assert set(held) == {"pts", "_point_of", "_offs", "_qpow", "line_pts",
-                         "_keys", "_key_order", "pt_lines"}
+                         "_lead", "_line_base", "pt_lines"}
     assert all(isinstance(v, int) for k, v in vars(S).items()
                if k not in held and k != "field")
-    # int32 pts, code table, offsets, lines and pencils (P r = L k);
-    # int64 digit weights, line keys and key order
+    # int32 pts, code table, offsets, lines and pencils (P r = L k) and
+    # point leads; int64 digit weights and line bases
     P, L = space_size(q, d)
     k = q + 1
     assert sum(a.nbytes for a in held.values()) == (
-        4 * (P * d + q ** d + d + 2 * L * k) + 8 * (d + 2 * L))
+        4 * (P * d + q ** d + d + 2 * L * k + P) + 8 * (d + P * d))
 
 
 def test_dense_tables_are_built_on_first_read():
@@ -289,20 +293,38 @@ def test_space_of_shares_a_space_until_evicted():
         space_of(field_of_order(q), d)
     T = space_of(f, 3)   # evicted: built afresh, with equal tables
     assert T is not S
-    for name in ("pts", "line_pts", "pt_lines", "_keys", "_key_order"):
+    for name in ("pts", "line_pts", "pt_lines", "_lead", "_line_base"):
         assert np.array_equal(getattr(T, name), getattr(S, name)), name
 
 
 @pytest.mark.parametrize("q,d", [(2, 5), (3, 4), (5, 3)])
 def test_line_build_in_slices_matches_one_slice(q, d, monkeypatch):
-    # 7 lines a slice leaves a short last slice at each of these sizes
+    # the line build spans 7 lines a slice, which leaves a short last
+    # slice at each of these sizes; the pencils take max(1, 7 // (q + 1))
+    # lines a slice
     whole = ProjSpace(field_of_order(q), d)
     monkeypatch.setattr(projgeom, "_LINE_CHUNK", 7)
     cut = ProjSpace(field_of_order(q), d)
     assert whole.n_lines > 7 and whole.n_lines % 7
-    for name in ("line_pts", "pt_lines", "_keys", "_key_order"):
+    for name in ("line_pts", "pt_lines", "_lead", "_line_base"):
         assert getattr(cut, name).dtype == getattr(whole, name).dtype
         assert np.array_equal(getattr(cut, name), getattr(whole, name)), name
+
+
+def test_incidence_build_peak_memory():
+    # an int64 argsort order over all L (q + 1) entries, next to the
+    # int32 pencils, made this step of the P^10(F_2) build peak at 32 MB
+    # for the 8 MB it keeps
+    S = ProjSpace(make_field(2), 11)
+    held = S.pt_lines
+    tracemalloc.start()
+    try:
+        S._build_incidence()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(S.pt_lines, held)
+    assert peak < 12 << 20
 
 
 def test_line_build_peak_memory():
