@@ -3,10 +3,10 @@ extension, admissible-family machinery, prime-set growth recovery, and a
 genus-zero function field demonstration pipeline.
 
 Everything is index-level.  A field element is an index into the tables of
-a GF, and a polynomial is a tuple of them (collinext.gf).  Points and lines
-are indices into a ProjSpace's tables, and a collineation is a point map
-and a line map as index arrays, decoded to a semilinear map by the
-fundamental theorem of projective geometry."""
+a GF, and a polynomial is a coefficient row of them (collinext.gf).
+Points and lines are indices into a ProjSpace's tables, and a collineation
+is a point map and a line map as index arrays, decoded to a semilinear map
+by the fundamental theorem of projective geometry."""
 
 __version__ = "0.1.0"
 
@@ -26,9 +26,7 @@ from .primesets import (PrimeSetError, PrimeSet, SigmaFactorization,
                         sigma_part, FrobGrowth, w_sequence, recover_M0_and_p,
                         gl_order, construct_remark28, natural_density_estimate,
                         factorize, is_prime_u64, integer_nth_root, prime_sieve)
-from .funcfield import (FuncFieldError, ClosedPointP1, DivisorP1, RatFunc,
-                        valuation, divisor_of, RRSpace, rr_basis, UnitSubset,
-                        unit_subset, shift_survivors, FFCertificate,
-                        ample_certificate, Scramble,
-                        scramble, RingIsoReport, apply_psi, recover_ring_iso,
-                        demo_instance, run_demo)
+from .funcfield import (FuncFieldError, ClosedPointP1, DivisorP1, RRSpace,
+                        rr_basis, UnitSubset, unit_subset, FFCertificate,
+                        ample_certificate, Scramble, scramble, RingIsoReport,
+                        recover_ring_iso, demo_instance, run_demo)

@@ -1,16 +1,17 @@
 """Hot inner loops, each run in chunks sized from _CHUNK so that
 temporaries stay small.
 
-The axiom-II and Desargues sweeps and the multiplicativity scan of the
-function-field demo are numpy gathers; the brute-force matrix filter is
-gf.mat_apply and a ProjSpace.code_points lookup.  The scan decides which
+The axiom-II and Desargues sweeps are numpy gathers, and the
+multiplicativity scan of the function-field demo runs on gf's coefficient
+rows (_polymul, _polydiv); the brute-force matrix filter is gf.mat_apply
+and a ProjSpace.code_points lookup.  The scan decides which
 pairs are in range from the classes of their remainders, not pair by
 pair, so its product checks scale with the in-range pairs.
 """
 
 import numpy as np
 
-from .gf import mat_apply
+from .gf import _polydiv, _polymul, mat_apply
 
 # Read by perfbench/child.py for its environment record; there is one
 # backend, numpy.
@@ -133,30 +134,6 @@ def matrix_filter(mats, reps, expect, space):
 # multiplicativity scan (function-field demo): the range from a table over
 # remainder classes, the product check on the in-range pairs only
 # ---------------------------------------------------------------------------
-
-def _polymul(x, y, width, mul_t, add_t):
-    """Row-wise product of coefficient rows x [n, a] and y [n or 1, b],
-    lowest degree first, zero-padded to width columns."""
-    out = np.zeros((len(x), width), dtype=add_t.dtype)
-    for i in range(x.shape[1]):
-        seg = out[:, i:i + y.shape[1]]
-        seg[...] = add_t[seg, mul_t[x[:, i, None], y]]
-    return out
-
-
-def _polydiv(x, sub_t, add_t):
-    """Row-wise quotient and remainder of x [n, w] by a monic polynomial
-    of degree dm, given as sub_t[c] = -c * mpoly ([q, dm + 1])."""
-    dm = sub_t.shape[1] - 1
-    rem = x.copy()
-    quo = np.zeros((len(x), max(x.shape[1] - dm, 0)), dtype=x.dtype)
-    for k in range(quo.shape[1] - 1, -1, -1):
-        c = rem[:, k + dm]
-        quo[:, k] = c
-        seg = rem[:, k:k + dm + 1]
-        seg[...] = add_t[seg, sub_t[c]]
-    return quo, rem[:, :dm]
-
 
 def pair_mult_scan(nums, psin, psi_m, mu, mpoly, degcap, mul_t, add_t, neg_t):
     """Check psi(f g) = psi(f) psi(g) over all in-range pairs.

@@ -2,23 +2,23 @@
 F_q, Riemann-Roch truncations, unit subsets, and recovery of a ring
 isomorphism from a collineation extension.
 
-Rational functions are kept as reduced numerator/denominator pairs of
-dense coefficient tuples (constant term first, entries are field element
-indices).  The space L(D) for an effective divisor D with finite part M
-and infinity multiplicity n is spanned by t^j / M, 0 <= j <= deg M + n,
-so its projectivization is a standard ProjSpace and the whole extension
-machinery applies unchanged.
+A function of L(D) is its numerator over the fixed monic denominator M,
+kept as a coefficient row (constant term first, entries are field
+element indices) and computed on with gf's row kernels; a closed point
+is its monic irreducible polynomial as a tuple.  The space L(D) for an
+effective divisor D with finite part M and infinity multiplicity n is
+spanned by t^j / M, 0 <= j <= deg M + n, so its projectivization is a
+standard ProjSpace and the whole extension machinery applies unchanged.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import (GF, field_of_order, mat_apply, padd, pdivmod, peval,
-                 pfactor, pgcd, pirreducible, pmul, pneg, ppow,
-                 pscale, ptrim)
-from ._kernels import _polydiv, _polymul, pair_mult_scan
-from .projgeom import ProjSpace, space_of
+from .gf import (GF, _polydiv, _polymul, field_of_order,
+                 is_irreducible_monic, mat_apply)
+from ._kernels import pair_mult_scan
+from .projgeom import GeomError, ProjSpace, space_of, space_size
 from .semilinear import Collineation, SemilinearIso
 from .ample import AmpleFamily, is_ample, is_mn_admissible
 from .extend import extend, restrict
@@ -29,7 +29,7 @@ class FuncFieldError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# closed points, divisors, rational functions
+# closed points and divisors
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -43,11 +43,13 @@ class ClosedPointP1:
 
     @staticmethod
     def finite(field, poly):
-        poly = ptrim(poly)
+        poly = tuple(int(c) for c in poly)
+        while poly and poly[-1] == 0:
+            poly = poly[:-1]
         if len(poly) < 2 or poly[-1] != 1:
             raise FuncFieldError("closed point needs a monic polynomial "
                                  "of degree >= 1")
-        if not pirreducible(field, poly):
+        if not is_irreducible_monic(field, poly):
             raise FuncFieldError("polynomial is reducible")
         return ClosedPointP1(field, poly)
 
@@ -74,9 +76,6 @@ class DivisorP1:
                 raise FuncFieldError("mixed fields in divisor")
             if m:
                 self._m[pt] = int(m)
-
-    def mult(self, pt):
-        return self._m.get(pt, 0)
 
     def support(self):
         return set(self._m)
@@ -109,124 +108,6 @@ class DivisorP1:
         return "Div(%s)" % (self._m,)
 
 
-class RatFunc:
-    """Reduced fraction num/den with monic denominator."""
-
-    __slots__ = ("field", "num", "den")
-
-    def __init__(self, field, num, den=(1,)):
-        num, den = ptrim(num), ptrim(den)
-        if not den:
-            raise FuncFieldError("zero denominator")
-        if num:
-            g = pgcd(field, num, den)
-            if len(g) > 1:
-                num = pdivmod(field, num, g)[0]
-                den = pdivmod(field, den, g)[0]
-            s = int(field.inv_t[den[-1]])
-            num, den = pscale(field, num, s), pscale(field, den, s)
-        else:
-            den = (1,)
-        self.field, self.num, self.den = field, num, den
-
-    @staticmethod
-    def constant(field, c):
-        return RatFunc(field, (int(c),))
-
-    @staticmethod
-    def coordinate(field):
-        return RatFunc(field, (0, 1))
-
-    def is_zero(self):
-        return not self.num
-
-    def __add__(self, other):
-        f = self.field
-        return RatFunc(f, padd(f, pmul(f, self.num, other.den),
-                               pmul(f, other.num, self.den)),
-                       pmul(f, self.den, other.den))
-
-    def __neg__(self):
-        return RatFunc(self.field, pneg(self.field, self.num), self.den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        f = self.field
-        return RatFunc(f, pmul(f, self.num, other.num),
-                       pmul(f, self.den, other.den))
-
-    def __truediv__(self, other):
-        if other.is_zero():
-            raise FuncFieldError("division by the zero function")
-        f = self.field
-        return RatFunc(f, pmul(f, self.num, other.den),
-                       pmul(f, self.den, other.num))
-
-    def __eq__(self, other):
-        return (isinstance(other, RatFunc) and self.field == other.field
-                and self.num == other.num and self.den == other.den)
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def evaluate(self, x):
-        """Value at a field element, or None at a pole."""
-        f = self.field
-        d = peval(f, self.den, x)
-        if d == 0:
-            return None
-        return int(f.mul_t[peval(f, self.num, x), f.inv_t[d]])
-
-    def frobenius(self, e):
-        f = self.field
-        row = f.frob_t[e % f.n]
-        return RatFunc(f, tuple(int(row[c]) for c in self.num),
-                       tuple(int(row[c]) for c in self.den))
-
-    def __repr__(self):
-        return "RatFunc(%s / %s)" % (self.num, self.den)
-
-
-def valuation(fn, pt):
-    """Order of vanishing of fn at a closed point (negative at poles)."""
-    if fn.is_zero():
-        raise FuncFieldError("the zero function has no valuation")
-    f = fn.field
-    if pt.is_infinity:
-        return (len(fn.den) - 1) - (len(fn.num) - 1)
-
-    def order(poly):
-        v = 0
-        while True:
-            q, r = pdivmod(f, poly, pt.poly)
-            if r:
-                return v
-            poly, v = q, v + 1
-    return order(fn.num) - order(fn.den)
-
-
-def divisor_of(fn):
-    """Zeros minus poles over all closed points; always degree zero."""
-    if fn.is_zero():
-        raise FuncFieldError("the zero function has no divisor")
-    f = fn.field
-    mults = {}
-    for poly, m in pfactor(f, fn.num).items():
-        mults[ClosedPointP1.finite(f, poly)] = m
-    for poly, m in pfactor(f, fn.den).items():
-        pt = ClosedPointP1.finite(f, poly)
-        mults[pt] = mults.get(pt, 0) - m
-    if not fn.num or len(fn.num) == 1:
-        inf_m = len(fn.den) - 1
-    else:
-        inf_m = (len(fn.den) - 1) - (len(fn.num) - 1)
-    if inf_m:
-        mults[ClosedPointP1.infinity(f)] = inf_m
-    return DivisorP1(f, mults)
-
-
 # ---------------------------------------------------------------------------
 # Riemann-Roch truncations and unit subsets
 # ---------------------------------------------------------------------------
@@ -238,31 +119,18 @@ class RRSpace:
     mpoly: tuple          # product of the finite part, monic
     dim: int
 
-    def coords_of(self, fn):
-        """Coefficient vector of fn in the t^j/M basis, or None."""
-        f = self.field
-        prod = fn * RatFunc(f, self.mpoly)
-        if prod.den != (1,) or len(prod.num) > self.dim:
-            return None
-        v = np.zeros(self.dim, dtype=np.int64)
-        v[:len(prod.num)] = prod.num
-        return v
-
-    def func_of(self, coords):
-        f = self.field
-        return RatFunc(f, ptrim(int(c) for c in coords), self.mpoly)
-
 
 def rr_basis(D):
     """L(D) on the line, spanned by t^j/M for 0 <= j <= deg D."""
     if not D.is_effective():
         raise FuncFieldError("divisor must be effective")
     f = D.field
-    mpoly = (1,)
+    mpoly = np.ones((1, 1), dtype=np.int64)
     for pt, m in D.items().items():
-        if not pt.is_infinity:
-            mpoly = pmul(f, mpoly, ppow(f, pt.poly, m))
-    return RRSpace(D, f, mpoly, D.degree() + 1)
+        for _ in range(0 if pt.is_infinity else m):
+            mpoly = _polymul(mpoly, np.array([pt.poly]),
+                             mpoly.shape[1] + pt.degree, f.mul_t, f.add_t)
+    return RRSpace(D, f, tuple(int(c) for c in mpoly[0]), D.degree() + 1)
 
 
 @dataclass
@@ -287,6 +155,10 @@ def unit_subset(D, E):
     if E & D.support():
         raise FuncFieldError("divisor and evaluation set overlap")
     rr = rr_basis(D)
+    try:   # priced before anything is built
+        space_size(f.q, rr.dim)
+    except GeomError as err:
+        raise FuncFieldError("P(L(D)): %s" % err) from None
     space = space_of(f, rr.dim)
     # point i is the function pts[i] / M, with M prime to every point of E
     keep = np.ones(space.n_points, dtype=bool)
@@ -304,19 +176,6 @@ def unit_subset(D, E):
     if int(one) not in keep:
         raise FuncFieldError("internal: the constant 1 is not a unit")
     return U
-
-
-def shift_survivors(fn, E):
-    """Constants c with f - c a unit along E (no zero or pole there)."""
-    f = fn.field
-    out = []
-    for c in range(f.q):
-        g = fn - RatFunc.constant(f, c)
-        if g.is_zero():
-            continue
-        if all(valuation(g, pt) == 0 for pt in E):
-            out.append(c)
-    return out
 
 
 @dataclass
@@ -468,16 +327,6 @@ def _normalize_fixing_one(iso, rr):
         raise FuncFieldError("decoded map does not fix the class of 1")
     psi = f.mul_t[f.inv(s), iso.mat].astype(np.int64)
     return psi
-
-
-def apply_psi(rr, psi, e, fn):
-    """The recovered map as a function on rational functions."""
-    v = rr.coords_of(fn)
-    if v is None:
-        raise FuncFieldError("function is outside the truncation")
-    f = rr.field
-    row = f.frob_t[e % f.n]
-    return rr.func_of(mat_apply(f, psi, row[v][None])[0])
 
 
 def recover_ring_iso(result, unit, truth=None):

@@ -6,11 +6,13 @@ Index 0 is zero and index 1 is one in every field.  Fields up to
 q = Q_CAP = 2**10 are supported, and all arithmetic is lookups in full
 q x q tables built at construction.
 
-Polynomials over a field are tuples of element indices, constant term
-first, with no trailing zeros; make_field finds its modulus with them.
+Polynomials over a field are coefficient rows of element indices,
+constant term first, a batch of them one [n, w] array: _polymul and
+_polydiv are the one polynomial layer, and make_field finds its modulus
+with a sieve on them.
 """
 
-import itertools
+import functools
 
 import numpy as np
 
@@ -18,6 +20,7 @@ from .primesets import is_prime_u64
 
 Q_CAP = 1 << 10  # full q x q tables are built up to this
 _TABLE_BLOCK = 1 << 18  # elements per temporary of the table build
+SIEVE_CAP = Q_CAP ** 2  # monic rows in one irreducibility sieve
 
 
 class GFError(Exception):
@@ -123,136 +126,77 @@ class GF:
 
 
 # ---------------------------------------------------------------------------
-# dense polynomial arithmetic over a GF (tuples, constant term first)
+# polynomials over a GF: coefficient rows, constant term first
 # ---------------------------------------------------------------------------
 
-def ptrim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(int(x) for x in c)
-
-
-def padd(f, a, b):
-    n = max(len(a), len(b))
-    a = tuple(a) + (0,) * (n - len(a))
-    b = tuple(b) + (0,) * (n - len(b))
-    return ptrim(int(f.add_t[x, y]) for x, y in zip(a, b))
-
-
-def pneg(f, a):
-    return tuple(int(f.neg_t[x]) for x in a)
-
-
-def pscale(f, a, s):
-    if s == 0:
-        return ()
-    return tuple(int(f.mul_t[s, x]) for x in a)
-
-
-def pmul(f, a, b):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = int(f.add_t[out[i + j], f.mul_t[x, y]])
-    return ptrim(out)
-
-
-def pdivmod(f, a, b):
-    if not b:
-        raise GFError("polynomial division by zero")
-    a = list(a)
-    il = int(f.inv_t[b[-1]])
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    for k in range(len(a) - len(b), -1, -1):
-        c = int(f.mul_t[a[k + len(b) - 1], il])
-        q[k] = c
-        if c:
-            for i, y in enumerate(b):
-                a[k + i] = int(f.add_t[a[k + i], f.neg_t[f.mul_t[c, y]]])
-    return ptrim(q), ptrim(a)
-
-
-def pmonic(f, a):
-    if not a:
-        return ()
-    return pscale(f, a, int(f.inv_t[a[-1]]))
-
-
-def pgcd(f, a, b):
-    a, b = ptrim(a), ptrim(b)
-    while b:
-        a, b = b, pdivmod(f, a, b)[1]
-    return pmonic(f, a)
-
-
-def peval(f, a, x):
-    acc = 0
-    for c in reversed(a):
-        acc = int(f.add_t[f.mul_t[acc, x], c])
-    return acc
-
-
-def ppow(f, a, k):
-    out = (1,)
-    for _ in range(k):
-        out = pmul(f, out, a)
+def _polymul(x, y, width, mul_t, add_t):
+    """Row-wise product of coefficient rows x [n, a] and y [n or 1, b],
+    lowest degree first, zero-padded to width columns."""
+    out = np.zeros((len(x), width), dtype=add_t.dtype)
+    for i in range(x.shape[1]):
+        seg = out[:, i:i + y.shape[1]]
+        seg[...] = add_t[seg, mul_t[x[:, i, None], y]]
     return out
 
 
-_irr_cache = {}
+def _polydiv(x, sub_t, add_t):
+    """Row-wise quotient and remainder of x [n, w] by a monic polynomial
+    of degree dm, given as sub_t[c] = -c * mpoly ([q, dm + 1])."""
+    dm = sub_t.shape[1] - 1
+    rem = x.copy()
+    quo = np.zeros((len(x), max(x.shape[1] - dm, 0)), dtype=x.dtype)
+    for k in range(quo.shape[1] - 1, -1, -1):
+        c = rem[:, k + dm]
+        quo[:, k] = c
+        seg = rem[:, k:k + dm + 1]
+        seg[...] = add_t[seg, sub_t[c]]
+    return quo, rem[:, :dm]
 
 
-def irreducible_monics(f, deg):
-    """All monic irreducible polynomials of the given degree, sorted."""
-    key = (f, deg)
-    if key in _irr_cache:
-        return _irr_cache[key]
+def _monic_rows(q, deg):
+    """The q^deg monic rows of degree deg, row c holding the base-q digits
+    of c below its leading 1."""
+    digs = np.arange(q ** deg)[:, None] // q ** np.arange(deg) % q
+    return np.hstack([digs, np.ones((len(digs), 1), dtype=digs.dtype)])
+
+
+@functools.cache
+def _irreducible_mask(f, deg):
+    """Whether each monic row of degree deg (as _monic_rows numbers them)
+    is irreducible: a sieve that marks every product of monic rows of
+    degrees i and deg - i, 1 <= i <= deg / 2.  It holds about
+    (deg / 2) q^deg product rows, so q^deg is capped at SIEVE_CAP."""
     if deg < 1:
         raise GFError("degree must be >= 1")
-    out = []
-    for code in range(f.q ** deg):
-        c, digs = code, []
-        for _ in range(deg):
-            digs.append(c % f.q)
-            c //= f.q
-        poly = tuple(digs) + (1,)
-        if pirreducible(f, poly):
-            out.append(poly)
-    _irr_cache[key] = out
-    return out
+    if f.q ** deg > SIEVE_CAP:
+        raise GFError("the degree-%d sieve over %r has %d rows, cap is %d"
+                      % (deg, f, f.q ** deg, SIEVE_CAP))
+    keep = np.ones(f.q ** deg, dtype=bool)
+    for i in range(1, deg // 2 + 1):
+        a, b = _monic_rows(f.q, i), _monic_rows(f.q, deg - i)
+        prod = _polymul(np.repeat(a, len(b), axis=0),
+                        np.tile(b, (len(a), 1)), deg + 1, f.mul_t, f.add_t)
+        keep[prod[:, :deg] @ f.q ** np.arange(deg)] = False
+    keep.flags.writeable = False   # shared by every caller
+    return keep
 
 
-def pirreducible(f, a):
-    """Whether a monic polynomial of degree >= 1 has no monic irreducible
-    factor of degree at most half its own."""
-    return all(pdivmod(f, a, g)[1] for k in range(1, (len(a) - 1) // 2 + 1)
-               for g in irreducible_monics(f, k))
+@functools.cache
+def irreducible_monics(f, deg):
+    """All monic irreducible polynomials of the given degree, as tuples,
+    sorted by their coefficients read from c_(deg-1) down to c_0."""
+    keep = _irreducible_mask(f, deg)
+    return [tuple(int(c) for c in row) for row in _monic_rows(f.q, deg)[keep]]
 
 
-def pfactor(f, a):
-    """Monic irreducible factorization {poly: multiplicity}; unit dropped."""
-    a = pmonic(f, ptrim(a))
-    if not a:
-        raise GFError("cannot factor the zero polynomial")
-    out = {}
-    d = 1
-    while len(a) - 1 >= 2 * d:
-        for g in irreducible_monics(f, d):
-            while True:
-                q, r = pdivmod(f, a, g)
-                if r:
-                    break
-                out[g] = out.get(g, 0) + 1
-                a = q
-        d += 1
-    if len(a) > 1:
-        out[a] = out.get(a, 0) + 1
-    return out
+def is_irreducible_monic(f, poly):
+    """Whether a monic tuple of degree >= 1 is irreducible: a lookup in
+    the sieve of its degree."""
+    deg = len(poly) - 1
+    if deg == 1:
+        return True
+    code = sum(c * f.q ** j for j, c in enumerate(poly[:deg]))
+    return bool(_irreducible_mask(f, deg)[code])
 
 
 # ---------------------------------------------------------------------------
@@ -286,21 +230,17 @@ def make_field(p, n=1):
 def _least_modulus(p, n):
     """The least monic irreducible of degree n over GF(p), in make_field's
     order."""
-    f = make_field(p)
-    for tail in itertools.product(range(p), repeat=n):
-        if pirreducible(f, tail + (1,)):
-            return tail + (1,)
-    raise GFError("no irreducible modulus found (unreachable)")
+    # every irreducible ends in the same 1, so tuple order is make_field's
+    return min(irreducible_monics(make_field(p), n))
 
 
 def field_of_order(q):
-    """GF(q) for a prime power q over a prime p <= 13."""
-    for p in (2, 3, 5, 7, 11, 13):
-        n = 1
-        while p ** n < q:
-            n += 1
-        if p ** n == q:
-            return make_field(p, n)
+    """GF(q) for a prime power q up to Q_CAP."""
+    if 2 <= q <= Q_CAP:
+        for n in range(1, Q_CAP.bit_length()):
+            p = round(q ** (1 / n))
+            if p ** n == q and is_prime_u64(p):
+                return make_field(p, n)
     raise GFError("q = %d is not a supported prime power" % q)
 
 

@@ -59,6 +59,16 @@ def test_extend_trials_pass(capsys):
         "all", "flat", "all", "flat", "flat"]
 
 
+@pytest.mark.parametrize("q", [17, 19, 23, 29, 31])
+def test_extend_runs_at_primes_above_13(q, capsys):
+    # field_of_order stopped at p = 13 and refused these with exit 2
+    code, out = run_main(["--cmd", "extend", "--q", str(q), "--d", "3",
+                          "--t", "1", "--trials", "1"], capsys)
+    assert code == 0
+    assert json.loads(out)["aggregate"] == {"n": 1, "passed": 1,
+                                            "all_pass": True}
+
+
 def test_reports_byte_identical(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["--cmd", "extend", "--q", "5", "--d", "3", "--t", "1",

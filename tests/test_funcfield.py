@@ -10,8 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from collinext import _kernels, ample, funcfield
 from collinext.gf import (field_of_order, irreducible_monics, make_field,
-                          mat_apply, padd, pdivmod, peval, pfactor, pgcd,
-                          pmonic, pmul, ppow, pscale, ptrim)
+                          mat_apply)
 from collinext.projgeom import ProjSpace
 from collinext._kernels import pair_mult_scan
 from collinext.ample import AmpleFamily, is_mn_admissible
@@ -20,21 +19,19 @@ from collinext.funcfield import (
     ClosedPointP1,
     DivisorP1,
     FuncFieldError,
-    RatFunc,
     ample_certificate,
-    apply_psi,
     demo_instance,
-    divisor_of,
     moebius_point_image,
     recover_ring_iso,
     rr_basis,
     run_demo,
     scramble,
-    shift_survivors,
     unit_subset,
-    valuation,
 )
 from collinext.semilinear import SemilinearIso
+from polyref import (RatFunc, apply_psi, coords_of, divisor_of, func_of,
+                     mult, padd, pdivmod, peval, pfactor, pgcd, pmonic, pmul,
+                     ppow, pscale, ptrim, shift_survivors, valuation)
 
 
 def rand_poly(f, rng, deg):
@@ -51,7 +48,7 @@ def rand_func(f, rng, deg=3):
 
 def basis(rr):
     """The basis t^j / M of L(D), as rational functions."""
-    return [rr.func_of(v) for v in np.eye(rr.dim, dtype=np.int64)]
+    return [func_of(rr, v) for v in np.eye(rr.dim, dtype=np.int64)]
 
 
 def moebius_substitute(fn, mat):
@@ -186,20 +183,40 @@ def test_closed_point_validation():
     assert ClosedPointP1.finite(f3, (1, 0, 1)).degree == 2
 
 
+@pytest.mark.parametrize("q", [9, 16])
+def test_closed_point_refuses_reducibles_off_the_prime_field(q):
+    # a square, a split quadratic and a cubic with a root, each with
+    # coefficients outside the prime field, against the degree-k sieve
+    f = field_of_order(q)
+    r, s = f.q - 1, f.q - 2
+    quad = irreducible_monics(f, 2)[-1]
+    reducible = {"square": pmul(f, (f.neg(r), 1), (f.neg(r), 1)),
+                 "split": pmul(f, (f.neg(r), 1), (f.neg(s), 1)),
+                 "cubic": pmul(f, (f.neg(s), 1), quad)}
+    for name, poly in reducible.items():
+        assert max(poly) >= f.p and sum(pfactor(f, poly).values()) > 1, name
+        with pytest.raises(FuncFieldError, match="reducible"):
+            ClosedPointP1.finite(f, poly)
+    for poly in (quad, irreducible_monics(f, 3)[-1]):
+        assert ClosedPointP1.finite(f, poly).poly == poly
+        # trailing zeros are trimmed before the monic check
+        assert ClosedPointP1.finite(f, poly + (0, 0)).poly == poly
+
+
 def test_divisor_of_examples():
     f = make_field(13)
     t = RatFunc.coordinate(f)
     d = divisor_of(t)
-    assert d.mult(ClosedPointP1.finite(f, (0, 1))) == 1
-    assert d.mult(ClosedPointP1.infinity(f)) == -1
+    assert mult(d, ClosedPointP1.finite(f, (0, 1))) == 1
+    assert mult(d, ClosedPointP1.infinity(f)) == -1
     assert d.degree() == 0
 
     f3 = make_field(3)
     g = RatFunc(f3, (1, 0, 1), (f3.neg(1), 1))
     dg = divisor_of(g)
-    assert dg.mult(ClosedPointP1.finite(f3, (1, 0, 1))) == 1
-    assert dg.mult(ClosedPointP1.finite(f3, (2, 1))) == -1
-    assert dg.mult(ClosedPointP1.infinity(f3)) == -1
+    assert mult(dg, ClosedPointP1.finite(f3, (1, 0, 1))) == 1
+    assert mult(dg, ClosedPointP1.finite(f3, (2, 1))) == -1
+    assert mult(dg, ClosedPointP1.infinity(f3)) == -1
     assert dg.degree() == 0
 
 
@@ -256,7 +273,7 @@ def test_rr_basis_shapes():
     for b in basis(rr):
         for pt, m in divisor_of(b).items().items():
             if m < 0:
-                assert -m <= D.mult(pt)   # poles stay inside D
+                assert -m <= mult(D, pt)   # poles stay inside D
 
     with pytest.raises(FuncFieldError):
         rr_basis(DivisorP1(f5, {ClosedPointP1.infinity(f5): -1}))
@@ -271,12 +288,12 @@ def test_rr_coords_roundtrip_and_rejects():
         v = rng.integers(0, 13, size=3)
         if not v.any():
             continue
-        fn = rr.func_of(v)
-        back = rr.coords_of(fn)
+        fn = func_of(rr, v)
+        back = coords_of(rr, fn)
         assert back is not None and np.array_equal(back, v)
     t = RatFunc.coordinate(f)
-    assert rr.coords_of(t * t * t) is None
-    assert rr.coords_of(RatFunc(f, (1,), (f.neg(2), 1))) is None
+    assert coords_of(rr, t * t * t) is None
+    assert coords_of(rr, RatFunc(f, (1,), (f.neg(2), 1))) is None
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +303,7 @@ def test_rr_coords_roundtrip_and_rejects():
 def valuation_recount(U):
     """The unit classes, straight from the valuations at E."""
     return [i for i in range(U.space.n_points)
-            if all(valuation(U.rr.func_of(U.space.pts[i]), pt) == 0
+            if all(valuation(func_of(U.rr, U.space.pts[i]), pt) == 0
                    for pt in U.E)]
 
 
@@ -318,6 +335,19 @@ def test_unit_subset_empty_e_and_overlap():
     U = unit_subset(D, set())
     assert U.n_units == U.space.n_points
     with pytest.raises(FuncFieldError, match="overlap"):
+        unit_subset(D, {ClosedPointP1.infinity(f)})
+
+
+def test_unit_subset_refuses_an_oversized_space(monkeypatch):
+    # P(L(D)) for a degree-3 D over F_23 is P^3(F_23), 12720 points, above
+    # P_CAP: refused as a function-field error before the space is built
+    def unbuilt(*args):
+        raise AssertionError("the space was built")
+    monkeypatch.setattr(funcfield, "space_of", unbuilt)
+    f = field_of_order(23)
+    D = DivisorP1(f, {ClosedPointP1.finite(f, (f.neg(a), 1)): 1
+                      for a in (1, 2, 3)})
+    with pytest.raises(FuncFieldError, match="space has 12720 points"):
         unit_subset(D, {ClosedPointP1.infinity(f)})
 
 
@@ -498,7 +528,7 @@ def substitution_matrix(rr, gmat):
     f = rr.field
     (a, b), (c, d) = gmat
     adj = ((d, f.neg(b)), (f.neg(c), a))
-    cols = [rr.coords_of(moebius_substitute(fn, adj)) for fn in basis(rr)]
+    cols = [coords_of(rr, moebius_substitute(fn, adj)) for fn in basis(rr)]
     return np.stack(cols, axis=1)
 
 
@@ -602,9 +632,9 @@ def test_recovered_psi_multiplicative_oracle():
     checked = 0
     while checked < 50:
         i, j = rng.integers(0, space.n_points, size=2)
-        fi, fj = rr.func_of(space.pts[i]), rr.func_of(space.pts[j])
+        fi, fj = func_of(rr, space.pts[i]), func_of(rr, space.pts[j])
         prod = fi * fj
-        if rr.coords_of(prod) is None:
+        if coords_of(rr, prod) is None:
             continue
         lhs = apply_psi(rr, rep.psi_matrix, rep.frob_exp, prod)
         rhs = (apply_psi(rr, rep.psi_matrix, rep.frob_exp, fi)

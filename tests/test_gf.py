@@ -4,11 +4,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from sympy import mobius, primefactors
 
 from collinext.gf import (
-    GF, Q_CAP, GFError, _least_modulus, make_field, field_of_order, mat_apply,
-    mat_inv, rref,
+    GF, Q_CAP, GFError, _least_modulus, irreducible_monics, make_field,
+    field_of_order, mat_apply, mat_inv, rref,
 )
+from polyref import ref_irreducible_monics
 
 SMALL = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)]
 
@@ -402,10 +404,56 @@ def test_singular_inverse_none():
 
 
 def test_field_of_order():
+    # every prime power up to Q_CAP; p stopped at 13, which refused 17
     for q, p, n in ((2, 2, 1), (8, 2, 3), (9, 3, 2), (13, 13, 1),
-                    (25, 5, 2), (169, 13, 2)):
+                    (17, 17, 1), (25, 5, 2), (31, 31, 1), (169, 13, 2),
+                    (289, 17, 2)):
         f = field_of_order(q)
         assert f is make_field(p, n) and f.q == q
-    for q in (-3, 0, 1, 6, 12, 17, 100):
+    for q in (-3, 0, 1, 6, 12, 100, 2 * Q_CAP):
         with pytest.raises(GFError, match="prime power"):
             field_of_order(q)
+
+
+# ---------------------------------------------------------------------------
+# irreducible polynomials by a sieve on coefficient rows
+# ---------------------------------------------------------------------------
+
+ORDERS_TO_32 = [q for q in range(2, 33) if len(primefactors(q)) == 1]
+
+
+def gauss_count(q, k):
+    """Monic irreducibles of degree k over F_q: (1/k) sum_{d | k}
+    mu(d) q^(k/d)."""
+    return sum(int(mobius(d)) * q ** (k // d)
+               for d in range(1, k + 1) if k % d == 0) // k
+
+
+@pytest.mark.parametrize("q", ORDERS_TO_32)
+def test_irreducible_monics_gauss_count(q):
+    f = field_of_order(q)
+    for k in (1, 2, 3):
+        polys = irreducible_monics(f, k)
+        assert len(polys) == gauss_count(q, k), (q, k)
+        assert all(type(c) is int for poly in polys for c in poly)
+        assert {len(poly) for poly in polys} == {k + 1}
+        assert {poly[-1] for poly in polys} == {1}
+
+
+@pytest.mark.parametrize("q", ORDERS_TO_32)
+def test_irreducible_monics_match_trial_division(q):
+    # the same tuples in the same order as the tuple-arithmetic finder
+    f = field_of_order(q)
+    for k in (1, 2, 3):
+        if q ** k <= 2000:
+            assert irreducible_monics(f, k) == \
+                ref_irreducible_monics(f, k), (q, k)
+
+
+def test_irreducible_sieve_refused_above_its_cap():
+    # the degree-3 sieve over GF(961) would hold 961^3 product rows, so
+    # it is refused before anything is allocated
+    f = make_field(31, 2)
+    with pytest.raises(GFError, match=r"degree-3 sieve over GF\(31\^2\) "
+                       r"has 887503681 rows, cap is 1048576"):
+        irreducible_monics(f, 3)

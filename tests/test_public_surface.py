@@ -15,27 +15,12 @@ BENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 # Names with no caller that stay for now, each with what it waits for.
 # E: the benchmark-only change that unpins names from perfbench's metrics
-# and tests/test_benchmark_pins.py.  I: the function-field battery, which
-# decides which function-field helpers get a caller.
+# and tests/test_benchmark_pins.py.
 ALLOWED = {
     "extend.extend_point": "E: extend.extend_point.s and .calls metrics",
     "projgeom.ProjSpace.on_line": "E: projgeom.table_bytes.on_line metric",
     "projgeom.desargues_admissible":
         "E: projgeom.desargues_admissible.calls metric",
-    "funcfield.divisor_of": "I",
-    "funcfield.shift_survivors": "I",
-    "funcfield.apply_psi": "I",
-    "funcfield.RRSpace.func_of": "I: called by apply_psi",
-    "funcfield.RRSpace.coords_of": "I: called by apply_psi",
-    "funcfield.RatFunc.evaluate": "I",
-    "funcfield.RatFunc.coordinate": "I",
-    "funcfield.RatFunc.frobenius": "I",
-    "funcfield.DivisorP1.mult": "I",
-    # reached only from the function-field names above
-    "funcfield.valuation": "I: called by divisor_of and shift_survivors",
-    "funcfield.RatFunc.constant": "I: called by shift_survivors",
-    "gf.pfactor": "I: called by divisor_of",
-    "gf.peval": "I: called by RatFunc.evaluate",
     "primesets.gl_order": "acceptance criterion 7 checks it",
     "ample.AmpleFamily.explicit":
         "the paper's general PGL_2-stable family; the tests build it",
