@@ -153,7 +153,7 @@ def lines_meeting(space, U):
         raise AmpleError("points must lie in 0..%d" % (space.n_points - 1))
     inU = np.zeros(space.n_points, dtype=bool)
     inU[U] = True
-    in_cnt = inU[space.line_pts].sum(axis=1)
+    in_cnt = space.line_counts(inU)
     return np.nonzero(in_cnt > 0)[0], in_cnt, inU
 
 

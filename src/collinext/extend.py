@@ -88,7 +88,7 @@ def _image_mask(space, sigma):
 
 def _meets(space, sigma):
     """Mask of the lines that meet the domain of sigma."""
-    return (sigma >= 0)[space.line_pts].any(axis=1)
+    return space.line_counts(sigma >= 0) > 0
 
 
 @dataclass
@@ -236,6 +236,18 @@ def extend(pc, fam, seed=0):
     fam governs both the domain and its image.  Each point outside U1
     searches its lines along its own seeded shuffle of U1; the result
     must not depend on the seed.
+
+    After the ampleness checks the steps run on the unvalidated map, and
+    validate_partial runs only to name a failure: when a step raises, or
+    when tau's domain is not the set of lines meeting U1, a failed
+    validation raises "precondition: <reason>", and otherwise the step's
+    own error stands.  The result or error is the one validating first
+    would give.  The final check makes the extension a collineation that
+    agrees with sigma on U1 and with tau on its domain.  So for each line
+    l meeting U1 it maps l onto tau(l), and, being a bijection, it maps
+    l cap U1 onto tau(l) cap U2: the intersection identity holds, and
+    sigma and tau are injective as restrictions of bijections.  Of
+    validation's checks only tau's domain is left, and it is checked.
     """
     S = pc.space
     if S.d < 3:
@@ -250,28 +262,35 @@ def extend(pc, fam, seed=0):
     rep2 = is_ample(S, pc.U2, fam)
     if not rep2.ample:
         raise ExtendError("precondition: image is not ample (%s)" % rep2.reason)
-    val = validate_partial(pc, concurrency=None)
-    if not val.ok:
-        raise ExtendError("precondition: %s" % val.reason)
-
-    sigma_tilde, tau = pc.sigma.copy(), pc.tau
-    outside = np.flatnonzero(sigma_tilde < 0)
-    diagnostics = {"line_searches": 0, "points_extended": len(outside),
-                   "lines_verified": S.n_lines,
-                   "t_star": max(rep1.t_star, rep2.t_star)}
-    seqs = np.random.default_rng(seed).permuted(
-        np.tile(np.flatnonzero(pc.sigma >= 0), (len(outside), 1)), axis=1)
-    sigma_tilde[outside] = _extend_points(pc, outside, seqs, tau, diagnostics)
-    if len(np.unique(sigma_tilde)) != S.n_points:
-        raise ExtendError("Step3-1: extended point map is not a bijection")
     try:
-        coll = Collineation(S, sigma_tilde)
-    except SemilinearError:
-        raise ExtendError("Step3-4: extended map does not carry lines to lines")
-    bad = np.nonzero((tau >= 0) & (coll.tau != tau))[0]
-    if len(bad):
-        raise ExtendError("Step3-2: extended line map disagrees with tau "
-                          "on line %d" % bad[0])
+        if (_meets(S, pc.sigma) != (pc.tau >= 0)).any():
+            # validation fails on this, if not on something before it
+            raise ExtendError("tau domain differs from the lines meeting U1")
+        sigma_tilde, tau = pc.sigma.copy(), pc.tau
+        outside = np.flatnonzero(sigma_tilde < 0)
+        diagnostics = {"line_searches": 0, "points_extended": len(outside),
+                       "lines_verified": S.n_lines,
+                       "t_star": max(rep1.t_star, rep2.t_star)}
+        seqs = np.random.default_rng(seed).permuted(
+            np.tile(np.flatnonzero(pc.sigma >= 0), (len(outside), 1)), axis=1)
+        sigma_tilde[outside] = _extend_points(pc, outside, seqs, tau,
+                                              diagnostics)
+        if len(np.unique(sigma_tilde)) != S.n_points:
+            raise ExtendError("Step3-1: extended point map is not a bijection")
+        try:
+            coll = Collineation(S, sigma_tilde)
+        except SemilinearError:
+            raise ExtendError("Step3-4: extended map does not carry lines "
+                              "to lines")
+        bad = np.nonzero((tau >= 0) & (coll.tau != tau))[0]
+        if len(bad):
+            raise ExtendError("Step3-2: extended line map disagrees with tau "
+                              "on line %d" % bad[0])
+    except ExtendError:
+        val = validate_partial(pc, concurrency=None)
+        if not val.ok:
+            raise ExtendError("precondition: %s" % val.reason) from None
+        raise
     return ExtensionResult(sigma_tilde, coll.tau.copy(), coll,
                            decode_ftpg(coll), diagnostics)
 

@@ -183,10 +183,12 @@ def _irreducible_mask(f, deg):
 
 @functools.cache
 def irreducible_monics(f, deg):
-    """All monic irreducible polynomials of the given degree, as tuples,
-    sorted by their coefficients read from c_(deg-1) down to c_0."""
+    """All monic irreducible polynomials of the given degree, as a tuple
+    of tuples, sorted by their coefficients read from c_(deg-1) down to
+    c_0.  Cached and shared by every caller, hence immutable."""
     keep = _irreducible_mask(f, deg)
-    return [tuple(int(c) for c in row) for row in _monic_rows(f.q, deg)[keep]]
+    return tuple(tuple(int(c) for c in row)
+                 for row in _monic_rows(f.q, deg)[keep])
 
 
 def is_irreducible_monic(f, poly):

@@ -241,6 +241,16 @@ class ProjSpace:
             raise GeomError("join needs two distinct points")
         return int(np.intersect1d(self.pt_lines[p], self.pt_lines[q])[0])
 
+    def line_counts(self, inU):
+        """Points of each line inside the point mask inU, as an [L] array,
+        counted from the pencils of the smaller side: those of U,
+        or q + 1 less those of its complement."""
+        if 2 * np.count_nonzero(inU) <= self.n_points:
+            return np.bincount(self.pt_lines[inU].ravel(),
+                               minlength=self.n_lines)
+        return self.pts_per_line - np.bincount(self.pt_lines[~inU].ravel(),
+                                               minlength=self.n_lines)
+
     def meet_many(self, ls, ms):
         """Common point of each pair of distinct lines of two arrays, -1
         where skew."""

@@ -1,12 +1,13 @@
 """Line-subset families, admissibility, transport, ample subsets."""
 
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 from collinext.gf import make_field, rref
-from collinext.projgeom import ProjSpace
+from collinext.projgeom import ProjSpace, space_of
 from collinext.ample import (
     AmpleError,
     AmpleFamily,
@@ -302,6 +303,31 @@ def test_ample_counts_match_slow_recount():
             if cnt:
                 slow_meet.append(l)
         assert slow_meet == list(map(int, meeting))
+
+
+@pytest.mark.parametrize("off_line,meeting,bound",
+                         [(False, 3 * 1022 + 1, 7), (True, 698026, 24)],
+                         ids=["line", "off_line"])
+def test_is_ample_line_peak_memory(off_line, meeting, bound):
+    # P^10(F_2) has 698027 lines.  For U a line, gathering every line's
+    # points peaked at 7.4 MB, and counting from the pencils of the 2044
+    # points off it at 29.3 MB; its three pencils hold the [L] counts and
+    # the meeting mask, 6.0 MB.  For U the points off a line, the [L]
+    # counts, meeting lines and complements peak at 21.3 MB; counting
+    # from the pencils of U would add the 2044 pencils, 8.4 MB, and their
+    # int64 copy
+    S = space_of(make_field(2), 11)
+    U = S.line_pts[5]
+    if off_line:
+        U = np.setdiff1d(np.arange(S.n_points), U)
+    tracemalloc.start()
+    try:
+        rep = is_ample(S, U, AmpleFamily.size_at_most(3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.ample and rep.n_meeting == meeting
+    assert peak < bound << 20
 
 
 def test_ample_explicit_matches_size_kind():

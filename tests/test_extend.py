@@ -7,7 +7,7 @@ import pytest
 
 from collinext import _kernels
 from collinext.gf import make_field
-from collinext.projgeom import ProjSpace
+from collinext.projgeom import ProjSpace, space_of
 from collinext.semilinear import (
     SemilinearIso,
     decode_ftpg,
@@ -459,6 +459,23 @@ def test_brute_force_inconsistent_sigma_has_no_extension():
     a, b = pc.U1[1], pc.U1[4]
     pc.sigma[a], pc.sigma[b] = pc.sigma[b], pc.sigma[a]
     assert brute_force_extensions(pc) == []
+
+
+def test_extend_large_space_peak_memory():
+    # P^10(F_2) with U1 the whole space: validating first sorted and
+    # compared every line's [q + 1] row and peaked at 38.6 MB; the final
+    # verification alone peaks at 23.3 MB
+    S = space_of(make_field(2), 11)
+    iso = random_semilinear(S, np.random.default_rng(11))
+    pc = restrict(iso, np.arange(S.n_points))
+    tracemalloc.start()
+    try:
+        res = extend(pc, AmpleFamily.size_at_most(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (res.sigma_tilde == iso.sigma_array()).all()
+    assert peak < 30 << 20
 
 
 def test_brute_force_budget_guard(monkeypatch):

@@ -4,6 +4,7 @@ The references below are the per-line and per-point loops the array code
 replaced; verdicts, witnesses, images and search counts must agree."""
 
 import collections
+import importlib
 import itertools
 
 import numpy as np
@@ -14,15 +15,19 @@ from collinext import _kernels
 from collinext.gf import make_field
 from collinext.projgeom import ProjSpace
 from collinext.semilinear import (
+    Collineation,
+    SemilinearError,
     SemilinearIso,
+    decode_ftpg,
     equal_up_to_scalar,
     random_semilinear,
 )
-from collinext.ample import AmpleFamily
+from collinext.ample import AmpleFamily, is_ample, is_mn_admissible
 from collinext.extend import (
     ExtendError,
     PartialCollineation,
     ValidationReport,
+    _extend_points,
     _line_pairs,
     brute_force_extensions,
     extend,
@@ -32,6 +37,8 @@ from collinext.extend import (
     validate_partial,
 )
 from test_extend import meeting_lines
+
+E = importlib.import_module("collinext.extend")
 
 _SPACES = {}
 
@@ -133,6 +140,63 @@ def ref_extend_point(pc, p, seq):
             return int(x), searched
     raise ExtendError("ampleness violated: fewer than two lines through "
                       "the point meet the domain")
+
+
+def ref_extend(pc, fam, seed=0):
+    """extend in the construction's order: every precondition, the
+    intersection identity included, before any step runs."""
+    S = pc.space
+    if S.d < 3:
+        raise ExtendError("precondition: dimension must be at least 3")
+    if not is_mn_admissible(fam, S.q, 3, 2):
+        raise ExtendError("precondition: family is not (3,2)-admissible "
+                          "at q=%d" % S.q)
+    rep1 = is_ample(S, pc.U1, fam)
+    if not rep1.ample:
+        raise ExtendError("precondition: domain is not ample (%s)" % rep1.reason)
+    rep2 = is_ample(S, pc.U2, fam)
+    if not rep2.ample:
+        raise ExtendError("precondition: image is not ample (%s)" % rep2.reason)
+    val = validate_partial(pc, concurrency=None)
+    if not val.ok:
+        raise ExtendError("precondition: %s" % val.reason)
+    sigma = pc.sigma.copy()
+    outside = np.flatnonzero(sigma < 0)
+    diagnostics = {"line_searches": 0, "points_extended": len(outside),
+                   "lines_verified": S.n_lines,
+                   "t_star": max(rep1.t_star, rep2.t_star)}
+    seqs = np.random.default_rng(seed).permuted(
+        np.tile(pc.U1, (len(outside), 1)), axis=1)
+    sigma[outside] = _extend_points(pc, outside, seqs, pc.tau, diagnostics)
+    if len(set(sigma.tolist())) != S.n_points:
+        raise ExtendError("Step3-1: extended point map is not a bijection")
+    try:
+        coll = Collineation(S, sigma)
+    except SemilinearError:
+        raise ExtendError("Step3-4: extended map does not carry lines to lines")
+    for l, m in as_dict(pc.tau).items():
+        if coll.tau[l] != m:
+            raise ExtendError("Step3-2: extended line map disagrees with tau "
+                              "on line %d" % l)
+    iso = decode_ftpg(coll)
+    return sigma, coll.tau, iso.mat, iso.frob_exp, diagnostics
+
+
+def extend_outcome(pc, fam, seed):
+    """extend's result as ref_extend gives it, or its error message."""
+    try:
+        res = extend(pc, fam, seed=seed)
+    except ExtendError as err:
+        return str(err)
+    return (res.sigma_tilde, res.tau_tilde, res.decoded.mat,
+            res.decoded.frob_exp, res.diagnostics)
+
+
+def same_outcome(got, want):
+    if isinstance(want, str) or isinstance(got, str):
+        return got == want
+    return all(np.array_equal(g, w) if isinstance(w, np.ndarray) else g == w
+               for g, w in zip(got, want))
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +451,74 @@ def test_extend_point_errors_match_reference():
         ref_extend_point(pc, 3, pc.U1)
     with pytest.raises(ExtendError, match="ampleness"):
         extend_point(pc, 3)
+
+
+def mutated_instance(seed, pnd, t, ops):
+    rng = np.random.default_rng(seed)
+    S = space(*pnd)
+    pc = restrict(random_semilinear(S, rng), random_ample_instance(S, t, rng)[0])
+    for op in ops:
+        _mutate(S, pc, rng, op)
+    return pc
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(GRID), st.sampled_from([0, 1]),
+       st.integers(0, 2 ** 32 - 1),
+       st.lists(st.sampled_from(OPS), max_size=3))
+def test_extend_matches_validate_first_reference(pnd, t, seed, ops):
+    # extend validates only to name a failure; its result or error
+    # message is the one validating first gives
+    pc = mutated_instance(seed, pnd, t, ops)
+    fam = AmpleFamily.size_at_most(t)
+    want = _outcome(lambda: ref_extend(pc, fam, seed=seed))
+    assert same_outcome(extend_outcome(pc, fam, seed), want), want
+
+
+def test_extend_reaches_every_precondition_reason():
+    reasons = collections.Counter()
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        pnd, t = GRID[seed % len(GRID)], seed // len(GRID) % 2
+        ops = rng.choice(OPS, size=int(rng.integers(1, 4))).tolist()
+        pc = mutated_instance(seed, pnd, t, ops)
+        fam = AmpleFamily.size_at_most(t)
+        want = _outcome(lambda: ref_extend(pc, fam, seed=seed))
+        assert same_outcome(extend_outcome(pc, fam, seed), want), seed
+        reasons[want if isinstance(want, str) else "extended"] += 1
+    assert set(reasons) == {
+        "extended",
+        "precondition: domain is not ample (complement larger than the "
+        "threshold)",
+        "precondition: image is not ample (complement larger than the "
+        "threshold)",
+        "precondition: sigma is not injective",
+        "precondition: tau domain differs from the lines meeting U1",
+        "precondition: tau is not injective",
+        "precondition: tau(l) cuts U2 differently than sigma maps l cap U1",
+    }, reasons
+    assert min(reasons.values()) >= 5, reasons
+
+
+def test_step_error_stands_unless_validation_fails(monkeypatch):
+    # validation runs after a failed step only to name the failure: a
+    # map it accepts keeps the step's own message
+    S = space(5, 1, 3)
+    rng = np.random.default_rng(41)
+    pc = restrict(random_semilinear(S, rng), random_ample_instance(S, 1, rng)[0])
+    fam = AmpleFamily.size_at_most(1)
+
+    def failing(*args):
+        raise ExtendError("Step2-1: images not concurrent")
+    monkeypatch.setattr(E, "_extend_points", failing)
+    with pytest.raises(ExtendError, match="^Step2-1: images not concurrent$"):
+        extend(pc, fam)
+    l, k = rng.choice(np.flatnonzero(pc.tau >= 0), size=2, replace=False)
+    pc.tau[l] = pc.tau[k]
+    with pytest.raises(ExtendError,
+                       match="^precondition: tau is not injective$"):
+        extend(pc, fam)
 
 
 @settings(max_examples=12, deadline=None,

@@ -447,7 +447,7 @@ def test_irreducible_monics_match_trial_division(q):
     for k in (1, 2, 3):
         if q ** k <= 2000:
             assert irreducible_monics(f, k) == \
-                ref_irreducible_monics(f, k), (q, k)
+                tuple(ref_irreducible_monics(f, k)), (q, k)
 
 
 def test_irreducible_sieve_refused_above_its_cap():
@@ -457,3 +457,14 @@ def test_irreducible_sieve_refused_above_its_cap():
     with pytest.raises(GFError, match=r"degree-3 sieve over GF\(31\^2\) "
                        r"has 887503681 rows, cap is 1048576"):
         irreducible_monics(f, 3)
+
+
+def test_irreducible_monics_cache_cannot_be_edited():
+    # the cached answer is shared by every caller, so it is a tuple: an
+    # edit through one caller's copy cannot change the next answer
+    f = make_field(5)
+    polys = irreducible_monics(f, 2)
+    assert type(polys) is tuple and len(polys) == 10
+    with pytest.raises(AttributeError):
+        polys.clear()
+    assert irreducible_monics(f, 2) == polys

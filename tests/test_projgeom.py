@@ -327,6 +327,33 @@ def test_incidence_build_peak_memory():
     assert peak < 12 << 20
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SMALL + [(2, 1, 5), (7, 1, 3)]),
+       st.sampled_from(["point", "line", "half", "all but one", "all"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_line_counts_match_gathered_rows(pnd, kind, seed):
+    # from the pencils of U or of its complement, whichever is smaller;
+    # halves of an odd P fall on either side of the switch
+    S = space_of(make_field(*pnd[:2]), pnd[2])
+    rng = np.random.default_rng(seed)
+    P = S.n_points
+    inU = np.zeros(P, dtype=bool)
+    if kind == "point":
+        inU[rng.integers(P)] = True
+    elif kind == "line":
+        inU[S.line_pts[rng.integers(S.n_lines)]] = True
+    elif kind == "half":
+        inU[rng.choice(P, size=P // 2 + int(rng.integers(2)),
+                       replace=False)] = True
+    else:
+        inU[:] = True
+        if kind == "all but one":
+            inU[rng.integers(P)] = False
+    got = S.line_counts(inU)
+    assert got.shape == (S.n_lines,)
+    assert (got == inU[S.line_pts].sum(axis=1)).all()
+
+
 def test_line_build_peak_memory():
     # the [L, d] basis gathers and field sums of every line at once made
     # the build of P^10(F_2) peak at 130.8 MB for 26.7 MB held; int64
