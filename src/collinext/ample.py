@@ -148,13 +148,14 @@ class AmpleReport:
 
 
 def lines_meeting(space, U):
+    """(mask of the lines meeting U, [L] counts of points in U, mask of U)."""
     U = np.asarray(U, dtype=np.int64)
     if U.size and not 0 <= U.min() <= U.max() < space.n_points:
         raise AmpleError("points must lie in 0..%d" % (space.n_points - 1))
     inU = np.zeros(space.n_points, dtype=bool)
     inU[U] = True
     in_cnt = space.line_counts(inU)
-    return np.nonzero(in_cnt > 0)[0], in_cnt, inU
+    return in_cnt > 0, in_cnt, inU
 
 
 def is_ample(space, U, family):
@@ -165,24 +166,25 @@ def is_ample(space, U, family):
     U = np.asarray(U, dtype=np.int64)
     if not U.size:
         return AmpleReport(False, 0, 0, None, "empty set")
-    meeting, in_cnt, inU = lines_meeting(space, U)
+    meets, in_cnt, inU = lines_meeting(space, U)
     k = space.pts_per_line
-    comp = k - in_cnt[meeting]
-    t_star = int(comp.max()) if len(meeting) else 0
+    n_meeting = int(np.count_nonzero(meets))
+    t_star = k - int(in_cnt.min(where=meets, initial=k))
     if family.kind == "size_at_most":
-        bad = meeting[comp > family.t]
-        if len(bad):
-            return AmpleReport(False, t_star, len(meeting), int(bad[0]),
+        if t_star > family.t:
+            # the first meeting line whose complement is above the threshold
+            bad = meets & (in_cnt < k - family.t)
+            return AmpleReport(False, t_star, n_meeting, int(bad.argmax()),
                                "complement larger than the threshold")
-        return AmpleReport(True, t_star, len(meeting), None, "")
+        return AmpleReport(True, t_star, n_meeting, None, "")
     if family.q != space.q:
         raise AmpleError("family is bound to a different q")
     if not is_pgl2_stable(family, space.field):
         raise AmpleError("family is not stable, per-line membership would "
                          "depend on the choice of basis")
-    for l in meeting:
+    for l in np.flatnonzero(meets):
         pos = np.flatnonzero(~inU[space.line_pts[l]])
         if not family.contains(pos, space.q):
-            return AmpleReport(False, t_star, len(meeting), int(l),
+            return AmpleReport(False, t_star, n_meeting, int(l),
                                "complement not in the family")
-    return AmpleReport(True, t_star, len(meeting), None, "")
+    return AmpleReport(True, t_star, n_meeting, None, "")

@@ -248,8 +248,12 @@ def main(argv=None):
         return 2
     text = render(report, cfg.format)
     if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out, "w") as fh:
+                fh.write(text)
+        except OSError as err:
+            print("rejected: --out: %s" % err, file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     print("elapsed %.2fs" % (time.time() - t0), file=sys.stderr)

@@ -29,8 +29,8 @@ class ExtendError(Exception):
 class PartialCollineation:
     """sigma on U1 (point indices) and tau on the lines meeting U1.
 
-    Both are -1-padded int64 arrays, of length P and L; each may be given
-    as such an array or as a dict from indices to indices."""
+    Both are -1-padded integer arrays, of length P and L, held as int64
+    copies."""
 
     def __init__(self, space, sigma, tau):
         if not isinstance(space, ProjSpace):
@@ -51,25 +51,16 @@ class PartialCollineation:
 
 
 def _index_map(m, n, name):
-    """A partial map of [0, n) into itself, given as a dict or as a
-    -1-padded array, as a -1-padded int64 array of length n."""
-    try:
-        if isinstance(m, dict):
-            keys = np.array(list(m), dtype=np.int64)
-            vals = np.array(list(m.values()), dtype=np.int64)
-            if ((keys < 0) | (keys >= n) | (vals < 0)).any():
-                raise ExtendError("%s has an entry outside [0, %d)"
-                                  % (name, n))
-            m = np.full(n, -1, dtype=np.int64)
-            m[keys] = vals
-        out = np.array(m, dtype=np.int64)
-    except (TypeError, ValueError, OverflowError) as err:
-        raise ExtendError("%s is not an integer map: %s" % (name, err))
-    if out.shape != (n,):
+    """A partial map of [0, n) into itself, given as a -1-padded integer
+    array, as a -1-padded int64 array of length n."""
+    m = np.asarray(m)
+    if m.dtype.kind not in "iu":
+        raise ExtendError("%s is not an integer map" % name)
+    if m.shape != (n,):
         raise ExtendError("%s must be an array of length %d" % (name, n))
-    if ((out < -1) | (out >= n)).any():
+    if ((m < -1) | (m >= n)).any():
         raise ExtendError("%s has an entry outside [-1, %d)" % (name, n))
-    return out
+    return m.astype(np.int64)
 
 
 def _check_ranges(pc):
@@ -98,11 +89,11 @@ class ValidationReport:
     witness: tuple | None
 
 
-def validate_partial(pc, concurrency="sampled", samples=300, seed=0):
+def validate_partial(pc, concurrency=None):
     """Bijectivity, domain coverage, and the intersection identity.
 
-    concurrency: None, "sampled", or "exhaustive" pair preservation
-    checks on the lines meeting U1.
+    concurrency: None, or "exhaustive" to check as well that every pair
+    of lines meeting U1 that meet goes to a pair that meets.
 
     The identity carries sigma(p) onto tau(l) for every line l through a
     domain point p, so an injective tau maps the pencil at p injectively,
@@ -110,7 +101,10 @@ def validate_partial(pc, concurrency="sampled", samples=300, seed=0):
     argument puts sigma(x) on both images of two lines meeting at x in U1,
     so only a common point outside U1 can lose its image.
 
-    Raises ExtendError when sigma or tau was edited out of range."""
+    Raises ExtendError when sigma or tau was edited out of range, or on
+    any other value of concurrency."""
+    if concurrency not in (None, "exhaustive"):
+        raise ExtendError("concurrency must be None or 'exhaustive'")
     _check_ranges(pc)
     S = pc.space
     sig, tau = pc.sigma, pc.tau
@@ -140,7 +134,7 @@ def validate_partial(pc, concurrency="sampled", samples=300, seed=0):
             False, "tau(l) cuts U2 differently than sigma maps l cap U1",
             (l, int(tau[l])))
     if concurrency:
-        pairs = _line_pairs(meeting, concurrency, samples, seed)
+        pairs = meeting[np.stack(np.triu_indices(len(meeting), 1), axis=1)]
         step = max(1, _kernels._CHUNK // S.pts_per_line ** 2)
         for s in range(0, len(pairs), step):
             l, m = pairs[s:s + step].T
@@ -151,22 +145,6 @@ def validate_partial(pc, concurrency="sampled", samples=300, seed=0):
                 return ValidationReport(False, "Step2-1: images not concurrent",
                                         (int(l[i]), int(m[i])))
     return ValidationReport(True, "", None)
-
-
-def _line_pairs(meeting, mode, samples, seed):
-    """Pairs of distinct meeting lines to check, as an [N, 2] array: all
-    of them in combination order, or `samples` seeded draws."""
-    meeting = np.asarray(meeting, dtype=np.int64)
-    n = len(meeting)
-    if mode == "exhaustive" or n * (n - 1) // 2 <= samples:
-        return meeting[np.stack(np.triu_indices(n, 1), axis=1)]
-    rng = np.random.default_rng(seed)
-    out = []
-    while len(out) < samples:
-        i, j = rng.integers(0, n, size=2)
-        if i != j:
-            out.append((i, j))
-    return meeting[np.array(out)]
 
 
 # ---------------------------------------------------------------------------

@@ -89,18 +89,6 @@ class DivisorP1:
     def is_effective(self):
         return all(m > 0 for m in self._m.values())
 
-    def __add__(self, other):
-        out = dict(self._m)
-        for pt, m in other._m.items():
-            out[pt] = out.get(pt, 0) + m
-        return DivisorP1(self.field, out)
-
-    def __neg__(self):
-        return DivisorP1(self.field, {pt: -m for pt, m in self._m.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __eq__(self, other):
         return isinstance(other, DivisorP1) and self._m == other._m
 
@@ -188,23 +176,21 @@ class FFCertificate:
     family: AmpleFamily
 
 
-def ample_certificate(U, fam=None):
+def ample_certificate(U):
     """Exact worst-case line complement over U, with the q margin.
 
-    Without a family, certifies the tightest size_at_most(t*); a given
-    family is checked as passed.  extendable is the (3,2)-admissibility of
-    the certified family, the precondition extend checks.
+    Certifies the tightest family, size_at_most(t*); extendable is its
+    (3,2)-admissibility, the precondition extend checks.  A caller with a
+    family of its own asks is_ample and is_mn_admissible.
     """
     space = U.space
     q = space.field.q
-    # one scan gives t* and the verdict: without a family, the cap q
-    # accepts every complement of a line meeting U, as the cap t* does
-    rep = is_ample(space, U.points,
-                   AmpleFamily.size_at_most(q) if fam is None else fam)
+    # one scan gives t* and the verdict: the cap q accepts every
+    # complement of a line meeting U, as the cap t* does
+    rep = is_ample(space, U.points, AmpleFamily.size_at_most(q))
     if not rep.n_meeting:
         raise FuncFieldError("no line meets the unit set")
-    if fam is None:
-        fam = AmpleFamily.size_at_most(rep.t_star)
+    fam = AmpleFamily.size_at_most(rep.t_star)
     return FFCertificate(rep.ample, rep.t_star, q,
                          is_mn_admissible(fam, q, 3, 2), rep.n_meeting, fam)
 

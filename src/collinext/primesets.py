@@ -17,6 +17,7 @@ import numpy as np
 TRIAL_BOUND = 10 ** 6
 R_SEARCH_BOUND = 10 ** 6
 SIEVE_CAP = 10 ** 8   # density bound cap: a 100 MB bool sieve
+CERT_BOUND = 10 ** 4  # construct_remark28 certifies the primes up to this
 
 
 class PrimeSetError(Exception):
@@ -155,15 +156,8 @@ class PrimeSet:
             raise PrimeSetError("membership is defined on primes")
         if self.kind == "cofinite":
             return l not in self.primes
-        if l in (self.r, self.p):
-            return True
-        x = l % self.r
-        acc = 1
-        for _ in range(2 * self.g):
-            acc = acc * x % self.r
-            if acc == 1:
-                return True
-        return False
+        return bool(_residue_order_members(
+            self, np.array([l], dtype=object))[0])
 
 
 @dataclass(frozen=True)
@@ -330,9 +324,9 @@ def _gl_order_mod(n, l, r):
     return out
 
 
-def construct_remark28(g, p, eps, cert_bound=10 ** 4):
+def construct_remark28(g, p, eps):
     """Least r != p with g(2g+1)/eps < r-1, plus the divisibility
-    certificate over the complement primes up to cert_bound.
+    certificate over the complement primes up to CERT_BOUND.
 
     The density of the produced set is at most 2g(2g+1)/(2(r-1)).
     """
@@ -351,13 +345,13 @@ def construct_remark28(g, p, eps, cert_bound=10 ** 4):
     if r is None:
         raise PrimeSetError("no qualifying prime below the search bound")
     ps = PrimeSet.remark28(r, g, p)
-    primes = prime_sieve(cert_bound)
+    primes = prime_sieve(CERT_BOUND)
     checked = [int(l) for l in primes[~_residue_order_members(ps, primes)]]
     fails = [l for l in checked if _gl_order_mod(2 * g, l, r) == 0]
     cert = {
         "r": r,
         "density_bound": Fraction(2 * g * (2 * g + 1), 2 * (r - 1)),
-        "checked_to": int(cert_bound),
+        "checked_to": CERT_BOUND,
         "n_checked": len(checked),
         "all_pass": not fails,
         "first_fail": fails[0] if fails else None,
@@ -367,8 +361,9 @@ def construct_remark28(g, p, eps, cert_bound=10 ** 4):
 
 def _residue_order_members(sigma, primes):
     """Mask of the primes of an array that lie in the residue-order set
-    sigma: r, p, and those whose order mod r is at most 2g."""
-    x = primes.astype(np.int64) % sigma.r
+    sigma: r, p, and those whose order mod r is at most 2g.  The powers
+    are taken in the array's dtype, whose range must hold (r - 1)^2."""
+    x = primes % sigma.r
     acc = np.ones_like(x)
     member = (primes == sigma.r) | (primes == sigma.p)
     for _ in range(2 * sigma.g):

@@ -248,8 +248,8 @@ class ProjSpace:
         if 2 * np.count_nonzero(inU) <= self.n_points:
             return np.bincount(self.pt_lines[inU].ravel(),
                                minlength=self.n_lines)
-        return self.pts_per_line - np.bincount(self.pt_lines[~inU].ravel(),
-                                               minlength=self.n_lines)
+        cnt = np.bincount(self.pt_lines[~inU].ravel(), minlength=self.n_lines)
+        return np.subtract(self.pts_per_line, cnt, out=cnt)
 
     def meet_many(self, ls, ms):
         """Common point of each pair of distinct lines of two arrays, -1

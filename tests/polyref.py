@@ -260,6 +260,14 @@ def divisor_of(fn):
     return DivisorP1(f, mults)
 
 
+def divisor_sum(a, b):
+    """The divisor a + b, multiplicities added point by point."""
+    mults = a.items()
+    for pt, m in b.items().items():
+        mults[pt] = mults.get(pt, 0) + m
+    return DivisorP1(a.field, mults)
+
+
 def shift_survivors(fn, E):
     """Constants c with f - c a unit along E (no zero or pole there)."""
     f = fn.field

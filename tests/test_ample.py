@@ -302,20 +302,21 @@ def test_ample_counts_match_slow_recount():
             assert cnt == in_cnt[l]
             if cnt:
                 slow_meet.append(l)
-        assert slow_meet == list(map(int, meeting))
+        assert slow_meet == np.flatnonzero(meeting).tolist()
 
 
 @pytest.mark.parametrize("off_line,meeting,bound",
-                         [(False, 3 * 1022 + 1, 7), (True, 698026, 24)],
+                         [(False, 3 * 1022 + 1, 7), (True, 698026, 9)],
                          ids=["line", "off_line"])
 def test_is_ample_line_peak_memory(off_line, meeting, bound):
     # P^10(F_2) has 698027 lines.  For U a line, gathering every line's
     # points peaked at 7.4 MB, and counting from the pencils of the 2044
     # points off it at 29.3 MB; its three pencils hold the [L] counts and
-    # the meeting mask, 6.0 MB.  For U the points off a line, the [L]
-    # counts, meeting lines and complements peak at 21.3 MB; counting
-    # from the pencils of U would add the 2044 pencils, 8.4 MB, and their
-    # int64 copy
+    # the meeting mask, 6.0 MB.  For U the points off a line, the same
+    # 6.0 MB: t* and the verdict are read off the [L] counts through the
+    # mask, where int64 copies of the meeting lines and their complements
+    # peaked at 21.3 MB; counting from the pencils of U would add the 2044
+    # pencils, 8.4 MB, and their int64 copy
     S = space_of(make_field(2), 11)
     U = S.line_pts[5]
     if off_line:

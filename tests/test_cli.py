@@ -172,6 +172,19 @@ def test_out_file_quiet_stdout(tmp_path, capsys):
     assert rep["trials"][0]["desargues_checked"] == 13440
 
 
+@pytest.mark.parametrize("where", ["missing dir", "a directory"])
+def test_out_unwritable_is_rejected(where, tmp_path, capsys):
+    # writing the report to a path that cannot be opened ended in a
+    # FileNotFoundError traceback and exit 1
+    dest = tmp_path / "no" / "x.json" if where == "missing dir" else tmp_path
+    code = cli.main(["--cmd", "extend", "--q", "5", "--d", "3",
+                     "--trials", "1", "--out", str(dest)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("rejected: --out: ") and str(dest) in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # rejections and failure exit
 # ---------------------------------------------------------------------------

@@ -35,6 +35,17 @@ def minus(S, removed):
     return [p for p in range(S.n_points) if p not in removed]
 
 
+def partial(S, sigma, tau):
+    """The partial collineation of {index: image} dicts sigma and tau, as
+    the -1-padded arrays the constructor takes."""
+    maps = []
+    for m, n in ((sigma, S.n_points), (tau, S.n_lines)):
+        arr = np.full(n, -1, dtype=np.int64)
+        arr[list(m)] = list(m.values())
+        maps.append(arr)
+    return PartialCollineation(S, *maps)
+
+
 def meeting_lines(pc):
     """The lines through a point of U1, by a loop over every line."""
     S = pc.space
@@ -94,6 +105,16 @@ def test_validate_concurrency_exhaustive():
     assert validate_partial(pc, concurrency="exhaustive").ok
 
 
+@pytest.mark.parametrize("mode", ["sampled", "Exhaustive", True, 0])
+def test_validate_refuses_unknown_concurrency(mode):
+    # an unknown string fell through to a seeded sample of 300 pairs
+    S = space(5, 1)
+    pc = restrict(SemilinearIso(S, np.eye(3, dtype=int), 0), minus(S, {11}))
+    with pytest.raises(ExtendError, match="concurrency must be None or "
+                       "'exhaustive'"):
+        validate_partial(pc, concurrency=mode)
+
+
 # ---------------------------------------------------------------------------
 # pointwise extension
 # ---------------------------------------------------------------------------
@@ -122,8 +143,8 @@ def test_extend_point_matches_known_matrix():
 
 def test_extend_point_needs_two_lines():
     S = space(5, 1)
-    pc = PartialCollineation(S, {0: 0}, {int(l): int(l)
-                                         for l in np.nonzero(S.on_line[0])[0]})
+    pc = partial(S, {0: 0}, {int(l): int(l)
+                             for l in np.nonzero(S.on_line[0])[0]})
     with pytest.raises(ExtendError, match="ampleness violated"):
         extend_point(pc, 14)
 
@@ -275,27 +296,39 @@ def _malformed_maps(S):
         "sigma entry P": (np.where(np.arange(P) == 3, P, ok_sigma), ok_tau),
         "tau entry -2": (ok_sigma, np.where(np.arange(L) == 3, -2, ok_tau)),
         "tau entry L": (ok_sigma, np.where(np.arange(L) == 3, L, ok_tau)),
+        "sigma float": (np.r_[0.7, 1.2, ok_sigma[2:]], ok_tau),
+        "sigma whole floats": (ok_sigma.astype(float), ok_tau),
+        "tau float": (ok_sigma, np.r_[0.7, 1.2, ok_tau[2:]]),
+        "sigma bool": (ok_sigma >= 0, ok_tau),
     }
 
 
 @pytest.mark.parametrize("case", sorted(_malformed_maps(space(3, 1))))
 def test_partial_refuses_malformed_maps(case):
     # out-of-range keys once ended in an IndexError inside validation, or
-    # (-1) silently aliased the last point
+    # (-1) silently aliased the last point; the dict cases now stand for
+    # the dict form, which is refused whole
     S = space(3, 1)
     sigma, tau = _malformed_maps(S)[case]
     with pytest.raises(ExtendError):
         PartialCollineation(S, sigma, tau)
 
 
-def test_partial_accepts_dicts_and_arrays_alike():
+def test_partial_takes_index_arrays_only():
     S = space(3, 1)
     full = restrict(SemilinearIso(S, np.eye(3, dtype=int), 0), [0, 5, 9])
-    sigma = {int(p): int(full.sigma[p]) for p in full.U1}
-    tau = {int(l): int(full.tau[l]) for l in meeting_lines(full)}
-    pc = PartialCollineation(S, sigma, tau)
-    assert (pc.sigma == full.sigma).all() and (pc.tau == full.tau).all()
-    assert pc.sigma.dtype == pc.tau.dtype == np.int64
+    for sigma, tau in ((full.sigma, full.tau),
+                       (full.sigma.tolist(), full.tau.astype(np.int32))):
+        pc = PartialCollineation(S, sigma, tau)
+        assert (pc.sigma == full.sigma).all() and (pc.tau == full.tau).all()
+        assert pc.sigma.dtype == pc.tau.dtype == np.int64
+    # a dict is not an index map, and neither is a float array: one was
+    # truncated, 0.7 read as 0
+    with pytest.raises(ExtendError, match="sigma is not an integer map"):
+        PartialCollineation(S, {int(p): int(full.sigma[p]) for p in full.U1},
+                            full.tau)
+    with pytest.raises(ExtendError, match="tau is not an integer map"):
+        PartialCollineation(S, full.sigma, full.tau + 0.2)
     # the constructor copies: editing its input leaves the map alone
     arr = full.sigma.copy()
     pc = PartialCollineation(S, arr, full.tau)
@@ -503,7 +536,7 @@ def test_brute_force_small_plane_full_group():
     # sigma fixed on a single point of P2(F2): the point stabilizer in
     # PGL(3,2) has 168 / 7 = 24 elements
     S = space(2, 1)
-    pc = PartialCollineation(S, {0: 0}, {int(l): int(l)
-                                         for l in np.nonzero(S.on_line[0])[0]})
+    pc = partial(S, {0: 0}, {int(l): int(l)
+                             for l in np.nonzero(S.on_line[0])[0]})
     exts = brute_force_extensions(pc)
     assert len(exts) == 24

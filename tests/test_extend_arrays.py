@@ -28,7 +28,6 @@ from collinext.extend import (
     PartialCollineation,
     ValidationReport,
     _extend_points,
-    _line_pairs,
     brute_force_extensions,
     extend,
     extend_point,
@@ -36,7 +35,7 @@ from collinext.extend import (
     restrict,
     validate_partial,
 )
-from test_extend import meeting_lines
+from test_extend import meeting_lines, partial
 
 E = importlib.import_module("collinext.extend")
 
@@ -58,7 +57,7 @@ def as_dict(m):
     return {i: v for i, v in enumerate(m.tolist()) if v >= 0}
 
 
-def ref_validate(pc, concurrency="sampled", samples=300, seed=0):
+def ref_validate(pc, concurrency=None):
     S = pc.space
     sigma, tau = as_dict(pc.sigma), as_dict(pc.tau)
     if not len(pc.U1):
@@ -92,7 +91,7 @@ def ref_validate(pc, concurrency="sampled", samples=300, seed=0):
             return ValidationReport(False, "Step1: image line misses the "
                                     "image point", (p,))
     if concurrency:
-        for l, m in ref_line_pairs(meeting, concurrency, samples, seed):
+        for l, m in itertools.combinations(meeting, 2):
             x = S.meet_t[l, m]
             y = S.meet_t[tau[l], tau[m]]
             if x >= 0 and y < 0:
@@ -103,19 +102,6 @@ def ref_validate(pc, concurrency="sampled", samples=300, seed=0):
                     False, "Step2-1: image lines miss the image of the "
                     "common point", (l, m))
     return ValidationReport(True, "", None)
-
-
-def ref_line_pairs(meeting, mode, samples, seed):
-    n = len(meeting)
-    if mode == "exhaustive" or n * (n - 1) // 2 <= samples:
-        return list(itertools.combinations(meeting, 2))
-    rng = np.random.default_rng(seed)
-    out = []
-    while len(out) < samples:
-        i, j = rng.integers(0, n, size=2)
-        if i != j:
-            out.append((meeting[int(i)], meeting[int(j)]))
-    return out
 
 
 def ref_extend_point(pc, p, seq):
@@ -248,10 +234,12 @@ def test_validate_matches_reference(p, n, d):
         U, _ = random_ample_instance(S, 1, rng)
         pc = restrict(iso, U)
         cases = [("clean", pc)] + _mutations(S, pc, rng)
+        # the reference's loop over every pair is too slow at d = 4
+        concs = (None, "exhaustive") if d == 3 else (None,)
         for label, m in cases:
-            for conc in (None, "sampled"):
-                got = validate_partial(m, concurrency=conc, seed=3)
-                want = ref_validate(m, concurrency=conc, seed=3)
+            for conc in concs:
+                got = validate_partial(m, concurrency=conc)
+                want = ref_validate(m, concurrency=conc)
                 assert got == want, (label, conc)
                 assert got.witness is None or all(
                     type(w) is int for w in got.witness)
@@ -313,8 +301,9 @@ def test_validate_random_mutations_match_reference(pnd, seed, ops):
     pc = restrict(random_semilinear(S, rng), random_ample_instance(S, 1, rng)[0])
     for op in ops:
         _mutate(S, pc, rng, op)
-    want = ref_validate(pc, seed=seed)
-    assert validate_partial(pc, seed=seed) == want
+    conc = "exhaustive" if pnd[2] == 3 else None
+    want = ref_validate(pc, concurrency=conc)
+    assert validate_partial(pc, concurrency=conc) == want
     assert not want.reason.startswith("Step1")
     # the intersection identity already puts sigma(x) on both images
     assert "miss the image of the common point" not in want.reason
@@ -342,18 +331,6 @@ def test_step1_is_never_the_first_failure():
     assert len(reasons) == 5 and min(reasons.values()) >= 20, reasons
 
 
-@pytest.mark.parametrize("n,samples", [(0, 5), (1, 5), (4, 6), (4, 5),
-                                       (30, 300), (31, 300), (200, 50)])
-def test_line_pairs_match_reference_stream(n, samples):
-    meeting = sorted(np.random.default_rng(n).choice(1000, n, replace=False))
-    for mode in ("exhaustive", "sampled"):
-        for seed in (0, 9):
-            got = _line_pairs(meeting, mode, samples, seed)
-            want = ref_line_pairs(meeting, mode, samples, seed)
-            assert got.shape == (len(want), 2)
-            assert got.tolist() == [list(w) for w in want]
-
-
 @pytest.mark.parametrize("chunk", [16, _kernels._CHUNK])
 def test_validate_catches_skew_images(chunk, monkeypatch):
     # U1 = {a, b} in P^3(F_3): a line through a alone only has to go to a
@@ -367,11 +344,9 @@ def test_validate_catches_skew_images(chunk, monkeypatch):
     pc = restrict(SemilinearIso(S, np.eye(4, dtype=int), 0), [a, b])
     thru = [l for l in S.pt_lines[a] if b not in S.line_pts[l]]
     pc.tau[thru] = pc.tau[np.roll(thru, 1)]
-    for conc in ("exhaustive", "sampled"):
-        want = ref_validate(pc, concurrency=conc, samples=40, seed=5)
-        assert want.reason == "Step2-1: images not concurrent"
-        assert validate_partial(pc, concurrency=conc, samples=40,
-                                seed=5) == want
+    want = ref_validate(pc, concurrency="exhaustive")
+    assert want.reason == "Step2-1: images not concurrent"
+    assert validate_partial(pc, concurrency="exhaustive") == want
     assert validate_partial(pc, concurrency=None).ok
 
 
@@ -446,7 +421,7 @@ def test_extend_point_errors_match_reference():
     with pytest.raises(ExtendError, match="ampleness"):
         extend_point(pc, 14, order=[])
     # on a projective line every point lies on the one line
-    pc = PartialCollineation(space(5, 1, 2), {0: 0, 1: 1}, {0: 0})
+    pc = partial(space(5, 1, 2), {0: 0, 1: 1}, {0: 0})
     with pytest.raises(ExtendError, match="ampleness"):
         ref_extend_point(pc, 3, pc.U1)
     with pytest.raises(ExtendError, match="ampleness"):
@@ -546,7 +521,7 @@ def test_restrict_extend_decode_roundtrip(pnd, seed):
 def test_brute_force_point_stabilizers_off_the_plane():
     # PGL(2,3) has 24 elements and PGL(4,2) has 20160; a point stabilizer
     # is 1/4 and 1/15 of that
-    pc = PartialCollineation(space(3, 1, 2), {0: 0}, {})
+    pc = partial(space(3, 1, 2), {0: 0}, {})
     assert len(brute_force_extensions(pc)) == 6
-    pc = PartialCollineation(space(2, 1, 4), {0: 0}, {})
+    pc = partial(space(2, 1, 4), {0: 0}, {})
     assert len(brute_force_extensions(pc)) == 1344

@@ -13,7 +13,7 @@ from collinext.gf import (field_of_order, irreducible_monics, make_field,
                           mat_apply)
 from collinext.projgeom import ProjSpace
 from collinext._kernels import pair_mult_scan
-from collinext.ample import AmpleFamily, is_mn_admissible
+from collinext.ample import AmpleFamily, is_ample, is_mn_admissible
 from collinext.extend import extend
 from collinext.funcfield import (
     ClosedPointP1,
@@ -29,9 +29,10 @@ from collinext.funcfield import (
     unit_subset,
 )
 from collinext.semilinear import SemilinearIso
-from polyref import (RatFunc, apply_psi, coords_of, divisor_of, func_of,
-                     mult, padd, pdivmod, peval, pfactor, pgcd, pmonic, pmul,
-                     ppow, pscale, ptrim, shift_survivors, valuation)
+from polyref import (RatFunc, apply_psi, coords_of, divisor_of, divisor_sum,
+                     func_of, mult, padd, pdivmod, peval, pfactor, pgcd,
+                     pmonic, pmul, ppow, pscale, ptrim, shift_survivors,
+                     valuation)
 
 
 def rand_poly(f, rng, deg):
@@ -234,7 +235,7 @@ def test_divisor_additive_on_products():
     rng = np.random.default_rng(4)
     for _ in range(60):
         a, b = rand_func(f, rng), rand_func(f, rng)
-        assert divisor_of(a * b) == divisor_of(a) + divisor_of(b)
+        assert divisor_of(a * b) == divisor_sum(divisor_of(a), divisor_of(b))
 
 
 def test_valuation_matches_divisor():
@@ -369,11 +370,14 @@ def test_ample_certificate_demo_and_small_q():
     assert cert.ample and cert.t_star == 2 and cert.extendable
     assert cert.n_meeting == 181   # two removed-condition lines are exempt
 
-    # explicit family: checked as given, t_star still the exact worst case
-    loose = ample_certificate(unit_subset(D, E), AmpleFamily.size_at_most(3))
-    assert loose.ample and loose.t_star == 2 and loose.extendable
-    assert loose.family.t == 3
-    tight = ample_certificate(unit_subset(D, E), AmpleFamily.size_at_most(1))
+    assert cert.family == AmpleFamily.size_at_most(2)
+    # a family of the caller's own is checked by is_ample, t* still the
+    # exact worst case
+    U = unit_subset(D, E)
+    loose = is_ample(U.space, U.points, AmpleFamily.size_at_most(3))
+    assert loose.ample and loose.t_star == 2
+    assert is_mn_admissible(AmpleFamily.size_at_most(3), 13, 3, 2)
+    tight = is_ample(U.space, U.points, AmpleFamily.size_at_most(1))
     assert not tight.ample and tight.t_star == 2
 
     f5 = make_field(5)
@@ -383,9 +387,10 @@ def test_ample_certificate_demo_and_small_q():
     assert cert5.ample and cert5.t_star == 2
     assert not cert5.extendable    # 5 <= 3*2 + 1
     # the empty-only family is the cap 0, and its margin is that of t = 0
-    only = ample_certificate(unit_subset(D5, E5), AmpleFamily.size_at_most(0))
+    U5 = unit_subset(D5, E5)
+    only = is_ample(U5.space, U5.points, AmpleFamily.size_at_most(0))
     assert not only.ample and only.t_star == 2
-    assert only.extendable         # 5 > 3*0 + 1
+    assert is_mn_admissible(AmpleFamily.size_at_most(0), 5, 3, 2)  # 5 > 1
 
     Ufull = unit_subset(D5, set())
     cfull = ample_certificate(Ufull)
@@ -405,27 +410,29 @@ def test_ample_certificate_scans_the_lines_once(monkeypatch):
             monkeypatch.setattr(mod, "lines_meeting", counted)
     _, D, E, _, _ = demo_instance("q13")
     U = unit_subset(D, E)
-    for fam in (None, AmpleFamily.size_at_most(1)):
-        calls.clear()
-        ample_certificate(U, fam)
-        assert len(calls) == 1, fam
+    ample_certificate(U)
+    assert len(calls) == 1
 
 
 def test_ample_certificate_margin_is_the_family_admissibility():
-    # P(L(2(t-1))) over GF(5) with E empty has t* = 0; the explicit family
-    # of all subsets of size <= 2 is (3,2)-admissible exactly when
-    # size_at_most(2) is, and neither is at q = 5 (5 <= 3*2 + 1)
+    # P(L(2(t-1))) over GF(5) with E empty has t* = 0, certified with the
+    # cap 0 and its margin; the explicit family of all subsets of size
+    # <= 2 passes is_ample like size_at_most(2), and is (3,2)-admissible
+    # exactly when that is: neither is at q = 5 (5 <= 3*2 + 1)
     f5 = make_field(5)
     D5 = DivisorP1(f5, {ClosedPointP1.finite(f5, (f5.neg(1), 1)): 2})
     U = unit_subset(D5, set())
+    cert = ample_certificate(U)
+    assert cert.ample and cert.t_star == 0
+    assert cert.family == AmpleFamily.size_at_most(0)
+    assert cert.extendable == is_mn_admissible(cert.family, 5, 3, 2) is True
     small = AmpleFamily.explicit(
         [s for k in range(3) for s in itertools.combinations(range(6), k)], 5)
     sized = AmpleFamily.size_at_most(2)
-    cert, cert_sized = ample_certificate(U, small), ample_certificate(U, sized)
-    assert cert.t_star == cert_sized.t_star == 0
-    assert cert.ample and cert_sized.ample
-    assert cert.extendable == is_mn_admissible(small, 5, 3, 2) is False
-    assert cert_sized.extendable == is_mn_admissible(sized, 5, 3, 2) is False
+    for fam in (small, sized):
+        rep = is_ample(U.space, U.points, fam)
+        assert rep.ample and rep.t_star == 0
+        assert is_mn_admissible(fam, 5, 3, 2) is False
 
 
 # ---------------------------------------------------------------------------

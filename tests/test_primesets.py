@@ -101,6 +101,41 @@ def test_remark28_membership_vs_modular_exponentiation():
             assert ps.contains(l) == direct, (r, g, p, l)
 
 
+def ref_residue_order_member(ps, l):
+    """PrimeSet.contains for the residue-order kind as a loop over the
+    powers of l mod r, in Python ints."""
+    if l in (ps.r, ps.p):
+        return True
+    x, acc = l % ps.r, 1
+    for _ in range(2 * ps.g):
+        acc = acc * x % ps.r
+        if acc == 1:
+            return True
+    return False
+
+
+def test_remark28_membership_matches_scalar_loop():
+    # primes up to 2^64 - 59, the largest below 2^64, and moduli r to
+    # the same size; contains goes through the sieve-side mask, which
+    # cast its primes to int64 and so wrapped 2^63 and above
+    top = 2 ** 64 - 59
+    ls = [2, 3, 13, 53, 2 ** 31 - 1, 2 ** 61 - 1, 2 ** 63 + 29, top]
+    ls += list(map(int, prime_sieve(2000)))
+    for r, g, p in [(13, 1, 2), (211, 2, 2), (7, 3, 13), (2 ** 61 - 1, 2, 3),
+                    (top, 1, 2), (2 ** 63 + 29, 3, top)]:
+        ps = PrimeSet.remark28(r, g, p)
+        for l in ls:
+            assert ps.contains(l) == ref_residue_order_member(ps, l), (r, l)
+    assert PrimeSet.remark28(13, 1, 2).contains(top) == (top % 13 in (1, 12))
+    # the mask over a sieve, and over uint64 primes at and above 2^63
+    big = np.array([2 ** 63 + 29, top], dtype=np.uint64)
+    for r, g in [(13, 1), (211, 2), (7, 3), (1009, 4)]:
+        ps = PrimeSet.remark28(r, g, 2)
+        for primes in (prime_sieve(10 ** 4), big):
+            assert primesets._residue_order_members(ps, primes).tolist() == [
+                ref_residue_order_member(ps, int(l)) for l in primes], r
+
+
 def test_remark28_small_members_frozen():
     # members of the (r=13, g=1) set are {2, 13} plus primes = +-1 mod 13
     ps = PrimeSet.remark28(13, 1, 2)
@@ -267,13 +302,13 @@ def test_construct_g1():
 
 
 def test_construct_g2():
-    ps, _ = construct_remark28(2, 3, Fraction(1, 20), cert_bound=200)
+    ps, _ = construct_remark28(2, 3, Fraction(1, 20))
     assert ps.r == 211
 
 
 def test_construct_skips_p_and_rejects():
     # with p = 13 the least qualifying prime moves past 13
-    ps, _ = construct_remark28(1, 13, Fraction(3, 10), cert_bound=100)
+    ps, _ = construct_remark28(1, 13, Fraction(3, 10))
     assert ps.r == 17
     with pytest.raises(PrimeSetError, match="no qualifying"):
         construct_remark28(1, 2, Fraction(1, 10 ** 9))
@@ -301,11 +336,12 @@ def ref_remark28_certificate(ps, cert_bound):
             "all_pass": all_pass, "first_fail": first_fail}
 
 
-def test_certificate_matches_per_prime_loop():
+def test_certificate_matches_per_prime_loop(monkeypatch):
     for g, p, eps, cert_bound in itertools.product(
             (1, 2, 3), (2, 3, 13), (Fraction(3, 10), Fraction(1, 20), 2),
             (1, 2, 97, 3000)):
-        ps, cert = construct_remark28(g, p, eps, cert_bound=cert_bound)
+        monkeypatch.setattr(primesets, "CERT_BOUND", cert_bound)
+        ps, cert = construct_remark28(g, p, eps)
         assert cert == ref_remark28_certificate(ps, cert_bound), (g, p, eps)
 
 
