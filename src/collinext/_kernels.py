@@ -135,8 +135,9 @@ def matrix_filter(mats, reps, expect, space):
 # remainder classes, the product check on the in-range pairs only
 # ---------------------------------------------------------------------------
 
-def pair_mult_scan(nums, psin, psi_m, mu, mpoly, degcap, mul_t, add_t, neg_t):
-    """Check psi(f g) = psi(f) psi(g) over all in-range pairs.
+def pair_mult_scan(nums, psin, psi_m, mu, mpoly, degcap, f):
+    """Check psi(a b) = psi(a) psi(b) over all in-range pairs of
+    functions, with coefficients in the field f.
 
     nums[i] holds the numerator coefficients of function i over the fixed
     monic denominator mpoly; psin[i] the numerator of its psi image; psi_m
@@ -151,12 +152,13 @@ def pair_mult_scan(nums, psin, psi_m, mu, mpoly, degcap, mul_t, add_t, neg_t):
     Returns (n_in_range, bad_i, bad_j): with every pair agreeing, the
     in-range count and -1 markers; otherwise the first failing pair, with
     n_in_range counting the in-range pairs up to and including it."""
+    mul_t, add_t = f.mul_t, f.add_t
     N, md = nums.shape
     mpoly = np.asarray(mpoly)
     dm = len(mpoly) - 1
     clen = 2 * md - 1
-    sub_t = neg_t[mul_t[:, mpoly]]
-    # Over a field deg(f g) = deg f + deg g, and mpoly divides f g exactly
+    sub_t = f.neg_t[mul_t[:, mpoly]]
+    # Over a field deg(a b) = deg a + deg b, and mpoly divides a b exactly
     # when it divides the product of their remainders, whatever nonzero
     # constants scale them; so the range test needs only per-row degrees
     # and remainder classes.  A zero row is never in range.
@@ -167,8 +169,8 @@ def pair_mult_scan(nums, psin, psi_m, mu, mpoly, degcap, mul_t, add_t, neg_t):
     lead = np.zeros(N, dtype=res.dtype)
     for k in range(dm):
         lead = np.where(res[:, k] != 0, res[:, k], lead)
-    res = mul_t[(mul_t == 1).argmax(axis=1)[lead][:, None], res]
-    _, first, cls = np.unique(res @ len(mul_t) ** np.arange(dm),
+    res = mul_t[f.inv_t[lead][:, None], res]
+    _, first, cls = np.unique(res @ f.q ** np.arange(dm),
                               return_index=True, return_inverse=True)
     C = len(first)
     zero = np.empty(C * C, dtype=bool)   # class pair -> mpoly | product
@@ -188,9 +190,7 @@ def pair_mult_scan(nums, psin, psi_m, mu, mpoly, degcap, mul_t, add_t, neg_t):
         a += s
         prod = _polymul(nums[a], nums[b], clen, mul_t, add_t)
         muq = mu[_polydiv(prod, sub_t, add_t)[0][:, :md]]
-        img = 0   # psi of the quotient: psi_m . mu[quo]
-        for j in range(md):
-            img = add_t[img, mul_t[psi_m[:, j], muq[:, j, None]]]
+        img = mat_apply(f, psi_m, muq)   # psi of the quotient
         lhs = _polymul(img, mpoly[None], clen, mul_t, add_t)
         rhs = _polymul(psin[a], psin[b], clen, mul_t, add_t)
         bad = (lhs != rhs).any(axis=1)

@@ -295,14 +295,13 @@ def restrict(mapping, U1):
 
 def _span_codes(S, rows):
     """Vector codes of the q^k linear combinations of the k rows of each
-    [m, k, d] stack, as an [m, q^k] array."""
-    f, q, d = S.field, S.q, S.d
-    span = np.zeros((len(rows), 1, d), dtype=np.int32)
-    for i in range(rows.shape[1]):
-        span = f.add_t[span[:, :, None], f.mul_t[
-            np.arange(q)[:, None], rows[:, None, None, i]]]
-        span = span.reshape(len(rows), -1, d)
-    return S._vector_code(span)
+    [m, k, d] stack, as an [m, q^k] array: one mat_apply of each stack
+    against the q^k coefficient vectors, the first most significant."""
+    q, k = S.q, rows.shape[1]
+    if not k:
+        return np.zeros((len(rows), 1), dtype=np.int64)
+    coef = np.indices((q,) * k).reshape(k, -1).T
+    return S._vector_code(mat_apply(S.field, rows.swapaxes(1, 2), coef))
 
 
 def _flat_points(space, gens):
@@ -366,18 +365,14 @@ def _frame_in(S, U1):
     away are searched: b_j gives way to a point w with x_wj != 0, and u is
     a unit of the new basis when x_uj != 0 and x_ui x_wj != x_wi x_uj for
     every i != j."""
-    f, pts = S.field, S.pts[U1]
-    basis = []
-    for _ in range(S.d):
-        inspan = np.isin(S._vector_code(pts),
-                         _span_codes(S, S.pts[basis][None])[0])
-        if inspan.all():
-            break
-        basis.append(int(U1[np.argmin(inspan)]))
+    f = S.field
+    # the pivot columns of the rref of U1's columns are the greedy basis,
+    # and the reduced columns are the coordinates x of U1 in it: v = x B
+    R, pivots = rref(f, S.pts[U1].T)
+    basis = [int(U1[c]) for c in pivots]
     if len(basis) < S.d:
         return basis, None
-    # coordinates x of v in the basis rows B: v = x B
-    x = mat_apply(f, mat_inv(f, S.pts[basis]).T, pts)
+    x = R.T
     full = (x != 0).all(axis=1)
     if full.any():
         return basis, int(U1[np.argmax(full)])

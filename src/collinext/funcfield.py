@@ -332,7 +332,7 @@ def recover_ring_iso(result, unit, truth=None):
     degcap = deg_m + rr.dim - 1
     mpoly = np.array(rr.mpoly, dtype=np.int64)
     n_pairs, bad_i, bad_j = pair_mult_scan(
-        nums, psin, psi, row, mpoly, degcap, f.mul_t, f.add_t, f.neg_t)
+        nums, psin, psi, row, mpoly, degcap, f)
     if bad_i >= 0:
         raise FuncFieldError(
             "multiplicativity fails for classes %d and %d" % (bad_i, bad_j))

@@ -5,12 +5,12 @@ addressed by an index in a fixed enumeration (leading position ascending,
 then remaining coordinates lexicographic).  A line is its row of point
 indices, b0 + c b1 at column c < q and b1 at column q for its reduced
 row-echelon basis (b0, b1), in ascending order; it is looked up by its
-end points, b0 and b1.  A space is built with its points, lines and
-pencils; the dense point-on-line mask and the join/meet lookup tables
-that the sweeps read are built on first read.  Above their caps the
-join/meet tables are None.  Every table is read-only, so one space can
-serve every caller: space_of keeps the four last asked for and hands the
-same space to each command that works in P(k^d).
+end points, b0 and b1, and built from them by index arithmetic alone.
+A space is built with its points, lines and pencils; the point-on-line
+mask and the join/meet tables that the sweeps read are built on first
+read, and are None above their caps.  Every table is read-only, so one
+space can serve every caller: space_of keeps the four last asked for
+and hands the same space to each command that works in P(k^d).
 """
 
 from dataclasses import dataclass
@@ -24,7 +24,7 @@ P_CAP = 10_000          # hard point-count cap, desk scale
 _JOIN_TABLE_CAP = 2048  # P x P join table below this many points
 _MEET_TABLE_CAP = 2048  # L x L meet table below this many lines
 TRIPLE_CAP = 4_000_000  # ordered non-collinear triples an exhaustive sweep takes
-_LINE_CHUNK = 1 << 15   # lines spanned per slice of the line build
+_LINE_CHUNK = 1 << 15   # line entries per slice of the pencil build
 
 
 class GeomError(Exception):
@@ -103,35 +103,41 @@ class ProjSpace:
     def _build_lines(self):
         # the basis (b0, b1) of a line in reduced row-echelon form, with
         # pivots j0 < j1, is a point with lead j0 and a zero at j1 and a
-        # point with lead j1; b0 outer, each in point order.  The points
-        # with lead j are offs[j] .. offs[j + 1] - 1, so the line of
-        # (b0, b1) is _line_base[b0, j1] + b1; a pair that is no such basis
-        # meets a sentinel below -(L + P).
-        P, L, d = self.n_points, self.n_lines, self.d
+        # point with lead j1; b0 outer, each in point order, so the line
+        # of (b0, b1) is _line_base[b0, j1] + b1; a pair that is no such
+        # basis meets a sentinel below -(L + P).  Row l is b0 + c b1 at
+        # column c < q, then b1, which is ascending.  With M = q^m for the
+        # m digits after j1, u of b0 and v of b1, b0 + c b1 is b0 with c
+        # at j1 and u + c v after it: its index is b0 + c M + code(u + c v)
+        # - u, and the [M, M] code table is no larger than the block.
+        f, q, d = self.field, self.q, self.d
+        P, L = self.n_points, self.n_lines
         ends = np.append(self._offs, P)
-        r0 = np.empty(L, dtype=np.int32)
-        r1 = np.empty(L, dtype=np.int32)
         self._line_base = np.full((P, d), -(L + P) - 1, dtype=np.int64)
+        lp = np.empty((L, q + 1), dtype=np.int32)
         s = 0
         for j0 in range(d):
-            lead0 = self.pts[ends[j0]:ends[j0 + 1]]
             for j1 in range(j0 + 1, d):
-                i0 = ends[j0] + np.flatnonzero(lead0[:, j1] == 0)
-                i1 = np.arange(ends[j1], ends[j1 + 1])
-                e = s + len(i0) * len(i1)
-                r0[s:e] = np.repeat(i0, len(i1))
-                r1[s:e] = np.tile(i1, len(i0))
-                self._line_base[i0, j1] = np.arange(s, e, len(i1)) - ends[j1]
+                m, M = d - 1 - j1, q ** (d - 1 - j1)
+                # [h, u]: the points with lead j0 and digit 0 at j1
+                i0 = np.arange(ends[j0], ends[j0 + 1],
+                               dtype=np.int32).reshape(-1, q, M)[:, 0]
+                e = s + i0.size * M
+                self._line_base[i0.ravel(), j1] = np.arange(s, e, M) - ends[j1]
+                block = lp[s:e].reshape(-1, M, M, q + 1)   # [h, u, v, c]
+                block[..., 0] = i0[..., None]
+                block[..., q] = ends[j1] + np.arange(M)
+                dig = self.pts[ends[j1]:ends[j1 + 1], j1 + 1:]   # [v, digit]
+                for c in range(1, q):
+                    cv = f.mul_t[c, dig]
+                    tail = np.zeros((M, M), dtype=np.int32)
+                    for k in range(m):   # code(u + c v), digit by digit
+                        tail *= q
+                        tail += f.add_t[dig[:, k, None], cv[:, k]]
+                    tail += c * M - np.arange(M, dtype=np.int32)[:, None]
+                    np.add(i0[..., None], tail, out=block[..., c])
                 s = e
         assert s == L
-        # row l is in parameter order and strictly increasing: b0 + c b1
-        # has lead j0 and digit c at j1, and b1 (column q) has lead j1.
-        # Spanned a slice at a time, so the [n, d] basis gathers and their
-        # field sums stay small next to the rows kept.
-        lp = np.empty((L, self.pts_per_line), dtype=np.int32)
-        for s in range(0, L, _LINE_CHUNK):
-            cut = slice(s, s + _LINE_CHUNK)
-            lp[cut] = self.span_points(self.pts[r0[cut]], self.pts[r1[cut]])
         self.line_pts = lp
 
     def _build_incidence(self):
@@ -218,15 +224,6 @@ class ProjSpace:
         """Point index of every vector code, int32, -1 for the zero vector;
         one read-only table built with the space."""
         return self._point_of
-
-    def span_points(self, b0, b1):
-        """Points of span(b0[i], b1[i]) for [n, d] stacks of independent
-        vectors, as an [n, q + 1] array: b0 + c b1 for c < q, then b1."""
-        f = self.field
-        cols = [self.canon_index_many(f.add_t[b0, f.mul_t[c, b1]])
-                for c in range(self.q)]
-        cols.append(self.canon_index_many(b1))
-        return np.stack(cols, axis=1)
 
     def line_of(self, a, b):
         """Line whose lowest point is a and highest point is b,

@@ -27,9 +27,13 @@ class SemilinearIso:
             raise SemilinearError("space must be a ProjSpace")
         self.space = space
         self.field = space.field
-        mat = np.asarray(mat, dtype=np.int64)
+        mat = np.asarray(mat)
         if mat.shape != (space.d, space.d):
             raise SemilinearError("matrix must be %d x %d" % (space.d, space.d))
+        if mat.dtype.kind not in "iu" or mat.min() < 0 or mat.max() >= space.q:
+            raise SemilinearError("matrix entries must be field indices, "
+                                  "integers in [0, %d)" % space.q)
+        mat = mat.astype(np.int64)
         if len(rref(self.field, mat)[1]) != space.d:
             raise SemilinearError("matrix is singular")
         self.mat = mat

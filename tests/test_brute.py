@@ -15,10 +15,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from collinext import _kernels
 from collinext.ample import AmpleFamily
-from collinext.gf import make_field, mat_apply, rref
+from collinext.gf import make_field, mat_apply, mat_inv, rref
 from collinext.primesets import gl_order
 from collinext.projgeom import ProjSpace
 from collinext.semilinear import Collineation, SemilinearIso, random_semilinear
@@ -308,6 +309,84 @@ def test_frame_search_finds_every_frame_in_the_plane():
             assert set(basis + [unit]) <= set(U.tolist())
         found.add(framed)
     assert found == {False, True}
+
+
+def ref_frame_in(S, U1):
+    """_frame_in as a greedy loop: each basis point is the first point of
+    U1 off the span of those before it, that span listed as its q^k
+    combinations, and x is the inverse of the basis applied to U1."""
+    f, q, d, pts = S.field, S.q, S.d, S.pts[U1]
+    basis = []
+    for _ in range(d):
+        span = np.zeros((1, d), dtype=np.int64)
+        for b in S.pts[basis]:
+            span = f.add_t[span[:, None], f.mul_t[np.arange(q)[:, None], b]]
+            span = span.reshape(-1, d)
+        inspan = np.isin(S._vector_code(pts), S._vector_code(span))
+        if inspan.all():
+            break
+        basis.append(int(U1[np.argmin(inspan)]))
+    if len(basis) < d:
+        return basis, None
+    x = mat_apply(f, mat_inv(f, S.pts[basis]).T, pts)
+    full = (x != 0).all(axis=1)
+    if full.any():
+        return basis, int(U1[np.argmax(full)])
+    for j in range(d):
+        for w in np.flatnonzero(x[:, j]):
+            minor = f.add_t[f.mul_t[x, x[w, j]],
+                            f.neg_t[f.mul_t[x[w], x[:, j, None]]]]
+            minor[:, j] = x[:, j]
+            full = (minor != 0).all(axis=1)
+            if full.any():
+                basis[j] = int(U1[w])
+                return basis, int(U1[np.argmax(full)])
+    return basis, None
+
+
+@pytest.mark.parametrize("p,n,d", [(2, 1, 3), (3, 1, 3), (2, 2, 4),
+                                   (5, 1, 3)])
+def test_span_codes_match_combination_loop(p, n, d):
+    # every combination of the rows, the first coefficient most
+    # significant, for stacks of 0 to d random rows, dependent ones too
+    S = space(p, n, d)
+    f = S.field
+    rng = np.random.default_rng(p + n + d)
+    for k in range(d + 1):
+        rows = rng.integers(0, S.q, size=(3, k, d))
+        got = E._span_codes(S, rows)
+        for stack, codes in zip(rows, got):
+            want = []
+            for coef in itertools.product(range(S.q), repeat=k):
+                v = [0] * d
+                for c, r in zip(coef, stack.tolist()):
+                    v = [f.add(a, f.mul(c, b)) for a, b in zip(v, r)]
+                want.append(int(S._vector_code(np.array(v))))
+            assert codes.tolist() == want
+
+
+FRAME_SPACES = [(2, 1, 2), (2, 1, 3), (3, 1, 3), (2, 2, 3), (5, 1, 3),
+                (2, 3, 3), (2, 1, 4), (3, 1, 4), (2, 2, 4), (2, 1, 5),
+                (3, 1, 5)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(FRAME_SPACES), st.integers(1, 14), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_frame_in_matches_greedy_loop(pnd, size, in_hyperplane, seed):
+    # the one rref against the loop it replaced, on random sets that span
+    # the space and on sets inside a hyperplane, which cannot
+    S = space(*pnd)
+    rng = np.random.default_rng(seed)
+    pool = np.arange(S.n_points)
+    if in_hyperplane:   # the points where a random nonzero form vanishes
+        form = rng.integers(0, S.q, size=(1, S.d))
+        form[0, rng.integers(S.d)] = 1
+        pool = np.flatnonzero(mat_apply(S.field, form, S.pts)[:, 0] == 0)
+    U = np.sort(rng.choice(pool, size=min(size, len(pool)), replace=False))
+    basis, unit = E._frame_in(S, U)
+    assert (basis, unit) == ref_frame_in(S, U)
+    assert all(type(b) is int for b in basis)
 
 
 def battery_domain(S, kind, rng):

@@ -695,13 +695,12 @@ def test_demo_order_independent():
     assert all(r["matches_truth"] for r in reps)
 
 
-def multscan_reference(nums, psin, psi_m, mu, mpoly, degcap,
-                       mul_t, add_t, neg_t):
+def multscan_reference(nums, psin, psi_m, mu, mpoly, degcap, f):
     """Per-pair loop over (a, b) in row-major order: the reference for
     _kernels.pair_mult_scan, with the same return value."""
     nums, psin, psi_m, mu, mpoly, mul_t, add_t, neg_t = (
         np.asarray(x).tolist()
-        for x in (nums, psin, psi_m, mu, mpoly, mul_t, add_t, neg_t))
+        for x in (nums, psin, psi_m, mu, mpoly, f.mul_t, f.add_t, f.neg_t))
     N, md = len(nums), len(nums[0])
     dm = len(mpoly) - 1
     clen = 2 * md - 1
@@ -768,14 +767,13 @@ def scan_inputs(key, recovered):
         row = np.arange(f.q, dtype=np.int64)
     mpoly = np.array(rr.mpoly, dtype=np.int64)
     degcap = len(mpoly) - 1 + rr.dim - 1
-    return (nums, mat_apply(f, psi, row[nums]), psi, row, mpoly, degcap,
-            f.mul_t, f.add_t, f.neg_t)
+    return (nums, mat_apply(f, psi, row[nums]), psi, row, mpoly, degcap, f)
 
 
 def bumped(args, r, c):
     """args with psin[r, c] moved to the next field index."""
     psin = args[1].copy()
-    psin[r, c] = (psin[r, c] + 1) % len(args[6])
+    psin[r, c] = (psin[r, c] + 1) % args[6].q
     return (args[0], psin) + args[2:]
 
 
@@ -878,6 +876,6 @@ def test_multscan_random_perturbations(inst, edits, cut):
     args = scan_inputs(*inst)
     rows = [args[0].copy(), args[1].copy()]
     for which, r, c, v in edits:
-        rows[which][r % len(args[0]), c] = v % len(args[6])
+        rows[which][r % len(args[0]), c] = v % args[6].q
     args = (*rows, *args[2:5], args[5] - cut, *args[6:])
     assert pair_mult_scan(*args) == multscan_reference(*args)

@@ -35,6 +35,34 @@ def test_rejects_singular_matrix():
         SemilinearIso(S, [[1, 2, 0], [2, 1, 0], [0, 0, 0]], 0)
 
 
+def _eye_with(entry, dtype=None):
+    """The 3 x 3 identity with entry (2, 2) replaced."""
+    mat = np.eye(3, dtype=np.int64).tolist()
+    mat[2][2] = entry
+    return np.array(mat, dtype=dtype)
+
+
+@pytest.mark.parametrize("mat", [
+    _eye_with(-1),     # was read as 4, with the same point map
+    _eye_with(5),      # was an IndexError of the field tables
+    _eye_with(7),
+    _eye_with(2 ** 63, np.uint64),
+    _eye_with(0.7),    # was read as 0
+    _eye_with(2.0),
+    np.eye(3, dtype=bool),
+    np.eye(3).astype(object),
+], ids=["-1", "q", "7", "2^63", "0.7", "2.0", "bool", "object"])
+def test_rejects_matrix_off_the_field_indices(mat):
+    S = space(5, 1, 3)
+    with pytest.raises(SemilinearError, match=r"field indices.*\[0, 5\)"):
+        SemilinearIso(S, mat, 0)
+    # an in-range matrix of any integer dtype is held as int64
+    for dt in (np.int8, np.uint16, np.int32):
+        iso = SemilinearIso(S, np.eye(3, dtype=dt) * 2, 0)
+        assert iso.mat.dtype == np.int64
+        assert (iso.sigma_array() == np.arange(S.n_points)).all()
+
+
 def test_identity_induces_identity():
     S = space(5, 1, 3)
     iso = SemilinearIso(S, np.eye(3, dtype=int), 0)
